@@ -53,6 +53,7 @@ from .scattering import (
     ScatterPoint,
     generalized_eigen,
     green_corner_determinant,
+    green_corner_direct,
     green_corner_spectral,
     green_direct,
     s_matrix,
@@ -83,6 +84,7 @@ __all__ = [
     "gauss_laguerre_rule",
     "generalized_eigen",
     "green_corner_determinant",
+    "green_corner_direct",
     "green_corner_spectral",
     "green_direct",
     "h0_element",

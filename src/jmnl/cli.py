@@ -12,24 +12,32 @@ Config files are flat ``key = value`` text with ``#`` comments.  Keys:
 ell, g, lambda, nu (or nu_list), N, K, weight, e_min, e_max, steps, out.
 
 Exit codes: 0 success, 1 validation or check failure, 2 usage error,
-3 numerical failure (for scans: every row pole-flagged).
+3 numerical failure (an uncaught numerical error, or a scan in which no row
+is ``ok``).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .nonlinear import ModelConfig, lambda_matrix, omega_transform, wave_operator
-from .reference import BasisParams, cosine_coefficients, sine_coefficients
-from .scattering import Pencil, PoleError, green_corner_determinant, green_corner_spectral, s_matrix
+from .nonlinear import ModelConfig, PositivityCertificateError, lambda_matrix, omega_transform, wave_operator
+from .reference import BasisParams, RecurrenceOverflowError, cosine_coefficients, sine_coefficients
+from .scattering import (
+    DegenerateEnergyError,
+    Pencil,
+    PoleError,
+    green_corner_determinant,
+    green_corner_direct,
+    green_corner_spectral,
+    s_matrix,
+)
 
 __all__ = [
     "ScanRequest",
@@ -198,55 +206,46 @@ def load_scan_request(path: str, output_override: str | None = None) -> ScanRequ
     return request
 
 
-def _worker_count() -> int:
-    limit = os.environ.get("JMNL_THREADS")
-    default = min(4, os.cpu_count() or 1)
-    if limit is None:
-        return default
-    try:
-        capped = int(limit)
-    except ValueError:
-        raise ConfigError(f"JMNL_THREADS must be a positive integer (got {limit!r})")
-    if capped < 1:
-        raise ConfigError(f"JMNL_THREADS must be a positive integer (got {limit!r})")
-    return min(default, capped)
-
-
 def _scan_point(config: ModelConfig, nu: float, energy: float) -> ScanRow:
     try:
         point = s_matrix(energy, config)
-    except (PoleError, ArithmeticError):
-        return ScanRow(nu=nu, energy=energy, s_value=None, delta=None, amplitude=None, status="pole")
-    return ScanRow(
-        nu=nu,
-        energy=energy,
-        s_value=point.s_value,
-        delta=point.delta,
-        amplitude=point.amplitude,
-        status="ok",
-    )
+    except PoleError:
+        status = "pole"
+    except (RecurrenceOverflowError, OverflowError):
+        status = "overflow"
+    except DegenerateEnergyError:
+        status = "degenerate"
+    else:
+        return ScanRow(
+            nu=nu,
+            energy=energy,
+            s_value=point.s_value,
+            delta=point.delta,
+            amplitude=point.amplitude,
+            status="ok",
+        )
+    return ScanRow(nu=nu, energy=energy, s_value=None, delta=None, amplitude=None, status=status)
 
 
 def run_scan(request: ScanRequest) -> list[ScanRow]:
     """Evaluate the scattering matrix over the requested (nu, E) grid.
 
-    Rows come back sorted by (nu, E) regardless of worker scheduling; points
-    on Green's-function poles are flagged rather than filled with values.
+    Rows come back sorted by (nu, E), also for an unsorted or repeated nu
+    list.  Points where S cannot be evaluated carry the reason as their
+    status (``pole``, ``overflow`` or ``degenerate``) instead of values.
     """
     grid = request.energy_grid()
-    jobs = []
+    rows = []
     for nu in request.nu_list:
         config = request.config_for(nu)
-        lambda_matrix(config)  # build once before fanning out workers
-        for energy in grid:
-            jobs.append((config, nu, float(energy)))
-    workers = _worker_count()
-    if workers == 1:
-        rows = [_scan_point(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda job: _scan_point(*job), jobs))
+        rows.extend(_scan_point(config, nu, float(energy)) for energy in grid)
     return sorted(rows, key=lambda row: (row.nu, row.energy))
+
+
+def _flag_summary(rows: list[ScanRow]) -> str:
+    counts = Counter(row.status for row in rows if row.status != "ok")
+    summary = ", ".join(f"{n} {status}-flagged" for status, n in sorted(counts.items()))
+    return summary or "0 pole-flagged"
 
 
 def _fmt(x: float) -> str:
@@ -338,7 +337,7 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         try:
             point = s_matrix(energy, config)
             pencil = Pencil(a=hamiltonian, b=np.eye(config.size), label="wave operator")
-            direct = float(np.linalg.solve(matrix, np.eye(config.size)[:, -1])[-1])
+            direct = green_corner_direct(matrix, energy)
             spectral = green_corner_spectral(pencil, energy)
             det_route = green_corner_determinant(pencil, energy)
         except (PoleError, ArithmeticError):
@@ -403,7 +402,7 @@ def _cmd_scan(args) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     if all(row.status != "ok" for row in rows):
-        print("numerical failure: every grid point is pole-flagged", file=sys.stderr)
+        print(f"numerical failure: no grid point is ok ({_flag_summary(rows)})", file=sys.stderr)
         return 3
     text = format_csv(rows)
     if request.output_path:
@@ -413,8 +412,7 @@ def _cmd_scan(args) -> int:
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return 1
-        flagged = sum(row.status != "ok" for row in rows)
-        print(f"wrote {len(rows)} rows to {request.output_path} ({flagged} pole-flagged)")
+        print(f"wrote {len(rows)} rows to {request.output_path} ({_flag_summary(rows)})")
     else:
         sys.stdout.write(text)
     return 0
@@ -459,16 +457,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        _worker_count()
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, PositivityCertificateError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

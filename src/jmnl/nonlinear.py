@@ -141,7 +141,7 @@ def lambda_matrix(config: ModelConfig) -> LambdaMatrix:
     """Assemble the coupling matrix for a model configuration.
 
     Results are cached per (nu, terms, size); the returned object is
-    immutable and safe to share across scan workers.
+    immutable.
     """
     return _lambda_core(config.nu, config.terms, config.size)
 

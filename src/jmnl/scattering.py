@@ -32,6 +32,7 @@ __all__ = [
     "POLE_MARGIN",
     "green_direct",
     "generalized_eigen",
+    "green_corner_direct",
     "green_corner_spectral",
     "green_corner_determinant",
     "s_matrix",
@@ -102,15 +103,32 @@ class ScatterPoint:
             )
 
 
-def _residual_ceiling(matrix: np.ndarray, inverse: np.ndarray) -> float:
-    # double precision cannot push ||M G - I|| below ~eps ||M|| ||G||; the
-    # 1e-9 target applies whenever it is representable
-    scale = (
-        _EPS
-        * float(np.abs(matrix).sum(axis=1).max())
-        * float(np.abs(inverse).sum(axis=1).max())
+def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energy: float | None) -> np.ndarray:
+    """Solve matrix @ x = rhs with up to two refinement steps.
+
+    Raises :class:`PoleError` when the matrix is singular or the max-norm
+    residual stays above max(1e-9, 16 eps ||M|| ||x||): double precision
+    cannot push it below ~eps ||M|| ||x||, and 1e-9 applies whenever that
+    is representable.
+    """
+    try:
+        solution = np.linalg.solve(matrix, rhs)
+        for refinement in range(3):
+            defect = rhs - matrix @ solution
+            residual = float(np.abs(defect).max())
+            if residual <= 1e-9 or residual <= (
+                16.0 * _EPS * np.linalg.norm(matrix, np.inf) * np.linalg.norm(solution, np.inf)
+            ):
+                return solution
+            if refinement < 2:
+                solution = solution + np.linalg.solve(matrix, defect)
+    except np.linalg.LinAlgError as exc:
+        raise PoleError(f"wave operator is singular: {exc}", energy=energy) from exc
+    raise PoleError(
+        f"solve residual {residual:.3e} exceeds tolerance; "
+        "energy is too close to a spectral point",
+        energy=energy,
     )
-    return max(1e-9, 16.0 * scale)
 
 
 def green_direct(wave_op: np.ndarray, energy: float | None = None) -> np.ndarray:
@@ -120,24 +138,7 @@ def green_direct(wave_op: np.ndarray, energy: float | None = None) -> np.ndarray
     cannot be brought under max(1e-9, double-precision floor).
     """
     matrix = np.asarray(wave_op, dtype=float)
-    identity = np.eye(matrix.shape[0])
-    try:
-        inverse = np.linalg.solve(matrix, identity)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"wave operator is singular: {exc}", energy=energy) from exc
-    residual = float(np.abs(matrix @ inverse - identity).max())
-    for _ in range(2):
-        if residual <= _residual_ceiling(matrix, inverse):
-            break
-        inverse = inverse + inverse @ (identity - matrix @ inverse)
-        residual = float(np.abs(matrix @ inverse - identity).max())
-    if residual > _residual_ceiling(matrix, inverse):
-        raise PoleError(
-            f"inverse residual {residual:.3e} exceeds tolerance; "
-            "energy is too close to a spectral point",
-            energy=energy,
-        )
-    return inverse
+    return _checked_solve(matrix, np.eye(matrix.shape[0]), energy)
 
 
 def generalized_eigen(pencil: Pencil):
@@ -158,6 +159,17 @@ def _guard_pole(eigenvalues: np.ndarray, e_hat: float, margin: float) -> None:
             f"(gap {gap:.3e})",
             energy=e_hat,
         )
+
+
+def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> float:
+    """Corner Green's value from one checked solve for the last column.
+
+    Same residual policy as :func:`green_direct`.
+    """
+    matrix = np.asarray(wave_op, dtype=float)
+    unit = np.zeros(matrix.shape[0])
+    unit[-1] = 1.0
+    return float(_checked_solve(matrix, unit, energy)[-1])
 
 
 def green_corner_spectral(pencil: Pencil, e_hat: float, pole_margin: float = POLE_MARGIN) -> float:
@@ -198,36 +210,10 @@ def _kinematic_tail(energy: float, config: ModelConfig):
     return s, c, b_tail
 
 
-def _green_corner_direct(matrix: np.ndarray, energy: float) -> float:
-    """Last column solve with the same residual policy as green_direct."""
-    size = matrix.shape[0]
-    unit = np.zeros(size)
-    unit[-1] = 1.0
-    try:
-        column = np.linalg.solve(matrix, unit)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"wave operator is singular: {exc}", energy=energy) from exc
-    residual = float(np.abs(matrix @ column - unit).max())
-    ceiling = max(
-        1e-9,
-        16.0 * _EPS * float(np.abs(matrix).sum(axis=1).max()) * float(np.abs(column).max()),
-    )
-    for _ in range(2):
-        if residual <= ceiling:
-            break
-        column = column + np.linalg.solve(matrix, unit - matrix @ column)
-        residual = float(np.abs(matrix @ column - unit).max())
-    if residual > ceiling:
-        raise PoleError(
-            f"corner solve residual {residual:.3e} exceeds tolerance", energy=energy
-        )
-    return float(column[-1])
-
-
 def _corner_and_tail(energy: float, config: ModelConfig, pole_margin: float):
     matrix = wave_operator(energy, config)
     _guard_pole(np.linalg.eigvalsh(matrix) + energy, energy, pole_margin)
-    corner = _green_corner_direct(matrix, energy)
+    corner = green_corner_direct(matrix, energy)
     s, c, b_tail = _kinematic_tail(energy, config)
     return corner, s, c, b_tail
 

@@ -3,9 +3,9 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 Two criteria (8 and part of 9) encode qualitative expectations that the
 assembled model does not reproduce in correct double-precision arithmetic;
-they are implemented verbatim and marked as expected failures, with the
-full analysis in the project notes.  Everything else must pass at the
-stated tolerances.
+they are implemented verbatim and marked as expected failures, for the
+reasons given in the README's Numerical notes.  Everything else must pass
+at the stated tolerances.
 """
 
 import math
@@ -277,7 +277,7 @@ def test_default_scan_mechanics(default_scan):
     reason="documented model-level discrepancy: the assembled coupling matrix "
     "suppresses the corner Green's function, so the sampled amplitude has no "
     "local maximum near 3.6 for nu=1 and no monotone downward shift; see "
-    "notes/decisions ledger for the full analysis",
+    "'Resonance positions' in the README's Numerical notes",
 )
 def test_criterion_8_resonance_positions(default_scan):
     rows, _ = default_scan
@@ -335,7 +335,8 @@ def test_criterion_9_whitening_wellconditioned():
     strict=True,
     reason="documented precision limit: at the scan configs the coupling matrix "
     "condition reaches ~1e17 and the whitening identity can only be evaluated "
-    "down to a ~1e-6 double-precision floor, not 1e-10; see notes ledger",
+    "down to a ~1e-6 double-precision floor, not 1e-10; see 'Extreme "
+    "grading' in the README's Numerical notes",
 )
 def test_criterion_9_whitening_scan_configs():
     worst = 0.0

@@ -118,12 +118,10 @@ class TestRunScan:
         assert [row.status for row in rows] == ["ok", "pole", "ok"]
         assert rows[1].s_value is None
 
-    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
         first = format_csv(run_scan(request))
-        monkeypatch.setenv("JMNL_THREADS", "2")
         second = format_csv(run_scan(request))
-        monkeypatch.setenv("JMNL_THREADS", "1")
         third = format_csv(run_scan(request))
         assert first == second == third
 
@@ -197,12 +195,6 @@ class TestMainEntry:
             main([])
         assert exc.value.code == 2
 
-    def test_bad_thread_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("JMNL_THREADS", "zero")
-        config = write_config(tmp_path, GOOD_CONFIG)
-        assert main(["scan", "--config", config]) == 2
-        assert "JMNL_THREADS" in capsys.readouterr().err
-
     def test_validate_command(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG)
         assert main(["validate", "--config", config]) == 0
@@ -240,3 +232,31 @@ class TestMainEntry:
         config = write_config(tmp_path, text)
         assert main(["scan", "--config", config]) == 3
         assert "pole-flagged" in capsys.readouterr().err
+
+    def test_overflow_rows_flagged_and_exit_code(self, tmp_path, capsys):
+        text = "\n".join(
+            [
+                "ell = 1",
+                "g = 2.0",
+                "lambda = 1",
+                "nu = 1",
+                "N = 20",
+                "K = 8",
+                "e_min = 700",
+                "e_max = 720",
+                "steps = 3",
+            ]
+        )
+        config = write_config(tmp_path, text)
+        assert [row.status for row in run_scan(load_scan_request(config))] == ["overflow"] * 3
+        assert main(["scan", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: no grid point is ok (3 overflow-flagged)" in err
+
+    @pytest.mark.parametrize("command", ["scan", "validate"])
+    def test_certificate_failure_is_numerical_error(self, tmp_path, capsys, command):
+        # the positivity certificate rejects this coupling matrix today
+        text = GOOD_CONFIG.replace("nu_list = 1, 3", "nu = 1").replace("N = 12", "N = 40")
+        config = write_config(tmp_path, text.replace("K = 4", "K = 12"))
+        assert main([command, "--config", config]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: ")

@@ -12,6 +12,7 @@ from jmnl.scattering import (
     ScatterPoint,
     generalized_eigen,
     green_corner_determinant,
+    green_corner_direct,
     green_corner_spectral,
     green_direct,
     s_matrix,
@@ -72,13 +73,15 @@ class TestGreenDirect:
         residual = np.abs(matrix @ inverse - np.eye(20)).max()
         assert residual < 1e-9
 
-    def test_singular_raises_pole(self):
+    @pytest.mark.parametrize("route", [green_direct, green_corner_direct])
+    def test_singular_raises_pole(self, route):
         with pytest.raises(PoleError):
-            green_direct(np.diag([1.0, 0.0]), energy=3.5)
+            route(np.diag([1.0, 0.0]), energy=3.5)
 
-    def test_pole_error_carries_energy(self):
+    @pytest.mark.parametrize("route", [green_direct, green_corner_direct])
+    def test_pole_error_carries_energy(self, route):
         try:
-            green_direct(np.zeros((2, 2)), energy=2.25)
+            route(np.zeros((2, 2)), energy=2.25)
         except PoleError as err:
             assert err.energy == 2.25
         else:
