@@ -57,7 +57,6 @@ from .scattering import (
     green_corner_spectral,
     green_direct,
     s_matrix,
-    s_matrix_tr_form,
 )
 
 __all__ = [
@@ -101,7 +100,6 @@ __all__ = [
     "regular_solution_residual",
     "regular_wave",
     "s_matrix",
-    "s_matrix_tr_form",
     "sine_coefficients",
     "wave_operator",
     "weight",

@@ -33,6 +33,7 @@ from .scattering import (
     DegenerateEnergyError,
     Pencil,
     PoleError,
+    _scatter,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
@@ -206,25 +207,15 @@ def load_scan_request(path: str, output_override: str | None = None) -> ScanRequ
     return request
 
 
-def _scan_point(config: ModelConfig, nu: float, energy: float) -> ScanRow:
-    try:
-        point = s_matrix(energy, config)
-    except PoleError:
-        status = "pole"
-    except (RecurrenceOverflowError, OverflowError):
-        status = "overflow"
-    except DegenerateEnergyError:
-        status = "degenerate"
-    else:
-        return ScanRow(
-            nu=nu,
-            energy=energy,
-            s_value=point.s_value,
-            delta=point.delta,
-            amplitude=point.amplitude,
-            status="ok",
-        )
-    return ScanRow(nu=nu, energy=energy, s_value=None, delta=None, amplitude=None, status=status)
+def _status(error: ArithmeticError) -> str:
+    """Row status for an error that stops S at one energy; re-raises any other."""
+    if isinstance(error, PoleError):
+        return "pole"
+    if isinstance(error, (RecurrenceOverflowError, OverflowError)):
+        return "overflow"
+    if isinstance(error, DegenerateEnergyError):
+        return "degenerate"
+    raise error
 
 
 def run_scan(request: ScanRequest) -> list[ScanRow]:
@@ -234,18 +225,21 @@ def run_scan(request: ScanRequest) -> list[ScanRow]:
     list.  Points where S cannot be evaluated carry the reason as their
     status (``pole``, ``overflow`` or ``degenerate``) instead of values.
     """
-    grid = request.energy_grid()
+    grid = [float(energy) for energy in request.energy_grid()]
     rows = []
     for nu in request.nu_list:
-        config = request.config_for(nu)
-        rows.extend(_scan_point(config, nu, float(energy)) for energy in grid)
+        for energy, point in zip(grid, _scatter(grid, request.config_for(nu))):
+            if isinstance(point, ArithmeticError):
+                rows.append(ScanRow(nu, energy, None, None, None, _status(point)))
+            else:
+                rows.append(ScanRow(nu, energy, point.s_value, point.delta, point.amplitude, "ok"))
     return sorted(rows, key=lambda row: (row.nu, row.energy))
 
 
-def _flag_summary(rows: list[ScanRow]) -> str:
-    counts = Counter(row.status for row in rows if row.status != "ok")
-    summary = ", ".join(f"{n} {status}-flagged" for status, n in sorted(counts.items()))
-    return summary or "0 pole-flagged"
+def _status_summary(statuses, suffix: str) -> str:
+    counts = Counter(status for status in statuses if status != "ok")
+    summary = ", ".join(f"{n} {status}-{suffix}" for status, n in sorted(counts.items()))
+    return summary or f"0 pole-{suffix}"
 
 
 def _fmt(x: float) -> str:
@@ -327,44 +321,52 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
 
     worst_route = 0.0
     worst_unit = 0.0
-    checked = 0
-    poles = 0
+    skipped = []
     for energy in energies:
-        matrix = wave_operator(energy, config)
-        hamiltonian = matrix + energy * np.eye(config.size)
-        eigenvalues = np.linalg.eigvalsh(hamiltonian)
-        tol = _three_route_tolerance(eigenvalues, energy)
         try:
+            # first: its pole guard skips an energy on a spectral point
             point = s_matrix(energy, config)
+            matrix = wave_operator(energy, config)
+            hamiltonian = matrix + energy * np.eye(config.size)
+            tol = _three_route_tolerance(np.linalg.eigvalsh(hamiltonian), energy)
             pencil = Pencil(a=hamiltonian, b=np.eye(config.size), label="wave operator")
             direct = green_corner_direct(matrix, energy)
             spectral = green_corner_spectral(pencil, energy)
             det_route = green_corner_determinant(pencil, energy)
-        except (PoleError, ArithmeticError):
-            poles += 1
+        except ArithmeticError as exc:
+            skipped.append(_status(exc))
             continue
-        checked += 1
         scale = abs(direct)
         spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
         worst_route = max(worst_route, spread / scale / tol)
         worst_unit = max(worst_unit, abs(abs(point.s_value) - 1.0))
+    checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",
         checked > 0 and worst_route <= 1.0,
         f"worst spread {worst_route:.3f} of the conditioning-aware tolerance "
-        f"({checked} energies, {poles} pole-skipped)",
+        f"({checked} checked, {_status_summary(skipped, 'skipped')})",
     )
     report.add("unitarity", worst_unit < 1e-10, f"worst ||S|-1| = {worst_unit:.3e}")
 
     worst_sine = 0.0
     worst_cosine = 0.0
+    skipped = []
     for energy in energies[:4]:
-        worst_sine = max(worst_sine, _recursion_residual(energy, config, "sine"))
-        worst_cosine = max(worst_cosine, _recursion_residual(energy, config, "cosine"))
+        try:
+            sine = _recursion_residual(energy, config, "sine")
+            cosine = _recursion_residual(energy, config, "cosine")
+        except ArithmeticError as exc:
+            skipped.append(_status(exc))
+            continue
+        worst_sine = max(worst_sine, sine)
+        worst_cosine = max(worst_cosine, cosine)
+    checked = len(energies[:4]) - len(skipped)
     report.add(
         "recursion-residual",
-        worst_sine < 1e-8 and worst_cosine < 1e-8,
-        f"sine {worst_sine:.3e}, cosine {worst_cosine:.3e}",
+        checked > 0 and worst_sine < 1e-8 and worst_cosine < 1e-8,
+        f"sine {worst_sine:.3e}, cosine {worst_cosine:.3e} "
+        f"({checked} checked, {_status_summary(skipped, 'skipped')})",
     )
     return report
 
@@ -401,8 +403,9 @@ def _cmd_scan(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    flagged = _status_summary((row.status for row in rows), "flagged")
     if all(row.status != "ok" for row in rows):
-        print(f"numerical failure: no grid point is ok ({_flag_summary(rows)})", file=sys.stderr)
+        print(f"numerical failure: no grid point is ok ({flagged})", file=sys.stderr)
         return 3
     text = format_csv(rows)
     if request.output_path:
@@ -412,7 +415,7 @@ def _cmd_scan(args) -> int:
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {len(rows)} rows to {request.output_path} ({_flag_summary(rows)})")
+        print(f"wrote {len(rows)} rows to {request.output_path} ({flagged})")
     else:
         sys.stdout.write(text)
     return 0

@@ -83,10 +83,13 @@ class ModelConfig:
 
 def weight(energy: float, config: ModelConfig) -> float:
     """Energy-dependent weight of the ansatz coefficients."""
-    kin = Kinematics.from_energy(energy, config.basis)
+    return _weight(Kinematics.from_energy(energy, config.basis).mu, config)
+
+
+def _weight(mu: float, config: ModelConfig) -> float:
     if config.weight_choice == "resonance":
-        return kin.mu ** (2.0 * config.nu) * math.exp(-kin.mu**2)
-    return 2.0 * kin.mu ** (config.basis.ell + 1) * math.exp(-kin.mu**2 / 2.0)
+        return mu ** (2.0 * config.nu) * math.exp(-mu**2)
+    return 2.0 * mu ** (config.basis.ell + 1) * math.exp(-mu**2 / 2.0)
 
 
 def ansatz_coefficients(energy: float, config: ModelConfig, count: int) -> CoefficientVector:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -122,15 +123,57 @@ def h0_matrix(basis: BasisParams, size: int) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def _sine_prefactor(kin: Kinematics, basis: BasisParams) -> float:
+    return (2.0 / math.sqrt(basis.lam)) * kin.mu ** (basis.ell + 1) * math.exp(-kin.mu**2 / 2.0)
+
+
 def sine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
     """Closed-form regular-solution coefficients s_0 .. s_{count-1}."""
     kin = Kinematics.from_energy(energy, basis)
-    nu = basis.nu_basis
-    z = kin.mu**2
-    lt = laguerre_orthonormal_sequence(count - 1, nu, z)
+    lt = laguerre_orthonormal_sequence(count - 1, basis.nu_basis, kin.mu**2)
     signs = (-1.0) ** np.arange(count)
-    prefactor = (2.0 / math.sqrt(basis.lam)) * kin.mu ** (basis.ell + 1) * math.exp(-z / 2.0)
+    prefactor = _sine_prefactor(kin, basis)
     return CoefficientVector(kind="sine", energy=energy, values=signs * prefactor * lt)
+
+
+@lru_cache(maxsize=64)
+def _free_recursion_coefficients(ell: int, count: int) -> tuple[tuple[float, float, float], ...]:
+    return tuple(
+        (2 * n + ell + 1.5, math.sqrt(n * (n + ell + 0.5)), math.sqrt((n + 1) * (n + ell + 1.5)))
+        for n in range(1, count - 1)
+    )
+
+
+def _free_recursion(first: float, second: float, z: float, ell: int, count: int) -> list[float]:
+    """P_0 .. P_{count-1} (count >= 2) of the free three-term recursion.
+
+    P_{n+1} = ((z - (2n + ell + 3/2)) P_n - sqrt(n (n + ell + 1/2)) P_{n-1})
+    / sqrt((n+1)(n + ell + 3/2)), run in Python floats.  The cosine
+    coefficients obey it, and so does (-1)^n Lt_n(z) with nu = ell + 1/2,
+    whose sign flips are exact.
+    """
+    values = [first, second]
+    for diagonal, below, above in _free_recursion_coefficients(ell, count):
+        first, second = second, ((z - diagonal) * second - below * first) / above
+        values.append(second)
+    return values
+
+
+def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[float]:
+    """s_0 .. s_{count-1} (count >= 2) by the free recursion, in Python floats.
+
+    Equal bit for bit to :func:`sine_coefficients`, which evaluates the
+    same Laguerre recurrence up to exact sign flips; raises the same
+    ValueError on a non-finite entry.
+    """
+    z = kin.mu**2
+    lt_0 = math.exp(-0.5 * ln_gamma(basis.nu_basis + 1.0))
+    minus_lt_1 = (z - (basis.ell + 1.5)) * lt_0 / math.sqrt(basis.ell + 1.5)
+    prefactor = _sine_prefactor(kin, basis)
+    values = [prefactor * v for v in _free_recursion(lt_0, minus_lt_1, z, basis.ell, count)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("sine coefficients contain non-finite entries")
+    return values
 
 
 def cosine_seed(energy: float, basis: BasisParams) -> float:
@@ -142,7 +185,10 @@ def cosine_seed(energy: float, basis: BasisParams) -> float:
     series evaluation and against the asymptotic cosine behaviour of the
     resummed radial function.
     """
-    kin = Kinematics.from_energy(energy, basis)
+    return _cosine_seed(Kinematics.from_energy(energy, basis), basis)
+
+
+def _cosine_seed(kin: Kinematics, basis: BasisParams) -> float:
     nu = basis.nu_basis
     z = kin.mu**2
     a0 = math.exp(-0.5 * ln_gamma(nu + 1.0))
@@ -166,6 +212,42 @@ def _seed_drive(kin: Kinematics, basis: BasisParams) -> float:
     )
 
 
+def _seed_overflow(kin: Kinematics) -> RecurrenceOverflowError:
+    return RecurrenceOverflowError(
+        f"cosine seed overflowed for mu={kin.mu:.3g}; the requested "
+        "momentum is outside the double-precision range of the seed"
+    )
+
+
+def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[float]:
+    """c_0 .. c_{count-1} in Python floats; see :func:`cosine_coefficients`."""
+    ell = basis.ell
+    z = kin.mu**2
+    try:
+        c0 = _cosine_seed(kin, basis)
+        if count == 1:
+            return [c0]
+        drive = _seed_drive(kin, basis)
+    except OverflowError as exc:
+        raise _seed_overflow(kin) from exc
+    c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise _seed_overflow(kin)
+    values = _free_recursion(c0, c1, z, ell, count)
+    guard = 1e8 * max(abs(c0), abs(c1), 1e-300)
+    # from finite c_0, c_1 the recursion reaches nan only through inf
+    peak = max(map(abs, values))
+    if peak > guard or math.isinf(peak):
+        n = next(
+            n for n, value in enumerate(values) if not math.isfinite(value) or abs(value) > guard
+        )
+        raise RecurrenceOverflowError(
+            f"cosine recursion unstable at n={n} for mu={kin.mu:.3g} "
+            f"(|c_n| exceeded {guard:.2e}); reduce count"
+        )
+    return values
+
+
 def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
     """Irregular-solution coefficients c_0 .. c_{count-1}.
 
@@ -174,37 +256,8 @@ def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> Coeffi
     mildly unstable only far beyond the lengths used here (a growth guard
     raises if the requested count leaves the stable range).
     """
-    kin = Kinematics.from_energy(energy, basis)
-    ell = basis.ell
-    z = kin.mu**2
-    c = np.zeros(count)
-    try:
-        c[0] = cosine_seed(energy, basis)
-        if count == 1:
-            return CoefficientVector(kind="cosine", energy=energy, values=c)
-        drive = _seed_drive(kin, basis)
-    except OverflowError as exc:
-        raise RecurrenceOverflowError(
-            f"cosine seed overflowed for mu={kin.mu:.3g}; the requested "
-            "momentum is outside the double-precision range of the seed"
-        ) from exc
-    c[1] = ((z - (ell + 1.5)) * c[0] - drive) / math.sqrt(ell + 1.5)
-    if not (math.isfinite(c[0]) and math.isfinite(c[1])):
-        raise RecurrenceOverflowError(
-            f"cosine seed overflowed for mu={kin.mu:.3g}; the requested "
-            "momentum is outside the double-precision range of the seed"
-        )
-    guard = 1e8 * max(abs(c[0]), abs(c[1]), 1e-300)
-    for n in range(1, count - 1):
-        c[n + 1] = (
-            (z - (2 * n + ell + 1.5)) * c[n] - math.sqrt(n * (n + ell + 0.5)) * c[n - 1]
-        ) / math.sqrt((n + 1) * (n + ell + 1.5))
-        if not math.isfinite(c[n + 1]) or abs(c[n + 1]) > guard:
-            raise RecurrenceOverflowError(
-                f"cosine recursion unstable at n={n + 1} for mu={kin.mu:.3g} "
-                f"(|c_n| exceeded {guard:.2e}); reduce count"
-            )
-    return CoefficientVector(kind="cosine", energy=energy, values=c)
+    values = _cosine_sequence(Kinematics.from_energy(energy, basis), basis, count)
+    return CoefficientVector(kind="cosine", energy=energy, values=np.array(values))
 
 
 def basis_function(n: int, r: float, basis: BasisParams) -> float:

@@ -12,17 +12,29 @@ delta = arg(S)/2.  Three independent routes to the corner value are provided
 (direct solve, spectral sum over a symmetric-definite pencil, and a
 determinant ratio needing eigenvalues only); they must agree, which is the
 main internal consistency oracle of the package.
+
+S over many energies comes from one kernel that stacks the wave operators of
+a block of energies for one eigvalsh pole guard and one checked solve;
+:func:`s_matrix` is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .nonlinear import ModelConfig, wave_operator
-from .reference import cosine_coefficients, h0_element, sine_coefficients
+from .nonlinear import ModelConfig, _weight, lambda_matrix
+from .reference import (
+    BasisParams,
+    Kinematics,
+    _cosine_sequence,
+    _sine_sequence,
+    h0_element,
+    h0_matrix,
+)
 
 __all__ = [
     "Pencil",
@@ -36,7 +48,6 @@ __all__ = [
     "green_corner_spectral",
     "green_corner_determinant",
     "s_matrix",
-    "s_matrix_tr_form",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -44,6 +55,9 @@ _EPS = float(np.finfo(float).eps)
 #: relative distance to the nearest spectral point below which an energy is
 #: treated as sitting on a pole of the finite Green's function
 POLE_MARGIN = 1e-6
+
+#: energies per stacked block of the scan kernel; bounds its (B, N, N) arrays
+_BLOCK = 64
 
 
 class PoleError(ArithmeticError):
@@ -103,32 +117,57 @@ class ScatterPoint:
             )
 
 
-def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energy: float | None) -> np.ndarray:
-    """Solve matrix @ x = rhs with up to two refinement steps.
+def _norm_inf(stack: np.ndarray) -> np.ndarray:
+    # max-norm (largest absolute row sum) of each member of a (B, N, K) stack
+    return np.abs(stack).sum(axis=-1).max(axis=-1)
 
-    Raises :class:`PoleError` when the matrix is singular or the max-norm
-    residual stays above max(1e-9, 16 eps ||M|| ||x||): double precision
-    cannot push it below ~eps ||M|| ||x||, and 1e-9 applies whenever that
-    is representable.
+
+def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.ndarray, list]:
+    """Solve matrix[i] @ x = rhs[i] for a (B, N, N) stack, with up to two refinement steps.
+
+    Returns the (B, N, K) solutions and, for each member, ``None`` or the
+    :class:`PoleError` that rejects it: the matrix is singular, or the
+    max-norm residual stays above max(1e-9, 16 eps ||M|| ||x||).  Double
+    precision cannot push it below ~eps ||M|| ||x||, and 1e-9 applies
+    whenever that is representable.  A failure marks only its own member.
     """
     try:
         solution = np.linalg.solve(matrix, rhs)
-        for refinement in range(3):
-            defect = rhs - matrix @ solution
-            residual = float(np.abs(defect).max())
-            if residual <= 1e-9 or residual <= (
-                16.0 * _EPS * np.linalg.norm(matrix, np.inf) * np.linalg.norm(solution, np.inf)
-            ):
-                return solution
-            if refinement < 2:
-                solution = solution + np.linalg.solve(matrix, defect)
     except np.linalg.LinAlgError as exc:
-        raise PoleError(f"wave operator is singular: {exc}", energy=energy) from exc
-    raise PoleError(
-        f"solve residual {residual:.3e} exceeds tolerance; "
-        "energy is too close to a spectral point",
-        energy=energy,
-    )
+        if len(matrix) > 1:
+            # LAPACK stops the whole stack at one singular member: settle each alone
+            parts = [
+                _checked_solve(matrix[i : i + 1], rhs[i : i + 1], energies[i : i + 1])
+                for i in range(len(matrix))
+            ]
+            return np.concatenate([x for x, _ in parts]), [e for _, (e,) in parts]
+        error = PoleError(f"wave operator is singular: {exc}", energy=energies[0])
+        error.__cause__ = exc
+        return np.full(rhs.shape, np.nan), [error]
+    errors = [None] * len(matrix)
+    rows = np.arange(len(matrix))
+    a, b, x = matrix, rhs, solution
+    for refinement in range(3):
+        defect = b - a @ x
+        residual = np.abs(defect).max(axis=(1, 2))
+        failed = ~(residual <= 1e-9)
+        if failed.any():
+            failed &= ~(residual <= 16.0 * _EPS * _norm_inf(a) * _norm_inf(x))
+        if not failed.any():
+            return solution, errors
+        rows, a, b, x, defect, residual = (
+            v[failed] for v in (rows, a, b, x, defect, residual)
+        )
+        if refinement < 2:
+            x = x + np.linalg.solve(a, defect)
+            solution[rows] = x
+    for row, value in zip(rows, residual):
+        errors[row] = PoleError(
+            f"solve residual {value:.3e} exceeds tolerance; "
+            "energy is too close to a spectral point",
+            energy=energies[row],
+        )
+    return solution, errors
 
 
 def green_direct(wave_op: np.ndarray, energy: float | None = None) -> np.ndarray:
@@ -138,7 +177,10 @@ def green_direct(wave_op: np.ndarray, energy: float | None = None) -> np.ndarray
     cannot be brought under max(1e-9, double-precision floor).
     """
     matrix = np.asarray(wave_op, dtype=float)
-    return _checked_solve(matrix, np.eye(matrix.shape[0]), energy)
+    solution, (error,) = _checked_solve(matrix[None], np.eye(matrix.shape[0])[None], [energy])
+    if error is not None:
+        raise error
+    return solution[0]
 
 
 def generalized_eigen(pencil: Pencil):
@@ -151,14 +193,35 @@ def generalized_eigen(pencil: Pencil):
     return eigenvalues, eigenvectors
 
 
-def _guard_pole(eigenvalues: np.ndarray, e_hat: float, margin: float) -> None:
-    gap = float(np.min(np.abs(eigenvalues - e_hat)))
+def _pole_error(gap: float, e_hat: float, margin: float) -> PoleError | None:
     if gap <= margin * max(1.0, abs(e_hat)):
-        raise PoleError(
+        return PoleError(
             f"energy {e_hat} within pole margin of spectral point "
             f"(gap {gap:.3e})",
             energy=e_hat,
         )
+    return None
+
+
+def _guard_pole(eigenvalues: np.ndarray, e_hat: float, margin: float) -> None:
+    error = _pole_error(float(np.min(np.abs(eigenvalues - e_hat))), e_hat, margin)
+    if error is not None:
+        raise error
+
+
+def _last_units(count: int, size: int) -> np.ndarray:
+    # (count, size, 1) stack of the last unit column
+    unit = np.zeros((count, size, 1))
+    unit[:, -1] = 1.0
+    return unit
+
+
+@lru_cache(maxsize=64)
+def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, float]:
+    """Free Hamiltonian block and its tail coupling b_{N-1}, shared by every energy."""
+    h0 = h0_matrix(basis, size)
+    h0.setflags(write=False)
+    return h0, h0_element(size - 1, size, basis)
 
 
 def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> float:
@@ -167,9 +230,10 @@ def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> flo
     Same residual policy as :func:`green_direct`.
     """
     matrix = np.asarray(wave_op, dtype=float)
-    unit = np.zeros(matrix.shape[0])
-    unit[-1] = 1.0
-    return float(_checked_solve(matrix, unit, energy)[-1])
+    solution, (error,) = _checked_solve(matrix[None], _last_units(1, matrix.shape[0]), [energy])
+    if error is not None:
+        raise error
+    return float(solution[0, -1, 0])
 
 
 def green_corner_spectral(pencil: Pencil, e_hat: float, pole_margin: float = POLE_MARGIN) -> float:
@@ -201,31 +265,73 @@ def green_corner_determinant(pencil: Pencil, e_hat: float, pole_margin: float = 
     return float(value)
 
 
-def _kinematic_tail(energy: float, config: ModelConfig):
-    """s_n, c_n at indices N-1 and N, plus the tail coupling b_{N-1}."""
+def _scatter(energies, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> list:
+    """S at each energy, or the ArithmeticError that stops it there.
+
+    The scan kernel.  Lambda is fixed for the config; only the weight
+    g omega(E)^2 and the free sine/cosine tails change with E.  Each block of
+    up to ``_BLOCK`` energies is one (B, N, N) wave-operator stack with one
+    eigvalsh pole guard and one checked solve for the last column.  The
+    per-energy scalars (weight, tails, S assembly) are evaluated one energy
+    at a time with the per-energy formulas, so every value is bit for bit
+    what the energy gives alone.  An error marks only its own energy; errors
+    that are no ArithmeticError (a non-positive energy, a failed
+    eigensolver) propagate.
+    """
+    results = []
+    for start in range(0, len(energies), _BLOCK):
+        results.extend(_scatter_block(energies[start : start + _BLOCK], config, pole_margin))
+    return results
+
+
+def _scatter_block(block, config: ModelConfig, pole_margin: float) -> list:
+    h0, b_tail = _free_block(config.basis, config.size)
+    out: list = [None] * len(block)
+    kins = [Kinematics.from_energy(energy, config.basis) for energy in block]
+    live, couplings = [], []
+    for i, kin in enumerate(kins):
+        try:
+            w = _weight(kin.mu, config)
+        except ArithmeticError as exc:
+            out[i] = exc
+            continue
+        live.append(i)
+        couplings.append(config.g * w * w)
+    if not live:
+        return out
+    e = np.array([block[i] for i in live])[:, None]
+    stack = h0 + np.multiply.outer(couplings, lambda_matrix(config).entries)
+    diagonal = np.arange(config.size)
+    stack[:, diagonal, diagonal] -= e
+    gaps = np.abs(np.linalg.eigvalsh(stack) + e - e).min(axis=1)
+    for i, gap in zip(live, gaps.tolist()):
+        out[i] = _pole_error(gap, block[i], pole_margin)
+    clear = [j for j, i in enumerate(live) if out[i] is None]
+    if not clear:
+        return out
+    live = [live[j] for j in clear]
+    solution, errors = _checked_solve(
+        stack[clear], _last_units(len(live), config.size), [block[i] for i in live]
+    )
+    for i, corner, error in zip(live, solution[:, -1, 0].tolist(), errors):
+        out[i] = error or _assemble(block[i], kins[i], corner, b_tail, config)
+    return out
+
+
+def _assemble(energy: float, kin: Kinematics, corner: float, b_tail: float, config: ModelConfig):
+    """S from the corner Green's value and the free tails at indices N-1, N."""
     count = config.size + 1
-    s = sine_coefficients(energy, config.basis, count).values
-    c = cosine_coefficients(energy, config.basis, count).values
-    b_tail = h0_element(config.size - 1, config.size, config.basis)
-    return s, c, b_tail
-
-
-def _corner_and_tail(energy: float, config: ModelConfig, pole_margin: float):
-    matrix = wave_operator(energy, config)
-    _guard_pole(np.linalg.eigvalsh(matrix) + energy, energy, pole_margin)
-    corner = green_corner_direct(matrix, energy)
-    s, c, b_tail = _kinematic_tail(energy, config)
-    return corner, s, c, b_tail
-
-
-def s_matrix(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
-    """Scattering matrix value e^{2 i delta} at one energy."""
-    corner, s, c, b_tail = _corner_and_tail(energy, config, pole_margin)
-    last = config.size - 1
-    numerator = c[last] - 1j * s[last] + b_tail * corner * (c[last + 1] - 1j * s[last + 1])
-    denominator = c[last] + 1j * s[last] + b_tail * corner * (c[last + 1] + 1j * s[last + 1])
+    try:
+        s = _sine_sequence(kin, config.basis, count)[-2:]
+        # numpy scalars make S numpy complex arithmetic, as in the per-energy
+        # formulas; Python's complex division rounds differently
+        c = [np.float64(v) for v in _cosine_sequence(kin, config.basis, count)[-2:]]
+    except ArithmeticError as exc:
+        return exc
+    numerator = c[0] - 1j * s[0] + b_tail * corner * (c[1] - 1j * s[1])
+    denominator = c[0] + 1j * s[0] + b_tail * corner * (c[1] + 1j * s[1])
     if abs(denominator) < 1e-300:
-        raise DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
+        return DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
     s_value = numerator / denominator
     return ScatterPoint(
         energy=energy,
@@ -235,26 +341,14 @@ def s_matrix(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGI
     )
 
 
-def s_matrix_tr_form(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
-    """Same scattering matrix through the reflection-ratio form.
+def s_matrix(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
+    """Scattering matrix value e^{2 i delta} at one energy.
 
-    Writes S = T_{N-1} (1 + G_c J R^-) / (1 + G_c J R^+) with
-    T_n = (c_n - i s_n)/(c_n + i s_n), R^± the ratio of consecutive
-    (c ± i s), and J the off-diagonal free-Hamiltonian coupling.  Must agree
-    with :func:`s_matrix` to full precision.
+    A batch of one through the scan kernel; raises the error that stops S
+    at this energy (:class:`PoleError`, :class:`RecurrenceOverflowError`,
+    :class:`DegenerateEnergyError`, ...).
     """
-    corner, s, c, b_tail = _corner_and_tail(energy, config, pole_margin)
-    last = config.size - 1
-    t_last = (c[last] - 1j * s[last]) / (c[last] + 1j * s[last])
-    r_minus = (c[last + 1] - 1j * s[last + 1]) / (c[last] - 1j * s[last])
-    r_plus = (c[last + 1] + 1j * s[last + 1]) / (c[last] + 1j * s[last])
-    denominator = 1.0 + corner * b_tail * r_plus
-    if abs(denominator) < 1e-300:
-        raise DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
-    s_value = t_last * (1.0 + corner * b_tail * r_minus) / denominator
-    return ScatterPoint(
-        energy=energy,
-        s_value=complex(s_value),
-        delta=float(np.angle(s_value) / 2.0),
-        amplitude=float(abs(1.0 - s_value)),
-    )
+    (point,) = _scatter([energy], config, pole_margin)
+    if isinstance(point, ArithmeticError):
+        raise point
+    return point

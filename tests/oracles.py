@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: polynomial
 values come from explicit series or from scipy's own evaluators, quadrature
 nodes from scipy's Gauss-Laguerre roots, radial integrals from adaptive
-quadrature.
+quadrature.  The per-point scattering routes at the end evaluate one energy
+at a time through the public per-point functions; the batched scan kernel
+is compared with them.
 """
 
 import math
@@ -12,6 +14,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, roots_genlaguerre
+
+from jmnl.nonlinear import ModelConfig, wave_operator
+from jmnl.reference import cosine_coefficients, h0_element, sine_coefficients
+from jmnl.scattering import (
+    POLE_MARGIN,
+    DegenerateEnergyError,
+    PoleError,
+    ScatterPoint,
+    green_corner_direct,
+)
 
 
 def laguerre_series(n: int, nu: float, z: float) -> float:
@@ -124,3 +136,68 @@ def seed_residuals(s: np.ndarray, c: np.ndarray, energy: float, lam: float, ell:
     scale_s = max(abs(s[0]), abs(s[1]), 1e-300)
     scale_c = max(abs(c[0]), abs(c[1]), abs(drive), 1e-300)
     return abs(res_s) / scale_s, abs(res_c) / scale_c
+
+
+def _kinematic_tail(energy: float, config: ModelConfig):
+    """s_n, c_n at indices N-1 and N, plus the tail coupling b_{N-1}."""
+    count = config.size + 1
+    s = sine_coefficients(energy, config.basis, count).values
+    c = cosine_coefficients(energy, config.basis, count).values
+    b_tail = h0_element(config.size - 1, config.size, config.basis)
+    return s, c, b_tail
+
+
+def _corner_and_tail(energy: float, config: ModelConfig, pole_margin: float):
+    matrix = wave_operator(energy, config)
+    eigenvalues = np.linalg.eigvalsh(matrix) + energy
+    gap = float(np.min(np.abs(eigenvalues - energy)))
+    if gap <= pole_margin * max(1.0, abs(energy)):
+        raise PoleError(
+            f"energy {energy} within pole margin of spectral point (gap {gap:.3e})",
+            energy=energy,
+        )
+    corner = green_corner_direct(matrix, energy)
+    s, c, b_tail = _kinematic_tail(energy, config)
+    return corner, s, c, b_tail
+
+
+def s_matrix_point(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
+    """Scattering matrix at one energy, one call per layer."""
+    corner, s, c, b_tail = _corner_and_tail(energy, config, pole_margin)
+    last = config.size - 1
+    numerator = c[last] - 1j * s[last] + b_tail * corner * (c[last + 1] - 1j * s[last + 1])
+    denominator = c[last] + 1j * s[last] + b_tail * corner * (c[last + 1] + 1j * s[last + 1])
+    if abs(denominator) < 1e-300:
+        raise DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
+    s_value = numerator / denominator
+    return ScatterPoint(
+        energy=energy,
+        s_value=complex(s_value),
+        delta=float(np.angle(s_value) / 2.0),
+        amplitude=float(abs(1.0 - s_value)),
+    )
+
+
+def s_matrix_tr_form(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
+    """Same scattering matrix through the reflection-ratio form.
+
+    Writes S = T_{N-1} (1 + G_c J R^-) / (1 + G_c J R^+) with
+    T_n = (c_n - i s_n)/(c_n + i s_n), R^± the ratio of consecutive
+    (c ± i s), and J the off-diagonal free-Hamiltonian coupling.  Must agree
+    with the scattering matrix to full precision.
+    """
+    corner, s, c, b_tail = _corner_and_tail(energy, config, pole_margin)
+    last = config.size - 1
+    t_last = (c[last] - 1j * s[last]) / (c[last] + 1j * s[last])
+    r_minus = (c[last + 1] - 1j * s[last + 1]) / (c[last] - 1j * s[last])
+    r_plus = (c[last + 1] + 1j * s[last + 1]) / (c[last] + 1j * s[last])
+    denominator = 1.0 + corner * b_tail * r_plus
+    if abs(denominator) < 1e-300:
+        raise DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
+    s_value = t_last * (1.0 + corner * b_tail * r_minus) / denominator
+    return ScatterPoint(
+        energy=energy,
+        s_value=complex(s_value),
+        delta=float(np.angle(s_value) / 2.0),
+        amplitude=float(abs(1.0 - s_value)),
+    )

@@ -31,11 +31,15 @@ from jmnl.scattering import (
     green_corner_spectral,
     green_direct,
     s_matrix,
-    s_matrix_tr_form,
 )
 from jmnl.nonlinear import wave_operator
 
-from oracles import free_hamiltonian_residual, seed_residuals, triple_product_integral
+from oracles import (
+    free_hamiltonian_residual,
+    s_matrix_tr_form,
+    seed_residuals,
+    triple_product_integral,
+)
 
 SCAN_BASIS = BasisParams(lam=5.0, ell=1)
 SCAN_NUS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import jmnl
 from jmnl.cli import (
     ConfigError,
     ScanRequest,
@@ -14,7 +16,19 @@ from jmnl.cli import (
     validate,
 )
 from jmnl.nonlinear import ModelConfig
-from jmnl.reference import BasisParams, h0_matrix
+from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
+from jmnl.scattering import DegenerateEnergyError, PoleError
+
+from oracles import s_matrix_point
+
+ORACLE_STATUS = {
+    PoleError: "pole",
+    RecurrenceOverflowError: "overflow",
+    OverflowError: "overflow",
+    DegenerateEnergyError: "degenerate",
+}
+# with g = 0 the rows on these free eigenvalues are poles
+FREE_EIGS = np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))
 
 GOOD_CONFIG = """\
 # compact scan for tests
@@ -27,6 +41,33 @@ K = 4
 e_min = 0.5
 e_max = 4.0
 steps = 8
+"""
+
+# every energy overflows the cosine seed
+OVERFLOW_CONFIG = """\
+ell = 1
+g = 2.0
+lambda = 1
+nu = 1
+N = 20
+K = 8
+e_min = 700
+e_max = 720
+steps = 3
+"""
+
+# g = 0 and both grid points on eigenvalues of the free block: every row is a pole
+POLE_EIGS = np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 12))
+POLE_CONFIG = f"""\
+ell = 1
+g = 0
+lambda = 5.0
+nu = 1
+N = 12
+K = 4
+e_min = {float(POLE_EIGS[0])!r}
+e_max = {float(POLE_EIGS[1])!r}
+steps = 2
 """
 
 
@@ -118,6 +159,45 @@ class TestRunScan:
         assert [row.status for row in rows] == ["ok", "pole", "ok"]
         assert rows[1].s_value is None
 
+    @pytest.mark.parametrize(
+        "basis, g, bounds",
+        [
+            (BasisParams(lam=5.0, ell=1), 0.0, (float(FREE_EIGS[0]), float(FREE_EIGS[3]))),
+            (BasisParams(lam=1.0, ell=1), 2.0, (60.0, 90.0)),  # crosses the overflow onset
+        ],
+        ids=["pole", "overflow"],
+    )
+    def test_row_statuses_match_point_oracle(self, basis, g, bounds):
+        request = ScanRequest(
+            basis=basis,
+            g=g,
+            size=20,
+            terms=8,
+            weight_choice="resonance",
+            nu_list=(1.0,),
+            e_min=bounds[0],
+            e_max=bounds[1],
+            steps=130,
+        )
+        rows = run_scan(request)
+        config = request.config_for(1.0)
+        statuses = set()
+        for row in rows:
+            try:
+                point = s_matrix_point(row.energy, config)
+            except ArithmeticError as exc:
+                assert row.status == ORACLE_STATUS[type(exc)]
+                assert row.s_value is None
+            else:
+                assert row.status == "ok"
+                assert (row.s_value, row.delta, row.amplitude) == (
+                    point.s_value,
+                    point.delta,
+                    point.amplitude,
+                )
+            statuses.add(row.status)
+        assert len(statuses) > 1
+
     def test_byte_identical_reruns(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
         first = format_csv(run_scan(request))
@@ -207,51 +287,47 @@ class TestMainEntry:
         assert exc.value.code == 0
 
     def test_console_help(self):
+        # the child finds jmnl where this process did, also without PYTHONPATH set
+        src = os.path.dirname(os.path.dirname(jmnl.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-m", "jmnl.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "jmnl.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "scan" in proc.stdout and "validate" in proc.stdout
 
     def test_pole_saturated_scan_exit_code(self, tmp_path, capsys, monkeypatch):
-        basis = BasisParams(lam=5.0, ell=1)
-        eigs = np.linalg.eigvalsh(h0_matrix(basis, 12))
-        text = "\n".join(
-            [
-                "ell = 1",
-                "g = 0",
-                "lambda = 5.0",
-                "nu = 1",
-                "N = 12",
-                "K = 4",
-                f"e_min = {float(eigs[0])!r}",
-                f"e_max = {float(eigs[1])!r}",
-                "steps = 2",
-            ]
-        )
-        config = write_config(tmp_path, text)
+        config = write_config(tmp_path, POLE_CONFIG)
         assert main(["scan", "--config", config]) == 3
         assert "pole-flagged" in capsys.readouterr().err
 
     def test_overflow_rows_flagged_and_exit_code(self, tmp_path, capsys):
-        text = "\n".join(
-            [
-                "ell = 1",
-                "g = 2.0",
-                "lambda = 1",
-                "nu = 1",
-                "N = 20",
-                "K = 8",
-                "e_min = 700",
-                "e_max = 720",
-                "steps = 3",
-            ]
-        )
-        config = write_config(tmp_path, text)
+        config = write_config(tmp_path, OVERFLOW_CONFIG)
         assert [row.status for row in run_scan(load_scan_request(config))] == ["overflow"] * 3
         assert main(["scan", "--config", config]) == 3
         err = capsys.readouterr().err
         assert "numerical failure: no grid point is ok (3 overflow-flagged)" in err
+
+    def test_validate_counts_overflow_as_overflow(self, tmp_path, capsys):
+        config = write_config(tmp_path, OVERFLOW_CONFIG)
+        assert main(["validate", "--config", config]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] nu=1 green-three-route: worst spread 0.000 of the conditioning-aware " \
+            "tolerance (0 checked, 3 overflow-skipped)" in out
+        assert "[FAIL] nu=1 recursion-residual: sine 0.000e+00, cosine 0.000e+00 " \
+            "(0 checked, 3 overflow-skipped)" in out
+        assert "pole-skipped" not in out
+
+    def test_validate_skips_energies_on_poles(self, tmp_path, capsys):
+        config = write_config(tmp_path, POLE_CONFIG)
+        assert main(["validate", "--config", config]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] nu=1 green-three-route: worst spread 0.000 of the conditioning-aware " \
+            "tolerance (0 checked, 2 pole-skipped)" in out
+        assert "recursion-residual" in out
 
     @pytest.mark.parametrize("command", ["scan", "validate"])
     def test_certificate_failure_is_numerical_error(self, tmp_path, capsys, command):

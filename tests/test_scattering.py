@@ -2,22 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmnl.nonlinear import ModelConfig, wave_operator
-from jmnl.reference import BasisParams, h0_matrix
+from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
 from jmnl.scattering import (
+    _BLOCK,
     DegenerateEnergyError,
     Pencil,
     PoleError,
     ScatterPoint,
+    _checked_solve,
+    _scatter,
     generalized_eigen,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
     green_direct,
     s_matrix,
-    s_matrix_tr_form,
 )
+
+from oracles import s_matrix_point, s_matrix_tr_form
 
 
 def make_config(**overrides):
@@ -86,6 +92,30 @@ class TestGreenDirect:
             assert err.energy == 2.25
         else:
             pytest.fail("expected PoleError")
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            (np.diag([1.0, 0.0]), "wave operator is singular"),
+            (np.diag([np.inf, 1.0]), "solve residual nan exceeds tolerance"),
+        ],
+        ids=["singular", "residual"],
+    )
+    def test_failure_marks_only_its_row(self, member, message):
+        # LAPACK fails a whole stack at one singular member; an infinite
+        # entry leaves a nan residual that refinement cannot lower
+        stack = np.array([np.diag([2.0, 4.0]), member, np.diag([4.0, 8.0])])
+        unit = np.zeros((3, 2, 1))
+        unit[:, -1] = 1.0
+        with np.errstate(invalid="ignore"):
+            solution, errors = _checked_solve(stack, unit, [1.0, 2.0, 3.0])
+            with pytest.raises(PoleError) as alone:
+                green_corner_direct(member, energy=2.0)
+        assert errors[0] is None and errors[2] is None
+        assert solution[[0, 2], -1, 0].tolist() == [0.25, 0.125]
+        assert isinstance(errors[1], PoleError) and errors[1].energy == 2.0
+        assert str(errors[1]).startswith(message)
+        assert str(errors[1]) == str(alone.value)
 
 
 class TestGeneralizedEigen:
@@ -241,3 +271,81 @@ class TestSMatrix:
         steps = np.diff(deltas)
         steps = (steps + math.pi / 2) % math.pi - math.pi / 2
         assert np.abs(steps).max() < 0.2
+
+
+def oracle_outcome(energy, config):
+    """The per-point oracle's ScatterPoint, or the ArithmeticError it raises."""
+    try:
+        return s_matrix_point(energy, config)
+    except ArithmeticError as exc:
+        return exc
+
+
+def same_outcome(first, second):
+    if isinstance(first, ArithmeticError) or isinstance(second, ArithmeticError):
+        return (type(first), str(first), getattr(first, "energy", None)) == (
+            type(second),
+            str(second),
+            getattr(second, "energy", None),
+        )
+    return first == second
+
+
+# lambda = 1 puts the grid above the truncated basis: degenerate, overflow and ok rows mix
+OVERFLOW_BASIS = BasisParams(lam=1.0, ell=1)
+# with g = 0 the wave operator is singular here
+FREE_EIGENVALUE = float(np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))[3])
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    def test_bitwise_equal_to_point_oracle(self, nu):
+        config = make_config(nu=nu)
+        grid = [float(e) for e in np.linspace(0.5, 6.0, 100)]
+        for energy, point in zip(grid, _scatter(grid, config)):
+            expected = s_matrix_point(energy, config)
+            assert point.s_value == expected.s_value
+            assert point.delta == expected.delta
+            assert point.amplitude == expected.amplitude
+            assert point.energy == energy
+
+    def test_errors_match_point_oracle_across_blocks(self):
+        config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
+        grid = [float(e) for e in np.linspace(40.0, 90.0, 2 * _BLOCK + 2)]
+        outcomes = _scatter(grid, config)
+        kinds = {type(outcome) for outcome in outcomes}
+        assert {ScatterPoint, DegenerateEnergyError, RecurrenceOverflowError} <= kinds
+        for energy, outcome in zip(grid, outcomes):
+            assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    @pytest.mark.parametrize(
+        "config, energy, kind",
+        [
+            (make_config(g=0.0), FREE_EIGENVALUE, PoleError),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), 710.0, RecurrenceOverflowError),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), 77.17805935311771, RecurrenceOverflowError),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), 42.50583527842615, DegenerateEnergyError),
+            (make_config(basis=BasisParams(lam=1e-160, ell=1)), 2.0, OverflowError),
+        ],
+        ids=["pole", "seed-overflow", "recursion-overflow", "degenerate", "weight-overflow"],
+    )
+    def test_s_matrix_raises_like_point_oracle(self, config, energy, kind):
+        expected = oracle_outcome(energy, config)
+        assert type(expected) is kind
+        with pytest.raises(kind) as caught:
+            s_matrix(energy, config)
+        assert same_outcome(caught.value, expected)
+
+    @pytest.mark.parametrize(
+        "config, low, high",
+        [(make_config(nu=3.0), 0.5, 6.0), (make_config(basis=OVERFLOW_BASIS, nu=1.0), 40.0, 90.0)],
+        ids=["paper", "mixed-errors"],
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_result_independent_of_position(self, config, low, high, data):
+        pool = [float(e) for e in np.linspace(low, high, 37)]
+        energies = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200))
+        alone = {energy: _scatter([energy], config)[0] for energy in set(energies)}
+        for energy, outcome in zip(energies, _scatter(energies, config)):
+            assert same_outcome(outcome, alone[energy])
