@@ -127,15 +127,6 @@ def _sine_prefactor(kin: Kinematics, basis: BasisParams) -> float:
     return (2.0 / math.sqrt(basis.lam)) * kin.mu ** (basis.ell + 1) * math.exp(-kin.mu**2 / 2.0)
 
 
-def sine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
-    """Closed-form regular-solution coefficients s_0 .. s_{count-1}."""
-    kin = Kinematics.from_energy(energy, basis)
-    lt = laguerre_orthonormal_sequence(count - 1, basis.nu_basis, kin.mu**2)
-    signs = (-1.0) ** np.arange(count)
-    prefactor = _sine_prefactor(kin, basis)
-    return CoefficientVector(kind="sine", energy=energy, values=signs * prefactor * lt)
-
-
 @lru_cache(maxsize=64)
 def _free_recursion_coefficients(ell: int, count: int) -> tuple[tuple[float, float, float], ...]:
     return tuple(
@@ -160,20 +151,29 @@ def _free_recursion(first: float, second: float, z: float, ell: int, count: int)
 
 
 def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[float]:
-    """s_0 .. s_{count-1} (count >= 2) by the free recursion, in Python floats.
-
-    Equal bit for bit to :func:`sine_coefficients`, which evaluates the
-    same Laguerre recurrence up to exact sign flips; raises the same
-    ValueError on a non-finite entry.
-    """
+    """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
     z = kin.mu**2
-    lt_0 = math.exp(-0.5 * ln_gamma(basis.nu_basis + 1.0))
-    minus_lt_1 = (z - (basis.ell + 1.5)) * lt_0 / math.sqrt(basis.ell + 1.5)
     prefactor = _sine_prefactor(kin, basis)
-    values = [prefactor * v for v in _free_recursion(lt_0, minus_lt_1, z, basis.ell, count)]
+    lt_0 = math.exp(-0.5 * ln_gamma(basis.nu_basis + 1.0))
+    if count == 1:
+        values = [prefactor * lt_0]
+    else:
+        minus_lt_1 = (z - (basis.ell + 1.5)) * lt_0 / math.sqrt(basis.ell + 1.5)
+        values = [prefactor * v for v in _free_recursion(lt_0, minus_lt_1, z, basis.ell, count)]
     if not all(map(math.isfinite, values)):
         raise ValueError("sine coefficients contain non-finite entries")
     return values
+
+
+def sine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
+    """Closed-form regular-solution coefficients s_0 .. s_{count-1}.
+
+    s_n = (-1)^n (2/sqrt(lam)) mu^{ell+1} e^{-mu^2/2} Lt_n(mu^2) with
+    nu = ell + 1/2; (-1)^n Lt_n runs through the free recursion shared with
+    the cosine coefficients, whose sign flips are exact.
+    """
+    values = _sine_sequence(Kinematics.from_energy(energy, basis), basis, count)
+    return CoefficientVector(kind="sine", energy=energy, values=np.array(values))
 
 
 def cosine_seed(energy: float, basis: BasisParams) -> float:

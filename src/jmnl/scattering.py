@@ -218,7 +218,10 @@ def _last_units(count: int, size: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, float]:
-    """Free Hamiltonian block and its tail coupling b_{N-1}, shared by every energy."""
+    """Free Hamiltonian block and its tail coupling b_{N-1}, shared by every energy.
+
+    Cached so that a batch of one (:func:`s_matrix`) does not rebuild it.
+    """
     h0 = h0_matrix(basis, size)
     h0.setflags(write=False)
     return h0, h0_element(size - 1, size, basis)
