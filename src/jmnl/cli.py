@@ -37,7 +37,6 @@ from .scattering import (
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
-    s_matrix,
 )
 
 __all__ = [
@@ -226,9 +225,10 @@ def run_scan(request: ScanRequest) -> list[ScanRow]:
     status (``pole``, ``overflow`` or ``degenerate``) instead of values.
     """
     grid = [float(energy) for energy in request.energy_grid()]
+    configs = [request.config_for(nu) for nu in request.nu_list]
     rows = []
-    for nu in request.nu_list:
-        for energy, point in zip(grid, _scatter(grid, request.config_for(nu))):
+    for nu, points in zip(request.nu_list, _scatter(grid, configs)):
+        for energy, point in zip(grid, points):
             if isinstance(point, ArithmeticError):
                 rows.append(ScanRow(nu, energy, None, None, None, _status(point)))
             else:
@@ -322,10 +322,12 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     worst_route = 0.0
     worst_unit = 0.0
     skipped = []
-    for energy in energies:
+    # S first, in one kernel call: its pole guard skips an energy on a spectral point
+    for energy, point in zip(energies, *_scatter(energies, [config])):
+        if isinstance(point, ArithmeticError):
+            skipped.append(_status(point))
+            continue
         try:
-            # first: its pole guard skips an energy on a spectral point
-            point = s_matrix(energy, config)
             matrix = wave_operator(energy, config)
             hamiltonian = matrix + energy * np.eye(config.size)
             tol = _three_route_tolerance(np.linalg.eigvalsh(hamiltonian), energy)

@@ -161,7 +161,7 @@ def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[floa
         minus_lt_1 = (z - (basis.ell + 1.5)) * lt_0 / math.sqrt(basis.ell + 1.5)
         values = [prefactor * v for v in _free_recursion(lt_0, minus_lt_1, z, basis.ell, count)]
     if not all(map(math.isfinite, values)):
-        raise ValueError("sine coefficients contain non-finite entries")
+        raise RecurrenceOverflowError(f"sine coefficients overflowed for mu={kin.mu:.3g}")
     return values
 
 
@@ -170,7 +170,8 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> Coeffici
 
     s_n = (-1)^n (2/sqrt(lam)) mu^{ell+1} e^{-mu^2/2} Lt_n(mu^2) with
     nu = ell + 1/2; (-1)^n Lt_n runs through the free recursion shared with
-    the cosine coefficients, whose sign flips are exact.
+    the cosine coefficients, whose sign flips are exact.  Raises
+    :class:`RecurrenceOverflowError` where e^{-mu^2/2} underflows as Lt_n overflows.
     """
     values = _sine_sequence(Kinematics.from_energy(energy, basis), basis, count)
     return CoefficientVector(kind="sine", energy=energy, values=np.array(values))

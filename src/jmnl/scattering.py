@@ -13,9 +13,8 @@ delta = arg(S)/2.  Three independent routes to the corner value are provided
 determinant ratio needing eigenvalues only); they must agree, which is the
 main internal consistency oracle of the package.
 
-S over many energies comes from one kernel that stacks the wave operators of
-a block of energies for one eigvalsh pole guard and one checked solve;
-:func:`s_matrix` is a batch of one.
+S over a (nu, E) grid comes from one kernel that evaluates the free tails once
+per energy (see :func:`_scatter`); :func:`s_matrix` is a batch of one.
 """
 
 from __future__ import annotations
@@ -268,29 +267,44 @@ def green_corner_determinant(pencil: Pencil, e_hat: float, pole_margin: float = 
     return float(value)
 
 
-def _scatter(energies, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> list:
-    """S at each energy, or the ArithmeticError that stops it there.
+def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
+    """S of each config at each energy, or the ArithmeticError that stops it there.
 
-    The scan kernel.  Lambda is fixed for the config; only the weight
-    g omega(E)^2 and the free sine/cosine tails change with E.  Each block of
-    up to ``_BLOCK`` energies is one (B, N, N) wave-operator stack with one
-    eigvalsh pole guard and one checked solve for the last column.  The
-    per-energy scalars (weight, tails, S assembly) are evaluated one energy
-    at a time with the per-energy formulas, so every value is bit for bit
-    what the energy gives alone.  An error marks only its own energy; errors
-    that are no ArithmeticError (a non-positive energy, a failed
-    eigensolver) propagate.
+    The scan kernel; ``result[k][j]`` is ``configs[k]`` at ``energies[j]``.
+    The configs must share basis and size: the free side (kinematics, tail
+    terms c_n -/+ i s_n at n = N-1, N) is evaluated once per energy, and a
+    tail error surfaces after weight, pole guard and solve, as for the energy
+    alone.  Per config, each block of up to ``_BLOCK`` energies is one
+    (B, N, N) wave-operator stack with one eigvalsh pole guard and one checked
+    solve.  Per-energy scalars use the per-energy formulas, so every value is
+    bit for bit what the energy gives alone.  Errors that are no
+    ArithmeticError (a non-positive energy, a failed eigensolver) propagate.
     """
-    results = []
+    basis, size = configs[0].basis, configs[0].size
+    kins = [Kinematics.from_energy(energy, basis) for energy in energies]
+    tails = [_free_tails(kin, basis, size + 1) for kin in kins]
+    results = [[] for _ in configs]
     for start in range(0, len(energies), _BLOCK):
-        results.extend(_scatter_block(energies[start : start + _BLOCK], config, pole_margin))
+        block = slice(start, start + _BLOCK)
+        for outcomes, config in zip(results, configs):
+            outcomes += _scatter_block(energies[block], kins[block], tails[block], config, pole_margin)
     return results
 
 
-def _scatter_block(block, config: ModelConfig, pole_margin: float) -> list:
+def _free_tails(kin: Kinematics, basis: BasisParams, count: int):
+    """c_{N-1} - i s_{N-1}, c_N - i s_N and their conjugates, or the error that stops them."""
+    try:
+        s0, s1 = _sine_sequence(kin, basis, count)[-2:]
+        # numpy scalars: numpy complex division rounds unlike Python's
+        c0, c1 = map(np.float64, _cosine_sequence(kin, basis, count)[-2:])
+    except ArithmeticError as exc:
+        return exc
+    return c0 - 1j * s0, c1 - 1j * s1, c0 + 1j * s0, c1 + 1j * s1
+
+
+def _scatter_block(block, kins, tails, config: ModelConfig, pole_margin: float) -> list:
     h0, b_tail = _free_block(config.basis, config.size)
     out: list = [None] * len(block)
-    kins = [Kinematics.from_energy(energy, config.basis) for energy in block]
     live, couplings = [], []
     for i, kin in enumerate(kins):
         try:
@@ -317,22 +331,17 @@ def _scatter_block(block, config: ModelConfig, pole_margin: float) -> list:
         stack[clear], _last_units(len(live), config.size), [block[i] for i in live]
     )
     for i, corner, error in zip(live, solution[:, -1, 0].tolist(), errors):
-        out[i] = error or _assemble(block[i], kins[i], corner, b_tail, config)
+        out[i] = error or _assemble(block[i], tails[i], corner, b_tail)
     return out
 
 
-def _assemble(energy: float, kin: Kinematics, corner: float, b_tail: float, config: ModelConfig):
-    """S from the corner Green's value and the free tails at indices N-1, N."""
-    count = config.size + 1
-    try:
-        s = _sine_sequence(kin, config.basis, count)[-2:]
-        # numpy scalars make S numpy complex arithmetic, as in the per-energy
-        # formulas; Python's complex division rounds differently
-        c = [np.float64(v) for v in _cosine_sequence(kin, config.basis, count)[-2:]]
-    except ArithmeticError as exc:
-        return exc
-    numerator = c[0] - 1j * s[0] + b_tail * corner * (c[1] - 1j * s[1])
-    denominator = c[0] + 1j * s[0] + b_tail * corner * (c[1] + 1j * s[1])
+def _assemble(energy: float, tails, corner: float, b_tail: float):
+    """S from the corner Green's value and the free tail terms at indices N-1, N."""
+    if isinstance(tails, ArithmeticError):
+        return tails
+    lower, upper, lower_bar, upper_bar = tails
+    numerator = lower + b_tail * corner * upper
+    denominator = lower_bar + b_tail * corner * upper_bar
     if abs(denominator) < 1e-300:
         return DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
     s_value = numerator / denominator
@@ -351,7 +360,7 @@ def s_matrix(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGI
     at this energy (:class:`PoleError`, :class:`RecurrenceOverflowError`,
     :class:`DegenerateEnergyError`, ...).
     """
-    (point,) = _scatter([energy], config, pole_margin)
+    ((point,),) = _scatter([energy], [config], pole_margin)
     if isinstance(point, ArithmeticError):
         raise point
     return point

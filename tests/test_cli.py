@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import jmnl
+from jmnl import reference, scattering
 from jmnl.cli import (
     ConfigError,
     ScanRequest,
@@ -53,6 +55,19 @@ N = 20
 K = 8
 e_min = 700
 e_max = 720
+steps = 3
+"""
+
+# e^{-mu^2/2} underflows while the Laguerre values overflow above the first energy
+SINE_OVERFLOW_CONFIG = """\
+ell = 1
+g = 2.0
+lambda = 5
+nu = 1
+N = 20
+K = 8
+e_min = 0.5
+e_max = 1e300
 steps = 3
 """
 
@@ -198,6 +213,32 @@ class TestRunScan:
             statuses.add(row.status)
         assert len(statuses) > 1
 
+    def test_free_tails_once_per_energy(self, monkeypatch):
+        # 7 nu x 551 E share the sine and cosine tails of each energy
+        calls = Counter()
+        for name in ("_sine_sequence", "_cosine_sequence"):
+            original = getattr(reference, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in (reference, scattering):
+                monkeypatch.setattr(module, name, counted)
+        request = ScanRequest(
+            basis=BasisParams(lam=5.0, ell=1),
+            g=2.0,
+            size=20,
+            terms=8,
+            weight_choice="resonance",
+            nu_list=tuple(float(nu) for nu in range(1, 8)),
+            e_min=0.5,
+            e_max=6.0,
+            steps=551,
+        )
+        assert len(run_scan(request)) == 7 * 551
+        assert calls == {"_sine_sequence": 551, "_cosine_sequence": 551}
+
     def test_byte_identical_reruns(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
         first = format_csv(run_scan(request))
@@ -310,6 +351,17 @@ class TestMainEntry:
         assert main(["scan", "--config", config]) == 3
         err = capsys.readouterr().err
         assert "numerical failure: no grid point is ok (3 overflow-flagged)" in err
+
+    def test_sine_overflow_rows_flagged(self, tmp_path, capsys):
+        config = write_config(tmp_path, SINE_OVERFLOW_CONFIG)
+        assert [row.status for row in run_scan(load_scan_request(config))] == [
+            "ok",
+            "overflow",
+            "overflow",
+        ]
+        assert main(["scan", "--config", config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ok", "overflow", "overflow"]
 
     def test_validate_counts_overflow_as_overflow(self, tmp_path, capsys):
         config = write_config(tmp_path, OVERFLOW_CONFIG)

@@ -300,7 +300,7 @@ class TestScanKernel:
     def test_bitwise_equal_to_point_oracle(self, nu):
         config = make_config(nu=nu)
         grid = [float(e) for e in np.linspace(0.5, 6.0, 100)]
-        for energy, point in zip(grid, _scatter(grid, config)):
+        for energy, point in zip(grid, _scatter(grid, [config])[0]):
             expected = s_matrix_point(energy, config)
             assert point.s_value == expected.s_value
             assert point.delta == expected.delta
@@ -310,7 +310,7 @@ class TestScanKernel:
     def test_errors_match_point_oracle_across_blocks(self):
         config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
         grid = [float(e) for e in np.linspace(40.0, 90.0, 2 * _BLOCK + 2)]
-        outcomes = _scatter(grid, config)
+        outcomes = _scatter(grid, [config])[0]
         kinds = {type(outcome) for outcome in outcomes}
         assert {ScatterPoint, DegenerateEnergyError, RecurrenceOverflowError} <= kinds
         for energy, outcome in zip(grid, outcomes):
@@ -324,8 +324,16 @@ class TestScanKernel:
             (make_config(basis=OVERFLOW_BASIS, nu=1.0), 77.17805935311771, RecurrenceOverflowError),
             (make_config(basis=OVERFLOW_BASIS, nu=1.0), 42.50583527842615, DegenerateEnergyError),
             (make_config(basis=BasisParams(lam=1e-160, ell=1)), 2.0, OverflowError),
+            (make_config(nu=1.0), 1e300, RecurrenceOverflowError),
         ],
-        ids=["pole", "seed-overflow", "recursion-overflow", "degenerate", "weight-overflow"],
+        ids=[
+            "pole",
+            "seed-overflow",
+            "recursion-overflow",
+            "degenerate",
+            "weight-overflow",
+            "sine-overflow",
+        ],
     )
     def test_s_matrix_raises_like_point_oracle(self, config, energy, kind):
         expected = oracle_outcome(energy, config)
@@ -344,6 +352,21 @@ class TestScanKernel:
         # an unsorted list drawn with repetition from a 37-point pool, seeded by its length
         pool = np.linspace(low, high, 37)
         energies = [float(e) for e in np.random.default_rng(length).choice(pool, size=length)]
-        alone = {energy: _scatter([energy], config)[0] for energy in set(energies)}
-        for energy, outcome in zip(energies, _scatter(energies, config)):
+        alone = {energy: _scatter([energy], [config])[0][0] for energy in set(energies)}
+        for energy, outcome in zip(energies, _scatter(energies, [config])[0]):
             assert same_outcome(outcome, alone[energy])
+
+    @pytest.mark.parametrize(
+        "basis, low, high, steps",
+        [(BasisParams(lam=5.0, ell=1), 0.5, 6.0, 551), (OVERFLOW_BASIS, 40.0, 90.0, 2 * _BLOCK + 2)],
+        ids=["paper", "mixed-errors"],
+    )
+    def test_grid_equals_one_config_at_a_time(self, basis, low, high, steps):
+        # the configs share the free tails of each energy, errors included
+        configs = [make_config(basis=basis, nu=nu) for nu in (3.0, 1.0, 3.0)]
+        grid = [float(e) for e in np.linspace(low, high, steps)]
+        for config, outcomes in zip(configs, _scatter(grid, configs)):
+            alone = _scatter(grid, [config])[0]
+            assert len(outcomes) == len(grid)
+            for energy, outcome, expected in zip(grid, outcomes, alone):
+                assert same_outcome(outcome, expected), (config.nu, energy)
