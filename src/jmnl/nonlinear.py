@@ -82,14 +82,19 @@ class ModelConfig:
 
 
 def weight(energy: float, config: ModelConfig) -> float:
-    """Energy-dependent weight of the ansatz coefficients."""
+    """Energy-dependent weight of the ansatz coefficients; OverflowError where it is not finite."""
     return _weight(Kinematics.from_energy(energy, config.basis).mu, config)
 
 
 def _weight(mu: float, config: ModelConfig) -> float:
     if config.weight_choice == "resonance":
-        return mu ** (2.0 * config.nu) * math.exp(-mu**2)
-    return 2.0 * mu ** (config.basis.ell + 1) * math.exp(-mu**2 / 2.0)
+        value = mu ** (2.0 * config.nu) * math.exp(-mu**2)
+    else:
+        value = 2.0 * mu ** (config.basis.ell + 1) * math.exp(-mu**2 / 2.0)
+    if not math.isfinite(value):
+        # mu = inf once 2E overflows, and inf * e^{-inf} is nan
+        raise OverflowError(f"weight is not finite at mu={mu:.3g}")
+    return value
 
 
 def ansatz_coefficients(energy: float, config: ModelConfig, count: int) -> CoefficientVector:

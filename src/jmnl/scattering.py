@@ -14,7 +14,10 @@ determinant ratio needing eigenvalues only); they must agree, which is the
 main internal consistency oracle of the package.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
-per energy (see :func:`_scatter`); :func:`s_matrix` is a batch of one.
+per energy (see :func:`_scatter`); :func:`s_matrix` is a batch of one.  Its
+pole guard is one stacked Cholesky factorisation of M - delta I per block of
+energies; the spectrum is computed only for a block that factorisation cannot
+certify.
 """
 
 from __future__ import annotations
@@ -275,10 +278,21 @@ def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
     terms c_n -/+ i s_n at n = N-1, N) is evaluated once per energy, and a
     tail error surfaces after weight, pole guard and solve, as for the energy
     alone.  Per config, each block of up to ``_BLOCK`` energies is one
-    (B, N, N) wave-operator stack with one eigvalsh pole guard and one checked
-    solve.  Per-energy scalars use the per-energy formulas, so every value is
-    bit for bit what the energy gives alone.  Errors that are no
-    ArithmeticError (a non-positive energy, a failed eigensolver) propagate.
+    (B, N, N) wave-operator stack with one pole guard and one checked solve.
+
+    The pole guard is one stacked Cholesky of M_i - delta_i I, with
+    delta_i = pole_margin * max(1, |E_i|).  If it succeeds with a finite
+    factor, every member has all its eigenvalues above delta_i and the block
+    is clear.  Otherwise (a member on a pole, or with E above part of its
+    spectrum) the block takes the eigvalsh gap and :func:`_pole_error`, which
+    alone give the gap the PoleError reports.  The Cholesky succeeds only if
+    M - delta I is numerically positive definite, the same floating-point
+    evidence eigvalsh gives about the smallest eigenvalue, so the two can
+    disagree only where the gap lies within rounding of delta.
+
+    Per-energy scalars use the per-energy formulas, so every value is bit for
+    bit what the energy gives alone.  Errors that are no ArithmeticError (a
+    non-positive energy, a failed eigensolver) propagate.
     """
     basis, size = configs[0].basis, configs[0].size
     kins = [Kinematics.from_energy(energy, basis) for energy in energies]
@@ -302,6 +316,23 @@ def _free_tails(kin: Kinematics, basis: BasisParams, count: int):
     return c0 - 1j * s0, c1 - 1j * s1, c0 + 1j * s0, c1 + 1j * s1
 
 
+def _clear_of_poles(stack: np.ndarray, e: np.ndarray, margin: float) -> bool:
+    """Whether one stacked Cholesky certifies every member M_i - delta_i I positive definite.
+
+    delta_i = margin * max(1, |E_i|) is the margin of :func:`_pole_error`, so
+    a certified member has every eigenvalue of M_i above it and no pole flag.
+    """
+    shifted = stack.copy()
+    diagonal = np.arange(stack.shape[-1])
+    shifted[:, diagonal, diagonal] -= margin * np.maximum(1.0, np.abs(e))
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    # LAPACK lets nan and inf through without an error; they reach the factor
+    return bool(np.isfinite(factor).all())
+
+
 def _scatter_block(block, kins, tails, config: ModelConfig, pole_margin: float) -> list:
     h0, b_tail = _free_block(config.basis, config.size)
     out: list = [None] * len(block)
@@ -320,9 +351,10 @@ def _scatter_block(block, kins, tails, config: ModelConfig, pole_margin: float) 
     stack = h0 + np.multiply.outer(couplings, lambda_matrix(config).entries)
     diagonal = np.arange(config.size)
     stack[:, diagonal, diagonal] -= e
-    gaps = np.abs(np.linalg.eigvalsh(stack) + e - e).min(axis=1)
-    for i, gap in zip(live, gaps.tolist()):
-        out[i] = _pole_error(gap, block[i], pole_margin)
+    if not _clear_of_poles(stack, e, pole_margin):
+        gaps = np.abs(np.linalg.eigvalsh(stack) + e - e).min(axis=1)
+        for i, gap in zip(live, gaps.tolist()):
+            out[i] = _pole_error(gap, block[i], pole_margin)
     clear = [j for j, i in enumerate(live) if out[i] is None]
     if not clear:
         return out

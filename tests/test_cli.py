@@ -71,6 +71,22 @@ e_max = 1e300
 steps = 3
 """
 
+# above the first energy 2E overflows, so the weight is inf * e^{-inf}
+WEIGHT_OVERFLOW_CONFIG = SINE_OVERFLOW_CONFIG.replace("1e300", "1.7e308")
+
+# the paper's scan: 7 nu x 551 E
+PAPER_REQUEST = ScanRequest(
+    basis=BasisParams(lam=5.0, ell=1),
+    g=2.0,
+    size=20,
+    terms=8,
+    weight_choice="resonance",
+    nu_list=tuple(float(nu) for nu in range(1, 8)),
+    e_min=0.5,
+    e_max=6.0,
+    steps=551,
+)
+
 # g = 0 and both grid points on eigenvalues of the free block: every row is a pole
 POLE_EIGS = np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 12))
 POLE_CONFIG = f"""\
@@ -90,6 +106,22 @@ def write_config(tmp_path, text, name="scan.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def assert_ok_then_overflow(config, capsys):
+    assert [row.status for row in run_scan(load_scan_request(config))] == [
+        "ok",
+        "overflow",
+        "overflow",
+    ]
+    assert main(["scan", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert [line.rsplit(",", 1)[1] for line in captured.out.splitlines()[1:]] == [
+        "ok",
+        "overflow",
+        "overflow",
+    ]
+    assert captured.err == ""
 
 
 class TestConfigParsing:
@@ -225,19 +257,13 @@ class TestRunScan:
 
             for module in (reference, scattering):
                 monkeypatch.setattr(module, name, counted)
-        request = ScanRequest(
-            basis=BasisParams(lam=5.0, ell=1),
-            g=2.0,
-            size=20,
-            terms=8,
-            weight_choice="resonance",
-            nu_list=tuple(float(nu) for nu in range(1, 8)),
-            e_min=0.5,
-            e_max=6.0,
-            steps=551,
-        )
-        assert len(run_scan(request)) == 7 * 551
+        assert len(run_scan(PAPER_REQUEST)) == 7 * 551
         assert calls == {"_sine_sequence": 551, "_cosine_sequence": 551}
+
+    def test_pole_guard_one_cholesky_per_block(self, linalg_calls):
+        # every paper wave operator is positive definite: 7 nu x 9 blocks certified, no spectrum
+        assert len(run_scan(PAPER_REQUEST)) == 7 * 551
+        assert linalg_calls == {"cholesky": 63}
 
     def test_byte_identical_reruns(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
@@ -353,15 +379,11 @@ class TestMainEntry:
         assert "numerical failure: no grid point is ok (3 overflow-flagged)" in err
 
     def test_sine_overflow_rows_flagged(self, tmp_path, capsys):
-        config = write_config(tmp_path, SINE_OVERFLOW_CONFIG)
-        assert [row.status for row in run_scan(load_scan_request(config))] == [
-            "ok",
-            "overflow",
-            "overflow",
-        ]
-        assert main(["scan", "--config", config]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ok", "overflow", "overflow"]
+        assert_ok_then_overflow(write_config(tmp_path, SINE_OVERFLOW_CONFIG), capsys)
+
+    def test_weight_overflow_rows_flagged(self, tmp_path, capsys):
+        # a non-finite weight marks only its own row, not the whole block
+        assert_ok_then_overflow(write_config(tmp_path, WEIGHT_OVERFLOW_CONFIG), capsys)
 
     def test_validate_counts_overflow_as_overflow(self, tmp_path, capsys):
         config = write_config(tmp_path, OVERFLOW_CONFIG)

@@ -7,11 +7,13 @@ from jmnl.nonlinear import ModelConfig, wave_operator
 from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
 from jmnl.scattering import (
     _BLOCK,
+    POLE_MARGIN,
     DegenerateEnergyError,
     Pencil,
     PoleError,
     ScatterPoint,
     _checked_solve,
+    _clear_of_poles,
     _scatter,
     generalized_eigen,
     green_corner_determinant,
@@ -291,8 +293,9 @@ def same_outcome(first, second):
 
 # lambda = 1 puts the grid above the truncated basis: degenerate, overflow and ok rows mix
 OVERFLOW_BASIS = BasisParams(lam=1.0, ell=1)
-# with g = 0 the wave operator is singular here
-FREE_EIGENVALUE = float(np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))[3])
+# with g = 0 the wave operator is singular on these
+FREE_EIGENVALUES = [float(x) for x in np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))]
+FREE_EIGENVALUE = FREE_EIGENVALUES[3]
 
 
 class TestScanKernel:
@@ -325,6 +328,7 @@ class TestScanKernel:
             (make_config(basis=OVERFLOW_BASIS, nu=1.0), 42.50583527842615, DegenerateEnergyError),
             (make_config(basis=BasisParams(lam=1e-160, ell=1)), 2.0, OverflowError),
             (make_config(nu=1.0), 1e300, RecurrenceOverflowError),
+            (make_config(nu=1.0), 1.7e308, OverflowError),
         ],
         ids=[
             "pole",
@@ -333,6 +337,7 @@ class TestScanKernel:
             "degenerate",
             "weight-overflow",
             "sine-overflow",
+            "weight-not-finite",
         ],
     )
     def test_s_matrix_raises_like_point_oracle(self, config, energy, kind):
@@ -370,3 +375,47 @@ class TestScanKernel:
             assert len(outcomes) == len(grid)
             for energy, outcome, expected in zip(grid, outcomes, alone):
                 assert same_outcome(outcome, expected), (config.nu, energy)
+
+    def test_margin_boundary_from_below(self, linalg_calls):
+        # g = 0: M = H0 - E, whose smallest eigenvalue is lambda_0 - E just below lambda_0
+        config = make_config(g=0.0)
+        lowest = FREE_EIGENVALUES[0]
+        delta = POLE_MARGIN * max(1.0, lowest)
+        inside, outside = lowest - 0.5 * delta, lowest - 2.0 * delta
+        clear = [float(e) for e in np.linspace(0.5, lowest - 0.5, 8)]
+        certified = _scatter(clear + [outside], [config])[0]
+        assert linalg_calls == {"cholesky": 1}
+        grid = clear + [inside, outside]
+        outcomes = _scatter(grid, [config])[0]
+        assert linalg_calls == {"cholesky": 2, "eigvalsh": 1}
+        assert isinstance(outcomes[-2], PoleError)
+        assert isinstance(outcomes[-1], ScatterPoint)
+        assert certified == outcomes[:-2] + outcomes[-1:]
+        for energy, outcome in zip(grid, outcomes):
+            assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    @pytest.mark.parametrize(
+        "config, low, high",
+        [(make_config(g=0.0), 0.5, 6.0), (make_config(basis=OVERFLOW_BASIS, nu=1.0), 40.0, 90.0)],
+        ids=["free", "mixed-errors"],
+    )
+    def test_clear_indefinite_block_takes_spectrum(self, linalg_calls, config, low, high):
+        # E above part of the spectrum: the Cholesky cannot certify, yet no energy is a pole
+        grid = [float(e) for e in np.linspace(low, high, _BLOCK)]
+        outcomes = _scatter(grid, [config])[0]
+        assert linalg_calls == {"cholesky": 1, "eigvalsh": 1}
+        assert not any(isinstance(outcome, PoleError) for outcome in outcomes)
+        assert any(isinstance(outcome, ScatterPoint) for outcome in outcomes)
+        for energy, outcome in zip(grid, outcomes):
+            assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    @pytest.mark.parametrize(
+        "entry, value", [((2, 2), np.inf), ((2, 2), np.nan), ((2, 1), np.nan)], ids=["inf", "nan", "nan-off"]
+    )
+    def test_non_finite_member_not_certified(self, entry, value):
+        # LAPACK's Cholesky can return without error on nan or inf entries
+        stack = np.stack([4.0 * np.eye(3)] * 2)
+        stack[(1,) + entry] = stack[(1,) + entry[::-1]] = value
+        energies = np.ones((2, 1))
+        assert _clear_of_poles(stack[:1], energies[:1], POLE_MARGIN)
+        assert not _clear_of_poles(stack, energies, POLE_MARGIN)
