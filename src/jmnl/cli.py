@@ -242,30 +242,18 @@ def _status_summary(statuses, suffix: str) -> str:
     return summary or f"0 pole-{suffix}"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def format_csv(rows: list[ScanRow]) -> str:
     """Deterministic CSV text (17 significant digits, fixed column order)."""
     lines = [CSV_HEADER]
     for row in rows:
         if row.status == "ok":
+            s_value = row.s_value
             lines.append(
-                ",".join(
-                    (
-                        _fmt(row.nu),
-                        _fmt(row.energy),
-                        _fmt(row.s_value.real),
-                        _fmt(row.s_value.imag),
-                        _fmt(row.delta),
-                        _fmt(row.amplitude),
-                        "ok",
-                    )
-                )
+                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok"
+                % (row.nu, row.energy, s_value.real, s_value.imag, row.delta, row.amplitude)
             )
         else:
-            lines.append(f"{_fmt(row.nu)},{_fmt(row.energy)},,,,,{row.status}")
+            lines.append("%.17g,%.17g,,,,,%s" % (row.nu, row.energy, row.status))
     return "\n".join(lines) + "\n"
 
 

@@ -61,6 +61,9 @@ POLE_MARGIN = 1e-6
 #: energies per stacked block of the scan kernel; bounds its (B, N, N) arrays
 _BLOCK = 64
 
+#: tail terms of an energy whose tails raised; the error is reported instead
+_NAN_TERMS = (complex(np.nan, np.nan),) * 2
+
 
 class PoleError(ArithmeticError):
     """Requested energy sits on (or too close to) a Green's function pole."""
@@ -153,8 +156,11 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
         defect = b - a @ x
         residual = np.abs(defect).max(axis=(1, 2))
         failed = ~(residual <= 1e-9)
-        if failed.any():
-            failed &= ~(residual <= 16.0 * _EPS * _norm_inf(a) * _norm_inf(x))
+        if not failed.any():
+            return solution, errors
+        # the double-precision floor, only for the members above 1e-9
+        above = np.flatnonzero(failed)
+        failed[above] = ~(residual[above] <= 16.0 * _EPS * _norm_inf(a[above]) * _norm_inf(x[above]))
         if not failed.any():
             return solution, errors
         rows, a, b, x, defect, residual = (
@@ -275,7 +281,7 @@ def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
 
     The scan kernel; ``result[k][j]`` is ``configs[k]`` at ``energies[j]``.
     The configs must share basis and size: the free side (kinematics, tail
-    terms c_n -/+ i s_n at n = N-1, N) is evaluated once per energy, and a
+    terms c_n - i s_n at n = N-1, N) is evaluated once per energy, and a
     tail error surfaces after weight, pole guard and solve, as for the energy
     alone.  Per config, each block of up to ``_BLOCK`` energies is one
     (B, N, N) wave-operator stack with one pole guard and one checked solve.
@@ -284,36 +290,49 @@ def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
     delta_i = pole_margin * max(1, |E_i|).  If it succeeds with a finite
     factor, every member has all its eigenvalues above delta_i and the block
     is clear.  Otherwise (a member on a pole, or with E above part of its
-    spectrum) the block takes the eigvalsh gap and :func:`_pole_error`, which
-    alone give the gap the PoleError reports.  The Cholesky succeeds only if
-    M - delta I is numerically positive definite, the same floating-point
-    evidence eigvalsh gives about the smallest eigenvalue, so the two can
-    disagree only where the gap lies within rounding of delta.
+    spectrum) a member whose wave operator is not finite (the coupling
+    overflowed) is an OverflowError, and the rest take the eigvalsh gap and
+    :func:`_pole_error`, which alone give the gap the PoleError reports.  The
+    Cholesky succeeds only if M - delta I is numerically positive definite,
+    the same floating-point evidence eigvalsh gives about the smallest
+    eigenvalue, so the two can disagree only where the gap lies within
+    rounding of delta.
 
-    Per-energy scalars use the per-energy formulas, so every value is bit for
-    bit what the energy gives alone.  Errors that are no ArithmeticError (a
-    non-positive energy, a failed eigensolver) propagate.
+    The weight and the tail terms are computed per energy, and S for the
+    solved members of a block as arrays: numerator l + w u with
+    w = b_{N-1} G_c, denominator its exact conjugate, and one np.angle.  Each
+    array operation rounds as its numpy scalar form, and |1 - S| is Python's
+    (libm) complex abs, so every value is bit for bit what the energy gives
+    alone.  Errors that are no ArithmeticError (a non-positive energy, a
+    failed eigensolver) propagate.
     """
     basis, size = configs[0].basis, configs[0].size
     kins = [Kinematics.from_energy(energy, basis) for energy in energies]
     tails = [_free_tails(kin, basis, size + 1) for kin in kins]
+    terms = np.array([_NAN_TERMS if isinstance(t, ArithmeticError) else t for t in tails], dtype=complex)
     results = [[] for _ in configs]
     for start in range(0, len(energies), _BLOCK):
         block = slice(start, start + _BLOCK)
         for outcomes, config in zip(results, configs):
-            outcomes += _scatter_block(energies[block], kins[block], tails[block], config, pole_margin)
+            outcomes += _scatter_block(
+                energies[block], kins[block], tails[block], terms[block], config, pole_margin
+            )
     return results
 
 
 def _free_tails(kin: Kinematics, basis: BasisParams, count: int):
-    """c_{N-1} - i s_{N-1}, c_N - i s_N and their conjugates, or the error that stops them."""
+    """c_{N-1} - i s_{N-1} and c_N - i s_N, or the error that stops them."""
     try:
         s0, s1 = _sine_sequence(kin, basis, count)[-2:]
-        # numpy scalars: numpy complex division rounds unlike Python's
-        c0, c1 = map(np.float64, _cosine_sequence(kin, basis, count)[-2:])
+        c0, c1 = _cosine_sequence(kin, basis, count)[-2:]
     except ArithmeticError as exc:
         return exc
-    return c0 - 1j * s0, c1 - 1j * s1, c0 + 1j * s0, c1 + 1j * s1
+    return c0 - 1j * s0, c1 - 1j * s1
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    # writable (B, N) view of the diagonals of a contiguous (B, N, N) stack
+    return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
 def _clear_of_poles(stack: np.ndarray, e: np.ndarray, margin: float) -> bool:
@@ -323,8 +342,7 @@ def _clear_of_poles(stack: np.ndarray, e: np.ndarray, margin: float) -> bool:
     a certified member has every eigenvalue of M_i above it and no pole flag.
     """
     shifted = stack.copy()
-    diagonal = np.arange(stack.shape[-1])
-    shifted[:, diagonal, diagonal] -= margin * np.maximum(1.0, np.abs(e))
+    _diagonal(shifted)[...] -= margin * np.maximum(1.0, np.abs(e))
     try:
         factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -333,7 +351,7 @@ def _clear_of_poles(stack: np.ndarray, e: np.ndarray, margin: float) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def _scatter_block(block, kins, tails, config: ModelConfig, pole_margin: float) -> list:
+def _scatter_block(block, kins, tails, terms, config: ModelConfig, pole_margin: float) -> list:
     h0, b_tail = _free_block(config.basis, config.size)
     out: list = [None] * len(block)
     live, couplings = [], []
@@ -348,41 +366,43 @@ def _scatter_block(block, kins, tails, config: ModelConfig, pole_margin: float) 
     if not live:
         return out
     e = np.array([block[i] for i in live])[:, None]
-    stack = h0 + np.multiply.outer(couplings, lambda_matrix(config).entries)
-    diagonal = np.arange(config.size)
-    stack[:, diagonal, diagonal] -= e
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing coupling leaves inf or nan entries: the pole guard reports them
+        stack = h0 + np.multiply.outer(couplings, lambda_matrix(config).entries)
+    _diagonal(stack)[...] -= e
     if not _clear_of_poles(stack, e, pole_margin):
-        gaps = np.abs(np.linalg.eigvalsh(stack) + e - e).min(axis=1)
-        for i, gap in zip(live, gaps.tolist()):
-            out[i] = _pole_error(gap, block[i], pole_margin)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        shifts = e[finite]
+        gaps = iter(np.abs(np.linalg.eigvalsh(stack[finite]) + shifts - shifts).min(axis=1).tolist())
+        for i, ok in zip(live, finite.tolist()):
+            if ok:
+                out[i] = _pole_error(next(gaps), block[i], pole_margin)
+            else:
+                out[i] = OverflowError(f"wave operator is not finite at E={block[i]}")
     clear = [j for j, i in enumerate(live) if out[i] is None]
     if not clear:
         return out
-    live = [live[j] for j in clear]
+    if len(clear) < len(live):
+        stack, live = stack[clear], [live[j] for j in clear]
     solution, errors = _checked_solve(
-        stack[clear], _last_units(len(live), config.size), [block[i] for i in live]
+        stack, _last_units(len(live), config.size), [block[i] for i in live]
     )
-    for i, corner, error in zip(live, solution[:, -1, 0].tolist(), errors):
-        out[i] = error or _assemble(block[i], tails[i], corner, b_tail)
+    lower, upper = terms[live].T
+    numerators = lower + (b_tail * solution[:, -1, 0]) * upper
+    denominators = numerators.conj()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # nan tail terms or a vanishing denominator: that member's S is not used
+        s_values = numerators / denominators
+    deltas = np.angle(s_values) / 2.0
+    for i, error, den, s, delta in zip(
+        live, errors, denominators.tolist(), s_values.tolist(), deltas.tolist()
+    ):
+        if error is None and isinstance(tails[i], ArithmeticError):
+            error = tails[i]
+        elif error is None and abs(den) < 1e-300:
+            error = DegenerateEnergyError(f"scattering denominator vanished at E={block[i]}")
+        out[i] = error or ScatterPoint(energy=block[i], s_value=s, delta=delta, amplitude=abs(1.0 - s))
     return out
-
-
-def _assemble(energy: float, tails, corner: float, b_tail: float):
-    """S from the corner Green's value and the free tail terms at indices N-1, N."""
-    if isinstance(tails, ArithmeticError):
-        return tails
-    lower, upper, lower_bar, upper_bar = tails
-    numerator = lower + b_tail * corner * upper
-    denominator = lower_bar + b_tail * corner * upper_bar
-    if abs(denominator) < 1e-300:
-        return DegenerateEnergyError(f"scattering denominator vanished at E={energy}")
-    s_value = numerator / denominator
-    return ScatterPoint(
-        energy=energy,
-        s_value=complex(s_value),
-        delta=float(np.angle(s_value) / 2.0),
-        amplitude=float(abs(1.0 - s_value)),
-    )
 
 
 def s_matrix(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:

@@ -11,6 +11,7 @@ from jmnl import reference, scattering
 from jmnl.cli import (
     ConfigError,
     ScanRequest,
+    ScanRow,
     format_csv,
     load_scan_request,
     main,
@@ -86,6 +87,19 @@ PAPER_REQUEST = ScanRequest(
     e_max=6.0,
     steps=551,
 )
+
+# g omega^2 Lambda overflows above the first energy
+COUPLING_OVERFLOW_CONFIG = """\
+ell = 1
+g = 1e308
+lambda = 5
+nu = 7
+N = 20
+K = 8
+e_min = 0.5
+e_max = 6
+steps = 3
+"""
 
 # g = 0 and both grid points on eigenvalues of the free block: every row is a pole
 POLE_EIGS = np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 12))
@@ -265,6 +279,11 @@ class TestRunScan:
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
         assert linalg_calls == {"cholesky": 63}
 
+    def test_s_assembled_once_per_block(self, angle_calls):
+        # 7 nu x 9 blocks, the S values of each block in one set of array operations
+        assert len(run_scan(PAPER_REQUEST)) == 7 * 551
+        assert angle_calls == {"angle": 63}
+
     def test_byte_identical_reruns(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
         first = format_csv(run_scan(request))
@@ -290,6 +309,20 @@ class TestCsvFormat:
         text = format_csv([row])
         value = text.strip().split("\n")[1].split(",")[2]
         assert float(value) == row.s_value.real
+
+    def test_row_bytes(self):
+        rows = [
+            ScanRow(1.0, 0.1, complex(-0.0, 5e-324), 1.7976931348623157e308, 0.1, "ok"),
+            ScanRow(7.0, 1.7976931348623157e308, None, None, None, "overflow"),
+            ScanRow(0.1, -0.0, None, None, None, "pole"),
+        ]
+        assert format_csv(rows).splitlines() == [
+            "nu,E,re_S,im_S,delta,amplitude,status",
+            "1,0.10000000000000001,-0,4.9406564584124654e-324,1.7976931348623157e+308,"
+            "0.10000000000000001,ok",
+            "7,1.7976931348623157e+308,,,,,overflow",
+            "0.10000000000000001,-0,,,,,pole",
+        ]
 
 
 class TestValidate:
@@ -384,6 +417,10 @@ class TestMainEntry:
     def test_weight_overflow_rows_flagged(self, tmp_path, capsys):
         # a non-finite weight marks only its own row, not the whole block
         assert_ok_then_overflow(write_config(tmp_path, WEIGHT_OVERFLOW_CONFIG), capsys)
+
+    def test_coupling_overflow_rows_flagged(self, tmp_path, capsys):
+        # an overflowing wave operator marks only its own row; the block takes no spectrum of it
+        assert_ok_then_overflow(write_config(tmp_path, COUPLING_OVERFLOW_CONFIG), capsys)
 
     def test_validate_counts_overflow_as_overflow(self, tmp_path, capsys):
         config = write_config(tmp_path, OVERFLOW_CONFIG)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jmnl import scattering
 from jmnl.nonlinear import ModelConfig, wave_operator
 from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
 from jmnl.scattering import (
@@ -296,6 +297,9 @@ OVERFLOW_BASIS = BasisParams(lam=1.0, ell=1)
 # with g = 0 the wave operator is singular on these
 FREE_EIGENVALUES = [float(x) for x in np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))]
 FREE_EIGENVALUE = FREE_EIGENVALUES[3]
+# lambda = 1, nu = 1: the lowest eigenvalue of M(E) lies 3.2e-7 from zero here, inside the
+# pole margin (found among the floats next to where that eigenvalue changes sign)
+POLE_ENERGY = 1.3829290143012876
 
 
 class TestScanKernel:
@@ -318,6 +322,46 @@ class TestScanKernel:
         assert {ScatterPoint, DegenerateEnergyError, RecurrenceOverflowError} <= kinds
         for energy, outcome in zip(grid, outcomes):
             assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    def test_every_status_in_one_block(self):
+        # S is assembled as arrays over the solved members; degenerate and tail-error members sit among them.
+        # E = 42.5 lies above part of the spectrum, so the block takes eigvalsh, as the oracle does
+        config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
+        grid = [10.0, 42.50583527842615, POLE_ENERGY, 50.0, 55.0, 77.17805935311771, 30.0, 710.0]
+        outcomes = _scatter(grid, [config])[0]
+        assert [type(outcome) for outcome in outcomes] == [
+            ScatterPoint,
+            DegenerateEnergyError,
+            PoleError,
+            DegenerateEnergyError,
+            ScatterPoint,
+            RecurrenceOverflowError,
+            ScatterPoint,
+            RecurrenceOverflowError,
+        ]
+        for energy, outcome in zip(grid, outcomes):
+            assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    def test_coupling_overflow_marks_its_member(self, linalg_calls):
+        # g omega^2 Lambda: inf entries at E = 3.25, and inf * 0 = nan at E = 87.5 where g omega^2 is inf
+        config = make_config(g=1e308)
+        outcomes = _scatter([0.5, 3.25, 87.5], [config])[0]
+        assert linalg_calls == {"cholesky": 1, "eigvalsh": 1}
+        assert isinstance(outcomes[0], ScatterPoint)
+        assert same_outcome(outcomes[0], _scatter([0.5], [config])[0][0])
+        for energy, outcome in zip([3.25, 87.5], outcomes[1:]):
+            assert type(outcome) is OverflowError
+            assert str(outcome) == f"wave operator is not finite at E={energy}"
+
+    def test_solve_error_before_tail_error(self, monkeypatch):
+        # as for the point oracle, a member whose solve fails reports that, not its tail error
+        def failing_solve(matrix, rhs, energies):
+            solution, _ = _checked_solve(matrix, rhs, energies)
+            return solution, [PoleError("forced", energy=energy) for energy in energies]
+
+        monkeypatch.setattr(scattering, "_checked_solve", failing_solve)
+        outcomes = _scatter([30.0, 710.0], [make_config(basis=OVERFLOW_BASIS, nu=1.0)])[0]
+        assert [(type(outcome), str(outcome)) for outcome in outcomes] == [(PoleError, "forced")] * 2
 
     @pytest.mark.parametrize(
         "config, energy, kind",
