@@ -22,15 +22,11 @@ from .nonlinear import (
 from .orthopoly import (
     JacobiMatrix,
     LinearizationTable,
-    OrthonormalLaguerre,
     gauss_laguerre_rule,
     jacobi_matrix,
-    laguerre,
     laguerre_orthonormal,
     linearization_identity_residual,
     linearization_table,
-    ln_gamma,
-    matrix_polynomial,
 )
 from .reference import (
     BasisParams,
@@ -39,7 +35,6 @@ from .reference import (
     RecurrenceOverflowError,
     basis_function,
     cosine_coefficients,
-    cosine_seed,
     h0_element,
     h0_matrix,
     regular_solution_residual,
@@ -48,14 +43,11 @@ from .reference import (
 )
 from .scattering import (
     DegenerateEnergyError,
-    Pencil,
     PoleError,
     ScatterPoint,
-    generalized_eigen,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
-    green_direct,
     s_matrix,
 )
 
@@ -70,8 +62,6 @@ __all__ = [
     "LinearizationTable",
     "ModelConfig",
     "OmegaTransform",
-    "OrthonormalLaguerre",
-    "Pencil",
     "PoleError",
     "PositivityCertificateError",
     "RecurrenceOverflowError",
@@ -79,23 +69,17 @@ __all__ = [
     "ansatz_coefficients",
     "basis_function",
     "cosine_coefficients",
-    "cosine_seed",
     "gauss_laguerre_rule",
-    "generalized_eigen",
     "green_corner_determinant",
     "green_corner_direct",
     "green_corner_spectral",
-    "green_direct",
     "h0_element",
     "h0_matrix",
     "jacobi_matrix",
-    "laguerre",
     "laguerre_orthonormal",
     "lambda_matrix",
     "linearization_identity_residual",
     "linearization_table",
-    "ln_gamma",
-    "matrix_polynomial",
     "omega_transform",
     "regular_solution_residual",
     "regular_wave",

@@ -31,7 +31,6 @@ from .nonlinear import ModelConfig, PositivityCertificateError, lambda_matrix, o
 from .reference import BasisParams, RecurrenceOverflowError, cosine_coefficients, sine_coefficients
 from .scattering import (
     DegenerateEnergyError,
-    Pencil,
     PoleError,
     _scatter,
     green_corner_determinant,
@@ -319,10 +318,9 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
             matrix = wave_operator(energy, config)
             hamiltonian = matrix + energy * np.eye(config.size)
             tol = _three_route_tolerance(np.linalg.eigvalsh(hamiltonian), energy)
-            pencil = Pencil(a=hamiltonian, b=np.eye(config.size), label="wave operator")
             direct = green_corner_direct(matrix, energy)
-            spectral = green_corner_spectral(pencil, energy)
-            det_route = green_corner_determinant(pencil, energy)
+            spectral = green_corner_spectral(hamiltonian, energy)
+            det_route = green_corner_determinant(hamiltonian, energy)
         except ArithmeticError as exc:
             skipped.append(_status(exc))
             continue

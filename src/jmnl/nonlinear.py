@@ -178,22 +178,12 @@ class OmegaTransform:
         self.q.setflags(write=False)
 
 
-def omega_transform(lam: LambdaMatrix | np.ndarray) -> OmegaTransform:
+def omega_transform(lam: LambdaMatrix) -> OmegaTransform:
     """Build the transform that maps the coupling matrix to the identity."""
-    if isinstance(lam, LambdaMatrix):
-        entries = lam.entries
-        _, singular, v_t = np.linalg.svd(lam.factor, full_matrices=False)
-        u = v_t.T
-        sigma = singular**2
-    else:
-        entries = np.asarray(lam, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("expected a square matrix")
-        sigma, u = np.linalg.eigh(entries)
-        if sigma[0] <= 0:
-            raise PositivityCertificateError(
-                f"matrix is not positive definite (min eigenvalue {sigma[0]:.3e})"
-            )
+    entries = lam.entries
+    _, singular, v_t = np.linalg.svd(lam.factor, full_matrices=False)
+    u = v_t.T
+    sigma = singular**2
     q = 1.0 / np.sqrt(sigma)
     omega = q[:, None] * u.T
     defect = omega @ entries @ omega.T - np.eye(entries.shape[0])

@@ -25,40 +25,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
-    "OrthonormalLaguerre",
     "JacobiMatrix",
     "LinearizationTable",
-    "ln_gamma",
-    "laguerre",
     "laguerre_orthonormal",
     "laguerre_orthonormal_sequence",
     "gauss_laguerre_rule",
     "jacobi_matrix",
-    "matrix_polynomial",
     "linearization_table",
     "linearization_identity_residual",
 ]
-
-
-def ln_gamma(x: float) -> float:
-    """Natural logarithm of the Gamma function for positive argument.
-
-    Parameters
-    ----------
-    x : float
-        Must be strictly positive.
-
-    Returns
-    -------
-    float
-        log Gamma(x), accurate to better than 1e-12 relative.
-    """
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _check_nu(nu: float) -> None:
@@ -69,20 +46,6 @@ def _check_nu(nu: float) -> None:
 def _normalization(n: int, nu: float) -> float:
     # sqrt(n! / Gamma(n+nu+1)) evaluated in log space to avoid overflow
     return math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + nu + 1)))
-
-
-def laguerre(n: int, nu: float, z: float) -> float:
-    """Generalized Laguerre polynomial L_n^nu(z) by upward degree recurrence."""
-    _check_nu(nu)
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = nu + 1.0 - z
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + nu + 1 - z) * cur - (k + nu) * prev) / (k + 1)
-    return cur
 
 
 def laguerre_orthonormal_sequence(nmax: int, nu: float, z):
@@ -109,27 +72,6 @@ def laguerre_orthonormal_sequence(nmax: int, nu: float, z):
 def laguerre_orthonormal(n: int, nu: float, z: float) -> float:
     """Orthonormal Laguerre polynomial Lt_n(z) = A_n L_n^nu(z)."""
     return float(laguerre_orthonormal_sequence(n, nu, z)[n])
-
-
-@dataclass(frozen=True)
-class OrthonormalLaguerre:
-    """One member of the orthonormal Laguerre family."""
-
-    nu: float
-    n: int
-
-    def __post_init__(self):
-        _check_nu(self.nu)
-        if self.n < 0:
-            raise ValueError("degree must be non-negative")
-
-    @property
-    def normalization(self) -> float:
-        """A_n = sqrt(n! / Gamma(n+nu+1)); finite and positive for nu > -1."""
-        return _normalization(self.n, self.nu)
-
-    def __call__(self, z: float) -> float:
-        return laguerre_orthonormal(self.n, self.nu, z)
 
 
 @dataclass(frozen=True)
@@ -180,10 +122,8 @@ def gauss_laguerre_rule(count: int, nu: float):
     _check_nu(nu)
     if count < 1:
         raise ValueError("count must be positive")
-    jac = jacobi_matrix(nu, count)
-    # eigenvalues are invariant under the sign of the off-diagonal entries
-    nodes, vectors = eigh_tridiagonal(jac.diagonal, np.abs(jac.off_diagonal))
-    weights = math.exp(ln_gamma(nu + 1.0)) * vectors[0] ** 2
+    nodes, vectors = np.linalg.eigh(jacobi_matrix(nu, count).as_array())
+    weights = math.exp(math.lgamma(nu + 1.0)) * vectors[0] ** 2
     return nodes, weights
 
 
@@ -215,21 +155,6 @@ def _polynomial_family(count: int, nu: float, size: int) -> list[np.ndarray]:
     return family
 
 
-def matrix_polynomial(degree: int, nu: float, size: int) -> np.ndarray:
-    """Banded symmetric matrix Lt_degree(J) on a size-truncated Jacobi matrix.
-
-    Requires size >= 2*degree + 2 so the band structure is meaningful and the
-    leading block is exact.
-    """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if size < 2 * degree + 2:
-        raise ValueError(
-            f"size {size} too small for degree {degree}; need at least {2 * degree + 2}"
-        )
-    return _polynomial_family(degree + 1, nu, size)[degree]
-
-
 @dataclass(frozen=True)
 class LinearizationTable:
     """Coefficients expanding Lt_i^2 Lt_n over the family, for i < K, n,m < N.
@@ -252,20 +177,17 @@ class LinearizationTable:
         self.factor.setflags(write=False)
 
 
-def linearization_table(terms: int, dim: int, nu: float, internal_size: int | None = None) -> LinearizationTable:
+def linearization_table(terms: int, dim: int, nu: float) -> LinearizationTable:
     """Tabulate product-linearization coefficients for i < terms, n,m < dim.
 
-    The internal truncation (dim + 2*terms + 4 by default) is large enough
-    that every retained entry is exact to rounding; enlarging it further
-    changes nothing beyond ~1e-15 relative.
+    The internal truncation dim + 2*terms + 4 is large enough that every
+    retained entry is exact to rounding; enlarging it further changes nothing
+    beyond ~1e-15 relative.
     """
     _check_nu(nu)
     if terms < 1 or dim < 1:
         raise ValueError("terms and dim must be positive")
-    size = internal_size if internal_size is not None else dim + 2 * terms + 4
-    if size < dim + 2 * (terms - 1):
-        raise ValueError("internal truncation too small for exact entries")
-    family = _polynomial_family(terms, nu, size)
+    family = _polynomial_family(terms, nu, dim + 2 * terms + 4)
     entries = np.zeros((terms, dim, dim))
     blocks = []
     for i, poly in enumerate(family):

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import hyp1f1
 
-from .orthopoly import laguerre_orthonormal_sequence, ln_gamma
+from .orthopoly import laguerre_orthonormal_sequence
 
 __all__ = [
     "BasisParams",
@@ -37,7 +37,6 @@ __all__ = [
     "h0_element",
     "h0_matrix",
     "sine_coefficients",
-    "cosine_seed",
     "cosine_coefficients",
     "basis_function",
     "spherical_bessel_j",
@@ -154,7 +153,7 @@ def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[floa
     """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
     z = kin.mu**2
     prefactor = _sine_prefactor(kin, basis)
-    lt_0 = math.exp(-0.5 * ln_gamma(basis.nu_basis + 1.0))
+    lt_0 = math.exp(-0.5 * math.lgamma(basis.nu_basis + 1.0))
     if count == 1:
         values = [prefactor * lt_0]
     else:
@@ -177,25 +176,14 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> Coeffici
     return CoefficientVector(kind="sine", energy=energy, values=np.array(values))
 
 
-def cosine_seed(energy: float, basis: BasisParams) -> float:
-    """Closed-form c_0 of the irregular solution.
-
-    Isolated here so the whole cosine normalization can be swapped by
-    changing one formula.  Uses the Kummer function M(-nu, 1-nu, mu^2) with
-    nu = ell + 1/2; validated in the test suite against an independent
-    series evaluation and against the asymptotic cosine behaviour of the
-    resummed radial function.
-    """
-    return _cosine_seed(Kinematics.from_energy(energy, basis), basis)
-
-
 def _cosine_seed(kin: Kinematics, basis: BasisParams) -> float:
+    # closed-form c_0 through the Kummer function M(-nu, 1-nu, mu^2), nu = ell + 1/2
     nu = basis.nu_basis
     z = kin.mu**2
-    a0 = math.exp(-0.5 * ln_gamma(nu + 1.0))
+    a0 = math.exp(-0.5 * math.lgamma(nu + 1.0))
     return (
         (2.0 / math.sqrt(basis.lam))
-        * (math.exp(ln_gamma(nu)) / math.pi)
+        * (math.exp(math.lgamma(nu)) / math.pi)
         * kin.mu ** (-basis.ell)
         * math.exp(-z / 2.0)
         * a0
@@ -207,7 +195,7 @@ def _seed_drive(kin: Kinematics, basis: BasisParams) -> float:
     # inhomogeneity of the n = 0 relation, in mu^2-scaled (dimensionless) form
     return (
         -(2.0 / math.pi)
-        * math.sqrt(math.exp(ln_gamma(basis.ell + 1.5)) / basis.lam)
+        * math.sqrt(math.exp(math.lgamma(basis.ell + 1.5)) / basis.lam)
         * kin.mu ** (-basis.ell)
         * math.exp(kin.mu**2 / 2.0)
     )
@@ -252,8 +240,9 @@ def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[fl
 def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
     """Irregular-solution coefficients c_0 .. c_{count-1}.
 
-    c_0 comes from :func:`cosine_seed`; c_1 is fixed by the inhomogeneous
-    n = 0 relation; the remainder follows by forward recursion, which is
+    c_0 is a closed form in the Kummer function M(-nu, 1-nu, mu^2) with
+    nu = ell + 1/2; c_1 is fixed by the inhomogeneous n = 0 relation; the
+    remainder follows by forward recursion, which is
     mildly unstable only far beyond the lengths used here (a growth guard
     raises if the requested count leaves the stable range).
     """

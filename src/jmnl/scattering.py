@@ -9,9 +9,9 @@ entry G[N-1, N-1] enters the scattering matrix
 
 a ratio of complex conjugates, so |S| = 1 identically and the phase shift is
 delta = arg(S)/2.  Three independent routes to the corner value are provided
-(direct solve, spectral sum over a symmetric-definite pencil, and a
-determinant ratio needing eigenvalues only); they must agree, which is the
-main internal consistency oracle of the package.
+(direct solve, spectral sum over the eigenpairs of the symmetric operator,
+and a determinant ratio needing eigenvalues only); they must agree, which is
+the main internal consistency oracle of the package.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`); :func:`s_matrix` is a batch of one.  Its
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .nonlinear import ModelConfig, _weight, lambda_matrix
 from .reference import (
@@ -39,13 +38,10 @@ from .reference import (
 )
 
 __all__ = [
-    "Pencil",
     "ScatterPoint",
     "PoleError",
     "DegenerateEnergyError",
     "POLE_MARGIN",
-    "green_direct",
-    "generalized_eigen",
     "green_corner_direct",
     "green_corner_spectral",
     "green_corner_determinant",
@@ -75,35 +71,6 @@ class PoleError(ArithmeticError):
 
 class DegenerateEnergyError(ArithmeticError):
     """The scattering-matrix denominator vanished."""
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """Symmetric-definite matrix pair (a, b) with a provenance label."""
-
-    a: np.ndarray
-    b: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("pencil matrices must be square and of equal shape")
-        if not np.array_equal(a, a.T) or not np.array_equal(b, b.T):
-            raise ValueError("pencil matrices must be exactly symmetric")
-        try:
-            np.linalg.cholesky(b)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("pencil right-hand matrix must be positive definite") from exc
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        a.setflags(write=False)
-        b.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -178,31 +145,8 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
     return solution, errors
 
 
-def green_direct(wave_op: np.ndarray, energy: float | None = None) -> np.ndarray:
-    """Invert the wave operator, with refinement and a residual guarantee.
-
-    Raises :class:`PoleError` when the matrix is singular or the residual
-    cannot be brought under max(1e-9, double-precision floor).
-    """
-    matrix = np.asarray(wave_op, dtype=float)
-    solution, (error,) = _checked_solve(matrix[None], np.eye(matrix.shape[0])[None], [energy])
-    if error is not None:
-        raise error
-    return solution[0]
-
-
-def generalized_eigen(pencil: Pencil):
-    """Eigenpairs of a x = eps b x with b-orthonormal eigenvectors.
-
-    Eigenvalues ascend; columns of the eigenvector matrix satisfy
-    Gamma.T @ b @ Gamma = identity.
-    """
-    eigenvalues, eigenvectors = eigh(pencil.a, pencil.b)
-    return eigenvalues, eigenvectors
-
-
-def _pole_error(gap: float, e_hat: float, margin: float) -> PoleError | None:
-    if gap <= margin * max(1.0, abs(e_hat)):
+def _pole_error(gap: float, e_hat: float) -> PoleError | None:
+    if gap <= POLE_MARGIN * max(1.0, abs(e_hat)):
         return PoleError(
             f"energy {e_hat} within pole margin of spectral point "
             f"(gap {gap:.3e})",
@@ -211,8 +155,8 @@ def _pole_error(gap: float, e_hat: float, margin: float) -> PoleError | None:
     return None
 
 
-def _guard_pole(eigenvalues: np.ndarray, e_hat: float, margin: float) -> None:
-    error = _pole_error(float(np.min(np.abs(eigenvalues - e_hat))), e_hat, margin)
+def _guard_pole(eigenvalues: np.ndarray, e_hat: float) -> None:
+    error = _pole_error(float(np.min(np.abs(eigenvalues - e_hat))), e_hat)
     if error is not None:
         raise error
 
@@ -238,7 +182,8 @@ def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, float]:
 def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> float:
     """Corner Green's value from one checked solve for the last column.
 
-    Same residual policy as :func:`green_direct`.
+    Raises :class:`PoleError` when the matrix is singular or the residual
+    cannot be brought under max(1e-9, double-precision floor).
     """
     matrix = np.asarray(wave_op, dtype=float)
     solution, (error,) = _checked_solve(matrix[None], _last_units(1, matrix.shape[0]), [energy])
@@ -247,36 +192,41 @@ def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> flo
     return float(solution[0, -1, 0])
 
 
-def green_corner_spectral(pencil: Pencil, e_hat: float, pole_margin: float = POLE_MARGIN) -> float:
-    """Corner Green's value from the spectral sum over pencil eigenpairs."""
-    eigenvalues, gamma = generalized_eigen(pencil)
-    _guard_pole(eigenvalues, e_hat, pole_margin)
-    tau = np.einsum("im,ij,jm->m", gamma, pencil.b, gamma)
-    corner = gamma[-1, :]
-    return float(np.sum(corner**2 / (tau * (eigenvalues - e_hat))))
+def _symmetric(h: np.ndarray) -> np.ndarray:
+    """h as a float array; a matrix that is not square and exactly symmetric is rejected."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(h, h.T):
+        raise ValueError("matrix must be exactly symmetric")
+    return h
 
 
-def green_corner_determinant(pencil: Pencil, e_hat: float, pole_margin: float = POLE_MARGIN) -> float:
-    """Corner Green's value from eigenvalues only (no eigenvectors).
+def green_corner_spectral(h: np.ndarray, e_hat: float) -> float:
+    """Corner of (h - E)^-1 from the spectral sum over the orthonormal eigenpairs of h."""
+    eigenvalues, vectors = np.linalg.eigh(_symmetric(h))
+    _guard_pole(eigenvalues, e_hat)
+    return float(np.sum(vectors[-1] ** 2 / (eigenvalues - e_hat)))
 
-    Uses the ratio of characteristic products of the pencil and of its
-    top-left (N-1) x (N-1) restriction, together with the eigenvalues of the
-    right-hand matrices.  The factors are paired in interlaced order so all
-    intermediate products stay of moderate size.
+
+def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
+    """Corner of (h - E)^-1 from eigenvalues only (no eigenvectors).
+
+    The ratio of the characteristic products of the top-left (N-1) x (N-1)
+    block of h and of h itself.  The factors are paired in interlaced order
+    so all intermediate products stay of moderate size.
     """
-    eigenvalues = eigh(pencil.a, pencil.b, eigvals_only=True)
-    _guard_pole(eigenvalues, e_hat, pole_margin)
-    trimmed = eigh(pencil.a[:-1, :-1], pencil.b[:-1, :-1], eigvals_only=True)
-    xi = np.linalg.eigvalsh(pencil.b)
-    xi_trimmed = np.linalg.eigvalsh(pencil.b[:-1, :-1])
+    h = _symmetric(h)
+    eigenvalues = np.linalg.eigvalsh(h)
+    _guard_pole(eigenvalues, e_hat)
+    trimmed = np.linalg.eigvalsh(h[:-1, :-1])
     value = 1.0
-    for m in range(pencil.size - 1):
-        value *= (xi_trimmed[m] * (trimmed[m] - e_hat)) / (xi[m] * (eigenvalues[m] - e_hat))
-    value /= xi[-1] * (eigenvalues[-1] - e_hat)
-    return float(value)
+    for m in range(len(trimmed)):
+        value *= (trimmed[m] - e_hat) / (eigenvalues[m] - e_hat)
+    return float(value / (eigenvalues[-1] - e_hat))
 
 
-def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
+def _scatter(energies, configs) -> list[list]:
     """S of each config at each energy, or the ArithmeticError that stops it there.
 
     The scan kernel; ``result[k][j]`` is ``configs[k]`` at ``energies[j]``.
@@ -287,7 +237,7 @@ def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
     (B, N, N) wave-operator stack with one pole guard and one checked solve.
 
     The pole guard is one stacked Cholesky of M_i - delta_i I, with
-    delta_i = pole_margin * max(1, |E_i|).  If it succeeds with a finite
+    delta_i = POLE_MARGIN * max(1, |E_i|).  If it succeeds with a finite
     factor, every member has all its eigenvalues above delta_i and the block
     is clear.  Otherwise (a member on a pole, or with E above part of its
     spectrum) a member whose wave operator is not finite (the coupling
@@ -314,9 +264,7 @@ def _scatter(energies, configs, pole_margin: float = POLE_MARGIN) -> list[list]:
     for start in range(0, len(energies), _BLOCK):
         block = slice(start, start + _BLOCK)
         for outcomes, config in zip(results, configs):
-            outcomes += _scatter_block(
-                energies[block], kins[block], tails[block], terms[block], config, pole_margin
-            )
+            outcomes += _scatter_block(energies[block], kins[block], tails[block], terms[block], config)
     return results
 
 
@@ -335,14 +283,14 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
-def _clear_of_poles(stack: np.ndarray, e: np.ndarray, margin: float) -> bool:
+def _clear_of_poles(stack: np.ndarray, e: np.ndarray) -> bool:
     """Whether one stacked Cholesky certifies every member M_i - delta_i I positive definite.
 
-    delta_i = margin * max(1, |E_i|) is the margin of :func:`_pole_error`, so
+    delta_i = POLE_MARGIN * max(1, |E_i|) is the margin of :func:`_pole_error`, so
     a certified member has every eigenvalue of M_i above it and no pole flag.
     """
     shifted = stack.copy()
-    _diagonal(shifted)[...] -= margin * np.maximum(1.0, np.abs(e))
+    _diagonal(shifted)[...] -= POLE_MARGIN * np.maximum(1.0, np.abs(e))
     try:
         factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -351,7 +299,7 @@ def _clear_of_poles(stack: np.ndarray, e: np.ndarray, margin: float) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def _scatter_block(block, kins, tails, terms, config: ModelConfig, pole_margin: float) -> list:
+def _scatter_block(block, kins, tails, terms, config: ModelConfig) -> list:
     h0, b_tail = _free_block(config.basis, config.size)
     out: list = [None] * len(block)
     live, couplings = [], []
@@ -370,13 +318,13 @@ def _scatter_block(block, kins, tails, terms, config: ModelConfig, pole_margin: 
         # an overflowing coupling leaves inf or nan entries: the pole guard reports them
         stack = h0 + np.multiply.outer(couplings, lambda_matrix(config).entries)
     _diagonal(stack)[...] -= e
-    if not _clear_of_poles(stack, e, pole_margin):
+    if not _clear_of_poles(stack, e):
         finite = np.isfinite(stack).all(axis=(1, 2))
         shifts = e[finite]
         gaps = iter(np.abs(np.linalg.eigvalsh(stack[finite]) + shifts - shifts).min(axis=1).tolist())
         for i, ok in zip(live, finite.tolist()):
             if ok:
-                out[i] = _pole_error(next(gaps), block[i], pole_margin)
+                out[i] = _pole_error(next(gaps), block[i])
             else:
                 out[i] = OverflowError(f"wave operator is not finite at E={block[i]}")
     clear = [j for j, i in enumerate(live) if out[i] is None]
@@ -405,14 +353,14 @@ def _scatter_block(block, kins, tails, terms, config: ModelConfig, pole_margin: 
     return out
 
 
-def s_matrix(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
+def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
     """Scattering matrix value e^{2 i delta} at one energy.
 
     A batch of one through the scan kernel; raises the error that stops S
     at this energy (:class:`PoleError`, :class:`RecurrenceOverflowError`,
     :class:`DegenerateEnergyError`, ...).
     """
-    ((point,),) = _scatter([energy], [config], pole_margin)
+    ((point,),) = _scatter([energy], [config])
     if isinstance(point, ArithmeticError):
         raise point
     return point

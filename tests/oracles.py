@@ -147,11 +147,11 @@ def _kinematic_tail(energy: float, config: ModelConfig):
     return s, c, b_tail
 
 
-def _corner_and_tail(energy: float, config: ModelConfig, pole_margin: float):
+def _corner_and_tail(energy: float, config: ModelConfig):
     matrix = wave_operator(energy, config)
     eigenvalues = np.linalg.eigvalsh(matrix) + energy
     gap = float(np.min(np.abs(eigenvalues - energy)))
-    if gap <= pole_margin * max(1.0, abs(energy)):
+    if gap <= POLE_MARGIN * max(1.0, abs(energy)):
         raise PoleError(
             f"energy {energy} within pole margin of spectral point (gap {gap:.3e})",
             energy=energy,
@@ -161,9 +161,9 @@ def _corner_and_tail(energy: float, config: ModelConfig, pole_margin: float):
     return corner, s, c, b_tail
 
 
-def s_matrix_point(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
+def s_matrix_point(energy: float, config: ModelConfig) -> ScatterPoint:
     """Scattering matrix at one energy, one call per layer."""
-    corner, s, c, b_tail = _corner_and_tail(energy, config, pole_margin)
+    corner, s, c, b_tail = _corner_and_tail(energy, config)
     last = config.size - 1
     numerator = c[last] - 1j * s[last] + b_tail * corner * (c[last + 1] - 1j * s[last + 1])
     denominator = c[last] + 1j * s[last] + b_tail * corner * (c[last + 1] + 1j * s[last + 1])
@@ -178,7 +178,7 @@ def s_matrix_point(energy: float, config: ModelConfig, pole_margin: float = POLE
     )
 
 
-def s_matrix_tr_form(energy: float, config: ModelConfig, pole_margin: float = POLE_MARGIN) -> ScatterPoint:
+def s_matrix_tr_form(energy: float, config: ModelConfig) -> ScatterPoint:
     """Same scattering matrix through the reflection-ratio form.
 
     Writes S = T_{N-1} (1 + G_c J R^-) / (1 + G_c J R^+) with
@@ -186,7 +186,7 @@ def s_matrix_tr_form(energy: float, config: ModelConfig, pole_margin: float = PO
     (c ± i s), and J the off-diagonal free-Hamiltonian coupling.  Must agree
     with the scattering matrix to full precision.
     """
-    corner, s, c, b_tail = _corner_and_tail(energy, config, pole_margin)
+    corner, s, c, b_tail = _corner_and_tail(energy, config)
     last = config.size - 1
     t_last = (c[last] - 1j * s[last]) / (c[last] + 1j * s[last])
     r_minus = (c[last + 1] - 1j * s[last + 1]) / (c[last] - 1j * s[last])

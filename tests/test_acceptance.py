@@ -25,11 +25,10 @@ from jmnl.reference import (
 )
 from jmnl.scattering import (
     DegenerateEnergyError,
-    Pencil,
     PoleError,
     green_corner_determinant,
+    green_corner_direct,
     green_corner_spectral,
-    green_direct,
     s_matrix,
 )
 from jmnl.nonlinear import wave_operator
@@ -162,10 +161,9 @@ def test_criterion_4_three_route_green_agreement():
         eigenvalues = np.linalg.eigvalsh(hamiltonian)
         if np.min(np.abs(eigenvalues - energy)) < 1e-3:
             continue
-        pencil = Pencil(a=hamiltonian, b=np.eye(config.size), label="wave operator")
-        direct = green_direct(matrix, energy=float(energy))[-1, -1]
-        spectral = green_corner_spectral(pencil, float(energy))
-        determinant = green_corner_determinant(pencil, float(energy))
+        direct = green_corner_direct(matrix, energy=float(energy))
+        spectral = green_corner_spectral(hamiltonian, float(energy))
+        determinant = green_corner_determinant(hamiltonian, float(energy))
         spread = max(
             abs(direct - spectral), abs(direct - determinant), abs(spectral - determinant)
         )

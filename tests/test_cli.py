@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import jmnl
 from jmnl import reference, scattering
@@ -22,6 +23,7 @@ from jmnl.nonlinear import ModelConfig
 from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
 from jmnl.scattering import DegenerateEnergyError, PoleError
 
+from conftest import count_calls
 from oracles import s_matrix_point
 
 ORACLE_STATUS = {
@@ -332,6 +334,16 @@ class TestValidate:
         )
         report = validate(config, energies=np.linspace(0.6, 3.9, 5))
         assert report.passed, [c for c in report.checks if not c.passed]
+
+    def test_routes_run_on_numpy_linear_algebra(self, monkeypatch):
+        # per energy one eigh (spectral route) and three eigvalsh (tolerance, determinant
+        # route); the one cholesky is the kernel's pole guard over the block of 8 energies
+        linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh"))
+        generalized = count_calls(monkeypatch, scipy.linalg, ("eigh",))
+        report = validate(PAPER_REQUEST.config_for(1.0))
+        assert report.passed
+        assert linalg == {"cholesky": 1, "eigh": 8, "eigvalsh": 24}
+        assert not generalized
 
     def test_check_names(self):
         config = ModelConfig(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jmnl.nonlinear import (
+    LambdaMatrix,
     ModelConfig,
-    PositivityCertificateError,
     ansatz_coefficients,
     lambda_matrix,
     omega_transform,
@@ -126,17 +126,17 @@ class TestLambdaMatrix:
 
 class TestOmegaTransform:
     def test_identity_input(self):
-        transform = omega_transform(np.eye(4))
+        lam = LambdaMatrix(entries=np.eye(4), nu=0.0, terms=1, min_eigenvalue=1.0, factor=np.eye(4))
+        transform = omega_transform(lam)
         assert np.abs(transform.omega @ transform.omega.T - np.eye(4)).max() < 1e-12
 
     def test_diagonal_input(self):
-        lam = np.diag([4.0, 1.0])
+        entries = np.diag([4.0, 1.0])
+        lam = LambdaMatrix(
+            entries=entries, nu=0.0, terms=1, min_eigenvalue=1.0, factor=np.diag([2.0, 1.0])
+        )
         transform = omega_transform(lam)
-        assert np.abs(transform.omega @ lam @ transform.omega.T - np.eye(2)).max() < 1e-12
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(PositivityCertificateError):
-            omega_transform(np.diag([1.0, -2.0]))
+        assert np.abs(transform.omega @ entries @ transform.omega.T - np.eye(2)).max() < 1e-12
 
     def test_wellconditioned_config_meets_strict_identity(self):
         lam = lambda_matrix(make_config(nu=1.5, terms=4, size=10))

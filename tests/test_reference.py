@@ -9,7 +9,6 @@ from jmnl.reference import (
     RecurrenceOverflowError,
     basis_function,
     cosine_coefficients,
-    cosine_seed,
     h0_element,
     h0_matrix,
     regular_solution_residual,
@@ -110,7 +109,7 @@ class TestCosineCoefficients:
             / math.sqrt(math.gamma(nu + 1))
             * kummer_series(-nu, 1 - nu, z)
         )
-        assert cosine_seed(energy, basis) == pytest.approx(expected, rel=1e-12)
+        assert cosine_coefficients(energy, basis, 1).values[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     @pytest.mark.parametrize("energy", [0.1, 0.5, 1.0, 2.0, 5.0])

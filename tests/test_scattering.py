@@ -10,17 +10,14 @@ from jmnl.scattering import (
     _BLOCK,
     POLE_MARGIN,
     DegenerateEnergyError,
-    Pencil,
     PoleError,
     ScatterPoint,
     _checked_solve,
     _clear_of_poles,
     _scatter,
-    generalized_eigen,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
-    green_direct,
     s_matrix,
 )
 
@@ -40,27 +37,9 @@ def make_config(**overrides):
     return ModelConfig(**params)
 
 
-def random_pencil(rng, size=5):
+def random_symmetric(rng, size=5):
     a = rng.standard_normal((size, size))
-    a = a + a.T
-    chol = rng.standard_normal((size, size)) + size * np.eye(size)
-    b = chol @ chol.T
-    b = 0.5 * (b + b.T)
-    return Pencil(a=a, b=b, label="random test pencil")
-
-
-class TestPencil:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            Pencil(a=np.array([[1.0, 2.0], [0.0, 1.0]]), b=np.eye(2))
-
-    def test_rejects_indefinite_b(self):
-        with pytest.raises(ValueError):
-            Pencil(a=np.eye(2), b=np.diag([1.0, -1.0]))
-
-    def test_label_kept(self):
-        p = Pencil(a=np.eye(2), b=np.eye(2), label="free block")
-        assert p.label == "free block"
+    return a + a.T
 
 
 class TestScatterPoint:
@@ -71,21 +50,24 @@ class TestScatterPoint:
 
 class TestGreenDirect:
     def test_diagonal_example(self):
-        inverse = green_direct(np.diag([2.0, 4.0]))
-        assert np.allclose(inverse, np.diag([0.5, 0.25]), atol=1e-15)
+        assert green_corner_direct(np.diag([2.0, 4.0])) == 0.25
 
     def test_residual_on_scan_config(self):
         matrix = wave_operator(1.0, make_config())
-        inverse = green_direct(matrix, energy=1.0)
-        residual = np.abs(matrix @ inverse - np.eye(20)).max()
+        unit = np.zeros((1, 20, 1))
+        unit[0, -1] = 1.0
+        solution, (error,) = _checked_solve(matrix[None], unit, [1.0])
+        assert error is None
+        residual = np.abs(matrix @ solution[0] - unit[0]).max()
         assert residual < 1e-9
+        assert green_corner_direct(matrix, energy=1.0) == solution[0, -1, 0]
 
-    @pytest.mark.parametrize("route", [green_direct, green_corner_direct])
+    @pytest.mark.parametrize("route", [green_corner_direct])
     def test_singular_raises_pole(self, route):
         with pytest.raises(PoleError):
             route(np.diag([1.0, 0.0]), energy=3.5)
 
-    @pytest.mark.parametrize("route", [green_direct, green_corner_direct])
+    @pytest.mark.parametrize("route", [green_corner_direct])
     def test_pole_error_carries_energy(self, route):
         try:
             route(np.zeros((2, 2)), energy=2.25)
@@ -119,85 +101,70 @@ class TestGreenDirect:
         assert str(errors[1]) == str(alone.value)
 
 
-class TestGeneralizedEigen:
-    def test_identity_weight(self):
-        p = Pencil(a=np.diag([1.0, 2.0]), b=np.eye(2))
-        eigenvalues, gamma = generalized_eigen(p)
-        assert np.allclose(eigenvalues, [1.0, 2.0], atol=1e-14)
-        assert np.allclose(np.abs(gamma), np.eye(2), atol=1e-12)
-
-    def test_random_pencil_residual(self):
-        rng = np.random.default_rng(5)
-        p = random_pencil(rng, size=6)
-        eigenvalues, gamma = generalized_eigen(p)
-        residual = np.abs(p.a @ gamma - p.b @ gamma @ np.diag(eigenvalues)).max()
-        assert residual < 1e-9
-
-    def test_b_orthonormal_columns(self):
-        rng = np.random.default_rng(6)
-        p = random_pencil(rng, size=6)
-        _, gamma = generalized_eigen(p)
-        assert np.abs(gamma.T @ p.b @ gamma - np.eye(6)).max() < 1e-10
-
-
 class TestGreenCornerRoutes:
     def test_single_mode_case(self):
-        p = Pencil(a=np.array([[2.0]]), b=np.array([[1.0]]))
-        assert green_corner_spectral(p, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert green_corner_determinant(p, 1.0) == pytest.approx(1.0, rel=1e-14)
+        h = np.array([[2.0]])
+        assert green_corner_spectral(h, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert green_corner_determinant(h, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_spectral_matches_direct_inverse(self):
         rng = np.random.default_rng(7)
-        p = random_pencil(rng, size=5)
+        h = random_symmetric(rng, size=5)
         for e_hat in (-3.0, 0.4, 9.5):
-            direct = np.linalg.inv(p.a - e_hat * p.b)[-1, -1]
-            assert green_corner_spectral(p, e_hat) == pytest.approx(direct, rel=1e-8)
+            direct = np.linalg.inv(h - e_hat * np.eye(5))[-1, -1]
+            assert green_corner_spectral(h, e_hat) == pytest.approx(direct, rel=1e-8)
 
     def test_determinant_matches_spectral(self):
         rng = np.random.default_rng(8)
-        p = random_pencil(rng, size=5)
+        h = random_symmetric(rng, size=5)
         for e_hat in rng.uniform(-5.0, 12.0, size=10):
-            spectral = green_corner_spectral(p, float(e_hat))
-            determinant = green_corner_determinant(p, float(e_hat))
+            spectral = green_corner_spectral(h, float(e_hat))
+            determinant = green_corner_determinant(h, float(e_hat))
             assert determinant == pytest.approx(spectral, rel=1e-8)
 
     def test_unit_weight_reduces_to_char_poly_ratio(self):
         rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 6))
-        a = a + a.T
-        p = Pencil(a=a, b=np.eye(6))
+        h = random_symmetric(rng, size=6)
         e_hat = 0.37
-        expected = np.linalg.det(a[:-1, :-1] - e_hat * np.eye(5)) / np.linalg.det(
-            a - e_hat * np.eye(6)
+        expected = np.linalg.det(h[:-1, :-1] - e_hat * np.eye(5)) / np.linalg.det(
+            h - e_hat * np.eye(6)
         )
-        assert green_corner_determinant(p, e_hat) == pytest.approx(expected, rel=1e-9)
+        assert green_corner_determinant(h, e_hat) == pytest.approx(expected, rel=1e-9)
 
     def test_resolvent_decay(self):
         rng = np.random.default_rng(10)
-        p = random_pencil(rng, size=4)
-        assert abs(green_corner_spectral(p, 1e9)) < 1e-6
-        assert abs(green_corner_spectral(p, -1e9)) < 1e-6
+        h = random_symmetric(rng, size=4)
+        assert abs(green_corner_spectral(h, 1e9)) < 1e-6
+        assert abs(green_corner_spectral(h, -1e9)) < 1e-6
 
     def test_pole_margin(self):
-        p = Pencil(a=np.diag([1.0, 2.0]), b=np.eye(2))
+        h = np.diag([1.0, 2.0])
         with pytest.raises(PoleError):
-            green_corner_spectral(p, 2.0 + 1e-9)
+            green_corner_spectral(h, 2.0 + 1e-9)
         with pytest.raises(PoleError):
-            green_corner_determinant(p, 1.0)
+            green_corner_determinant(h, 1.0)
+
+    @pytest.mark.parametrize("route", [green_corner_spectral, green_corner_determinant])
+    @pytest.mark.parametrize(
+        "h",
+        [np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((2, 3)), np.ones(3)],
+        ids=["asymmetric", "non-square", "vector"],
+    )
+    def test_rejects_asymmetric_or_non_square(self, route, h):
+        with pytest.raises(ValueError):
+            route(h, 0.5)
 
     def test_denominator_sign_changes_bracket_eigenvalues(self):
         # the characteristic product flips sign exactly once across each
-        # pencil eigenvalue
+        # eigenvalue
         rng = np.random.default_rng(12)
-        p = random_pencil(rng, size=5)
-        eigenvalues, _ = generalized_eigen(p)
+        eigenvalues = np.linalg.eigvalsh(random_symmetric(rng, size=5))
         probes = np.sort(
             np.concatenate(
                 [eigenvalues - 1e-4, eigenvalues + 1e-4]
             )
         )
-        xi = np.linalg.eigvalsh(p.b)
-        products = [float(np.prod(xi * (eigenvalues - e))) for e in probes]
+        products = [float(np.prod(eigenvalues - e)) for e in probes]
         flips = sum(
             1 for left, right in zip(products, products[1:]) if np.sign(left) != np.sign(right)
         )
@@ -461,5 +428,5 @@ class TestScanKernel:
         stack = np.stack([4.0 * np.eye(3)] * 2)
         stack[(1,) + entry] = stack[(1,) + entry[::-1]] = value
         energies = np.ones((2, 1))
-        assert _clear_of_poles(stack[:1], energies[:1], POLE_MARGIN)
-        assert not _clear_of_poles(stack, energies, POLE_MARGIN)
+        assert _clear_of_poles(stack[:1], energies[:1])
+        assert not _clear_of_poles(stack, energies)
