@@ -8,20 +8,15 @@ Lt_i(z)^2 * Lt_n(z) back over the family.
 
 import numpy as np
 
-from jmnl import (
-    gauss_laguerre_rule,
-    jacobi_matrix,
-    laguerre_orthonormal,
-    linearization_identity_residual,
-    linearization_table,
-)
+from jmnl import gauss_laguerre_rule, jacobi_matrix, linearization_table
 from jmnl.orthopoly import laguerre_orthonormal_sequence
 
 nu = 1.5
 
 print("== orthonormal Laguerre family, weight z^nu e^-z with nu =", nu)
+values = laguerre_orthonormal_sequence(4, nu, 2.0)
 for n in (0, 1, 4):
-    print(f"   Lt_{n}(2.0) = {laguerre_orthonormal(n, nu, 2.0):+.12f}")
+    print(f"   Lt_{n}(2.0) = {values[n]:+.12f}")
 
 print("\n== Gauss rule from the Jacobi matrix (Golub-Welsch)")
 nodes, weights = gauss_laguerre_rule(12, nu)
@@ -32,15 +27,19 @@ print(f"   orthonormality defect on degrees <= 5: {np.abs(gram - np.eye(6)).max(
 
 print("\n== Jacobi matrix: tridiagonal, symmetric, positive definite")
 jac = jacobi_matrix(nu, 8)
-print("   diagonal      :", np.array2string(jac.diagonal, precision=3))
-print("   off-diagonal  :", np.array2string(jac.off_diagonal, precision=3))
-print("   min eigenvalue:", f"{np.linalg.eigvalsh(jac.as_array())[0]:.6f}")
+print("   diagonal      :", np.array2string(np.diag(jac), precision=3))
+print("   off-diagonal  :", np.array2string(np.diag(jac, 1), precision=3))
+print("   min eigenvalue:", f"{np.linalg.eigvalsh(jac)[0]:.6f}")
 
 print("\n== product linearization: Lt_i^2 Lt_n = sum_m D[i,n,m] Lt_m")
-table = linearization_table(4, 10, nu)
-print("   D[2, 4, :9] =", np.array2string(table.entries[2, 4, :9], precision=5))
+# i < 4 and n + 2i <= 5 + 6: every m the identity below needs
+entries, _ = linearization_table(4, 12, nu)
+print("   D[2, 4, :9] =", np.array2string(entries[2, 4, :9], precision=5))
 print("   band check: entries vanish exactly for |n-m| > 2i ->",
-      bool(np.all(table.entries[2][np.abs(np.subtract.outer(range(10), range(10))) > 4] == 0)))
+      bool(np.all(entries[2][np.abs(np.subtract.outer(range(12), range(12))) > 4] == 0)))
+i, n = 3, 5
 for point in (0.7, 5.0, 19.0):
-    res = linearization_identity_residual(3, 5, nu, point)
-    print(f"   pointwise identity residual at z={point:<5}: {res:.2e}")
+    lt = laguerre_orthonormal_sequence(11, nu, point)
+    lhs = lt[i] ** 2 * lt[n]
+    res = abs(lhs - entries[i, n] @ lt) / max(1.0, abs(lhs))
+    print(f"   pointwise identity residual of Lt_{i}^2 Lt_{n} at z={point:<5}: {res:.2e}")

@@ -13,32 +13,20 @@ from .nonlinear import (
     ModelConfig,
     OmegaTransform,
     PositivityCertificateError,
-    ansatz_coefficients,
     lambda_matrix,
     omega_transform,
     wave_operator,
     weight,
 )
-from .orthopoly import (
-    JacobiMatrix,
-    LinearizationTable,
-    gauss_laguerre_rule,
-    jacobi_matrix,
-    laguerre_orthonormal,
-    linearization_identity_residual,
-    linearization_table,
-)
+from .orthopoly import gauss_laguerre_rule, jacobi_matrix, linearization_table
 from .reference import (
     BasisParams,
-    CoefficientVector,
     Kinematics,
     RecurrenceOverflowError,
     basis_function,
     cosine_coefficients,
     h0_element,
     h0_matrix,
-    regular_solution_residual,
-    regular_wave,
     sine_coefficients,
 )
 from .scattering import (
@@ -54,19 +42,15 @@ from .scattering import (
 __all__ = [
     "__version__",
     "BasisParams",
-    "CoefficientVector",
     "DegenerateEnergyError",
-    "JacobiMatrix",
     "Kinematics",
     "LambdaMatrix",
-    "LinearizationTable",
     "ModelConfig",
     "OmegaTransform",
     "PoleError",
     "PositivityCertificateError",
     "RecurrenceOverflowError",
     "ScatterPoint",
-    "ansatz_coefficients",
     "basis_function",
     "cosine_coefficients",
     "gauss_laguerre_rule",
@@ -76,13 +60,9 @@ __all__ = [
     "h0_element",
     "h0_matrix",
     "jacobi_matrix",
-    "laguerre_orthonormal",
     "lambda_matrix",
-    "linearization_identity_residual",
     "linearization_table",
     "omega_transform",
-    "regular_solution_residual",
-    "regular_wave",
     "s_matrix",
     "sine_coefficients",
     "wave_operator",

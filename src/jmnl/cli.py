@@ -74,8 +74,8 @@ class ScanRequest:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not (0 < self.e_min < self.e_max):
-            raise ValueError("need 0 < e_min < e_max")
+        if not (0 < self.e_min < self.e_max < math.inf):
+            raise ValueError("need 0 < e_min < e_max, both finite")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         if not self.nu_list:
@@ -275,6 +275,26 @@ class ValidationReport:
         self.checks.append(CheckResult(name, passed, detail))
 
 
+def _lambda_bound(lam, nu: float) -> tuple[bool, str]:
+    """Whether lambda_min Gamma(nu+1) >= (1 - slack)^2, and the detail line.
+
+    Lambda's i = 0 term is I / Gamma(nu+1), so lambda_min >= 1/Gamma(nu+1); the
+    certificate's sqrt(lambda_min) is off by at most 16 eps ||factor||_F, which
+    times sqrt(Gamma(nu+1)) is `slack` (capped at 1).  Gamma(nu+1) overflows for
+    large nu, so it enters through lgamma; the product is at most
+    Gamma(nu+1) Lambda[0, 0] = terms.
+    """
+    if not lam.min_eigenvalue > 0:
+        return False, f"min eigenvalue {lam.min_eigenvalue:.6e}"
+    half_log_gamma = 0.5 * math.lgamma(nu + 1.0)
+    slack = math.exp(min(0.0, math.log(16.0 * _EPS * float(np.linalg.norm(lam.factor))) + half_log_gamma))
+    scaled = math.exp(math.log(lam.min_eigenvalue) + 2.0 * half_log_gamma)
+    return scaled >= (1.0 - slack) ** 2, (
+        f"min eigenvalue {lam.min_eigenvalue:.6e}, "
+        f"times Gamma(nu+1) {scaled:.6g} (bound (1 - {slack:.1e})^2)"
+    )
+
+
 def _three_route_tolerance(eigenvalues: np.ndarray, energy: float) -> float:
     # route agreement saturates at eps * (spectral radius / gap); strongly
     # graded coupling matrices (condition up to ~1e17) push it above 1e-8
@@ -290,11 +310,7 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         energies = np.linspace(0.6, 5.9, 8)
 
     lam = lambda_matrix(config)
-    report.add(
-        "lambda-positive",
-        lam.min_eigenvalue > 0,
-        f"min eigenvalue {lam.min_eigenvalue:.6e}",
-    )
+    report.add("lambda-positive", *_lambda_bound(lam, config.nu))
 
     try:
         transform = omega_transform(lam)
@@ -362,10 +378,8 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
 def _recursion_residual(energy: float, config: ModelConfig, kind: str) -> float:
     basis = config.basis
     count = config.size + 1
-    if kind == "sine":
-        values = sine_coefficients(energy, basis, count).values
-    else:
-        values = cosine_coefficients(energy, basis, count).values
+    coefficients = sine_coefficients if kind == "sine" else cosine_coefficients
+    values = coefficients(energy, basis, count)
     mu2 = 2.0 * energy / basis.lam**2
     ell = basis.ell
     scale = float(np.max(np.abs(values)))

@@ -1,4 +1,4 @@
-"""Nonlinear interaction block: weight, ansatz, coupling matrix, normalizer.
+"""Nonlinear interaction block: weight, coupling matrix, normalizer.
 
 The short-range nonlinear potential acts on the expansion coefficients as a
 rank-dense N x N block  W(E) = g * omega(E)^2 * Lambda, where Lambda sums the
@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import laguerre_orthonormal_sequence, linearization_table
-from .reference import BasisParams, CoefficientVector, Kinematics, h0_matrix
+from .orthopoly import linearization_table
+from .reference import BasisParams, Kinematics, h0_matrix
 
 __all__ = [
     "WEIGHT_CHOICES",
@@ -32,7 +32,6 @@ __all__ = [
     "OmegaTransform",
     "PositivityCertificateError",
     "weight",
-    "ansatz_coefficients",
     "lambda_matrix",
     "omega_transform",
     "wave_operator",
@@ -97,15 +96,6 @@ def _weight(mu: float, config: ModelConfig) -> float:
     return value
 
 
-def ansatz_coefficients(energy: float, config: ModelConfig, count: int) -> CoefficientVector:
-    """Weighted orthonormal-Laguerre ansatz f_n(E) = omega(E) Lt_n(mu^2)."""
-    kin = Kinematics.from_energy(energy, config.basis)
-    lt = laguerre_orthonormal_sequence(count - 1, config.nu, kin.mu**2)
-    return CoefficientVector(
-        kind="ansatz", energy=energy, values=weight(energy, config) * lt
-    )
-
-
 @dataclass(frozen=True)
 class LambdaMatrix:
     """Coupling matrix with its positivity certificate and stacked factor."""
@@ -127,10 +117,10 @@ class LambdaMatrix:
 
 @lru_cache(maxsize=64)
 def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
-    table = linearization_table(terms, size, nu)
-    entries = table.entries.sum(axis=0)
+    table, factor = linearization_table(terms, size, nu)
+    entries = table.sum(axis=0)
     entries = 0.5 * (entries + entries.T)
-    singular = np.linalg.svd(table.factor, compute_uv=False)
+    singular = np.linalg.svd(factor, compute_uv=False)
     min_eig = float(singular[-1] ** 2)
     # noise floor of the factored certificate; the analytic lower bound
     # 1/Gamma(nu+1) sits far above it for every admissible nu
@@ -141,7 +131,7 @@ def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
             f"(floor {float(floor**2):.3e}) for nu={nu}, terms={terms}, size={size}"
         )
     return LambdaMatrix(
-        entries=entries, nu=nu, terms=terms, min_eigenvalue=min_eig, factor=table.factor
+        entries=entries, nu=nu, terms=terms, min_eigenvalue=min_eig, factor=factor
     )
 
 

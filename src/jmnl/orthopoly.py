@@ -7,34 +7,32 @@ The orthonormal polynomials Lt_n satisfy the symmetric three-term recurrence
 
 with alpha_n = 2n + nu + 1 and beta_n = -sqrt((n+1)(n+nu+1)).  Collecting the
 recurrence coefficients into a tridiagonal Jacobi matrix J turns multiplication
-by z into a matrix operator, which yields two workhorses:
+by z into a matrix operator.  The workhorses:
 
-* Gauss quadrature rules from the spectral decomposition of a truncated J
-  (Golub-Welsch), and
-* linearization of polynomial products: the coefficients expanding
-  Lt_i(z)^2 * Lt_n(z) over the family are entries of Lt_i(J)^2, a banded
-  matrix polynomial that can be evaluated exactly by the same recurrence.
+* :func:`laguerre_orthonormal_sequence`, the values Lt_0(z) .. Lt_n(z) by the
+  recurrence;
+* :func:`linearization_table`, the coefficients expanding Lt_i(z)^2 * Lt_n(z)
+  over the family: entries of Lt_i(J)^2, a banded matrix polynomial evaluated
+  exactly by the same recurrence, with the stacked factor whose Gram matrix
+  is the coupling matrix;
+* :func:`gauss_laguerre_rule`, Gauss quadrature from the spectral
+  decomposition of a truncated J (Golub-Welsch).
 
-All types are immutable after construction and all functions are pure, so
-everything is safe to share across threads.
+The Jacobi matrix and the table come back read-only and every function is
+pure, so results are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "JacobiMatrix",
-    "LinearizationTable",
-    "laguerre_orthonormal",
     "laguerre_orthonormal_sequence",
     "gauss_laguerre_rule",
     "jacobi_matrix",
     "linearization_table",
-    "linearization_identity_residual",
 ]
 
 
@@ -69,46 +67,20 @@ def laguerre_orthonormal_sequence(nmax: int, nu: float, z):
     return out
 
 
-def laguerre_orthonormal(n: int, nu: float, z: float) -> float:
-    """Orthonormal Laguerre polynomial Lt_n(z) = A_n L_n^nu(z)."""
-    return float(laguerre_orthonormal_sequence(n, nu, z)[n])
+def jacobi_matrix(nu: float, size: int) -> np.ndarray:
+    """Truncated Jacobi matrix of the orthonormal Laguerre family, read-only.
 
-
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Truncated tridiagonal operator of multiplication by z.
-
-    `diagonal[n] = 2n + nu + 1` and `off_diagonal[n] = -sqrt((n+1)(n+nu+1))`
-    are stored exactly as defined; the matrix is symmetric and, for nu > -1,
-    positive definite.
+    Diagonal 2n + nu + 1 and off-diagonal -sqrt((n+1)(n+nu+1)), stored exactly
+    as defined; the matrix is symmetric and, for nu > -1, positive definite.
     """
-
-    nu: float
-    size: int
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-    def __post_init__(self):
-        self.diagonal.setflags(write=False)
-        self.off_diagonal.setflags(write=False)
-
-    def as_array(self) -> np.ndarray:
-        full = np.diag(self.diagonal).astype(float)
-        idx = np.arange(self.size - 1)
-        full[idx, idx + 1] = self.off_diagonal
-        full[idx + 1, idx] = self.off_diagonal
-        return full
-
-
-def jacobi_matrix(nu: float, size: int) -> JacobiMatrix:
-    """Build the truncated Jacobi matrix of the orthonormal Laguerre family."""
     _check_nu(nu)
     if size < 1:
         raise ValueError("size must be positive")
     n = np.arange(size, dtype=float)
-    diag = 2.0 * n + nu + 1.0
     off = -np.sqrt((n[:-1] + 1.0) * (n[:-1] + nu + 1.0))
-    return JacobiMatrix(nu=nu, size=size, diagonal=diag, off_diagonal=off)
+    dense = np.diag(2.0 * n + nu + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    dense.setflags(write=False)
+    return dense
 
 
 def gauss_laguerre_rule(count: int, nu: float):
@@ -122,7 +94,7 @@ def gauss_laguerre_rule(count: int, nu: float):
     _check_nu(nu)
     if count < 1:
         raise ValueError("count must be positive")
-    nodes, vectors = np.linalg.eigh(jacobi_matrix(nu, count).as_array())
+    nodes, vectors = np.linalg.eigh(jacobi_matrix(nu, count))
     weights = math.exp(math.lgamma(nu + 1.0)) * vectors[0] ** 2
     return nodes, weights
 
@@ -140,10 +112,9 @@ def _polynomial_family(count: int, nu: float, size: int) -> list[np.ndarray]:
     out-of-band rounding noise cannot be amplified.  Entries (n, m) with
     max(n, m) + i < size are exact to rounding.
     """
-    jac = jacobi_matrix(nu, size)
-    dense = jac.as_array()
-    alpha = jac.diagonal
-    beta = jac.off_diagonal
+    dense = jacobi_matrix(nu, size)
+    alpha = np.diag(dense)
+    beta = np.diag(dense, 1)
     identity = np.eye(size)
     family = [_normalization(0, nu) * identity]
     if count > 1:
@@ -155,30 +126,15 @@ def _polynomial_family(count: int, nu: float, size: int) -> list[np.ndarray]:
     return family
 
 
-@dataclass(frozen=True)
-class LinearizationTable:
-    """Coefficients expanding Lt_i^2 Lt_n over the family, for i < K, n,m < N.
+def linearization_table(terms: int, dim: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients expanding Lt_i^2 Lt_n over the family, for i < terms, n,m < dim.
 
-    entries[i, n, m] equals the weighted integral of Lt_i^2 Lt_n Lt_m and is
-    exactly symmetric in (n, m), exactly zero for |n - m| > 2i.  `factor`
-    stacks the column-restricted matrices Lt_i(J)[:, :N]; its Gram matrix
-    reproduces the i-summed table, which gives positive-definiteness
-    certificates that survive the extreme grading of the entries.
-    """
-
-    nu: float
-    terms: int
-    dim: int
-    entries: np.ndarray
-    factor: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-        self.factor.setflags(write=False)
-
-
-def linearization_table(terms: int, dim: int, nu: float) -> LinearizationTable:
-    """Tabulate product-linearization coefficients for i < terms, n,m < dim.
+    Returns read-only ``(entries, factor)``.  entries[i, n, m] equals the
+    weighted integral of Lt_i^2 Lt_n Lt_m and is exactly symmetric in (n, m),
+    exactly zero for |n - m| > 2i.  `factor` stacks the column-restricted
+    matrices Lt_i(J)[:, :dim]; its Gram matrix reproduces the i-summed table,
+    which gives positive-definiteness certificates that survive the extreme
+    grading of the entries.
 
     The internal truncation dim + 2*terms + 4 is large enough that every
     retained entry is exact to rounding; enlarging it further changes nothing
@@ -196,21 +152,7 @@ def linearization_table(terms: int, dim: int, nu: float) -> LinearizationTable:
         gram = block.T @ block
         gram = 0.5 * (gram + gram.T)
         entries[i] = gram * _band_mask(dim, 2 * i)
-    return LinearizationTable(
-        nu=nu, terms=terms, dim=dim, entries=entries, factor=np.vstack(blocks)
-    )
-
-
-def linearization_identity_residual(i: int, n: int, nu: float, z: float) -> float:
-    """Relative mismatch of the product expansion at a single point.
-
-    Compares Lt_i(z)^2 Lt_n(z) against the tabulated expansion
-    sum_m entries[i, n, m] Lt_m(z), m <= n + 2i, normalized by max(1, |lhs|).
-    Meaningful for z in the well-conditioned evaluation range (roughly
-    z <= 50 at degrees <= 40).
-    """
-    table = linearization_table(i + 1, n + 2 * i + 1, nu)
-    values = laguerre_orthonormal_sequence(n + 2 * i, nu, z)
-    lhs = values[i] ** 2 * values[n]
-    rhs = float(table.entries[i, n, : n + 2 * i + 1] @ values)
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    factor = np.vstack(blocks)
+    entries.setflags(write=False)
+    factor.setflags(write=False)
+    return entries, factor

@@ -13,9 +13,10 @@ The sine coefficients have a closed form; the cosine sequence is seeded by a
 confluent-hypergeometric closed form at n = 0, its n = 1 value follows from
 the inhomogeneous seed relation, and the rest by forward recursion.
 
-Conventions used throughout (validated against the Bessel sums below):
-positive off-diagonal couplings b_n, alternating signs inside s_n and c_n,
-and sum_n s_n phi_n(r) = sqrt(2 k r) J_{ell+1/2}(k r).
+Conventions used throughout (the tests resum both series against scipy's
+Bessel functions): positive off-diagonal couplings b_n, alternating signs
+inside s_n and c_n, sum_n s_n phi_n(r) = sqrt(2 k r) J_{ell+1/2}(k r) and
+sum_n c_n phi_n(r) = -sqrt(2 k r) Y_{ell+1/2}(k r).
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from .orthopoly import laguerre_orthonormal_sequence
 __all__ = [
     "BasisParams",
     "Kinematics",
-    "CoefficientVector",
     "RecurrenceOverflowError",
     "h0_element",
     "h0_matrix",
     "sine_coefficients",
     "cosine_coefficients",
     "basis_function",
-    "spherical_bessel_j",
-    "regular_wave",
-    "regular_solution_residual",
 ]
 
 
@@ -57,8 +54,8 @@ class BasisParams:
     ell: int
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("scale parameter lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("scale parameter lam must be positive and finite")
         if self.ell < 0 or int(self.ell) != self.ell:
             raise ValueError("angular momentum ell must be a non-negative integer")
 
@@ -81,22 +78,6 @@ class Kinematics:
             raise ValueError("energy must be positive")
         k = math.sqrt(2.0 * energy)
         return cls(energy=energy, wavenumber=k, mu=k / basis.lam)
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Energy-indexed expansion coefficients of one named kind."""
-
-    kind: str
-    energy: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("sine", "cosine", "ansatz"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{self.kind} coefficients contain non-finite entries")
-        self.values.setflags(write=False)
 
 
 def h0_element(n: int, m: int, basis: BasisParams) -> float:
@@ -149,6 +130,12 @@ def _free_recursion(first: float, second: float, z: float, ell: int, count: int)
     return values
 
 
+def _read_only(values: list[float]) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
 def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[float]:
     """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
     z = kin.mu**2
@@ -164,16 +151,16 @@ def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[floa
     return values
 
 
-def sine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
+def sine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarray:
     """Closed-form regular-solution coefficients s_0 .. s_{count-1}.
 
     s_n = (-1)^n (2/sqrt(lam)) mu^{ell+1} e^{-mu^2/2} Lt_n(mu^2) with
     nu = ell + 1/2; (-1)^n Lt_n runs through the free recursion shared with
     the cosine coefficients, whose sign flips are exact.  Raises
-    :class:`RecurrenceOverflowError` where e^{-mu^2/2} underflows as Lt_n overflows.
+    :class:`RecurrenceOverflowError` where e^{-mu^2/2} underflows as Lt_n overflows,
+    so the returned read-only array is finite.
     """
-    values = _sine_sequence(Kinematics.from_energy(energy, basis), basis, count)
-    return CoefficientVector(kind="sine", energy=energy, values=np.array(values))
+    return _read_only(_sine_sequence(Kinematics.from_energy(energy, basis), basis, count))
 
 
 def _cosine_seed(kin: Kinematics, basis: BasisParams) -> float:
@@ -214,8 +201,8 @@ def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[fl
     z = kin.mu**2
     try:
         c0 = _cosine_seed(kin, basis)
-        if count == 1:
-            return [c0]
+        if count == 1 and math.isfinite(c0):
+            return [c0]  # a non-finite c_0 reaches the seed check below
         drive = _seed_drive(kin, basis)
     except OverflowError as exc:
         raise _seed_overflow(kin) from exc
@@ -237,17 +224,17 @@ def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[fl
     return values
 
 
-def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> CoefficientVector:
+def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarray:
     """Irregular-solution coefficients c_0 .. c_{count-1}.
 
     c_0 is a closed form in the Kummer function M(-nu, 1-nu, mu^2) with
     nu = ell + 1/2; c_1 is fixed by the inhomogeneous n = 0 relation; the
     remainder follows by forward recursion, which is
     mildly unstable only far beyond the lengths used here (a growth guard
-    raises if the requested count leaves the stable range).
+    raises if the requested count leaves the stable range), so the returned
+    read-only array is finite.
     """
-    values = _cosine_sequence(Kinematics.from_energy(energy, basis), basis, count)
-    return CoefficientVector(kind="cosine", energy=energy, values=np.array(values))
+    return _read_only(_cosine_sequence(Kinematics.from_energy(energy, basis), basis, count))
 
 
 def basis_function(n: int, r: float, basis: BasisParams) -> float:
@@ -257,76 +244,3 @@ def basis_function(n: int, r: float, basis: BasisParams) -> float:
     z = (basis.lam * r) ** 2
     lt = laguerre_orthonormal_sequence(n, basis.nu_basis, z)[n]
     return math.sqrt(2.0 * basis.lam) * (basis.lam * r) ** (basis.ell + 1) * math.exp(-z / 2.0) * float(lt)
-
-
-def _bessel_series(ell: int, x: float) -> float:
-    # j_ell(x) = x^ell sum_k (-x^2/2)^k / (k! (2 ell + 2k + 1)!!), small-x safe
-    term = 1.0
-    for odd in range(1, 2 * ell + 2, 2):
-        term /= odd
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -0.5 * x * x / (k * (2 * ell + 2 * k + 1))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)) or k > 60:
-            break
-    return x**ell * total
-
-
-def spherical_bessel_j(ell: int, x: float) -> float:
-    """Spherical Bessel function j_ell from trigonometric closed forms.
-
-    Upward recurrence from j_0, j_1; safe here because callers stay in the
-    window x >~ ell.  Small arguments switch to the power series to avoid
-    sin/cos cancellation.
-    """
-    if ell < 0:
-        raise ValueError("order must be non-negative")
-    if x <= 0.6 or x < 0.5 * ell:
-        return _bessel_series(ell, x)
-    j0 = math.sin(x) / x
-    if ell == 0:
-        return j0
-    j1 = math.sin(x) / x**2 - math.cos(x) / x
-    prev, cur = j0, j1
-    for k in range(1, ell):
-        prev, cur = cur, (2 * k + 1) / x * cur - prev
-    return cur
-
-
-def regular_wave(energy: float, r: float, basis: BasisParams) -> float:
-    """Exact regular free solution sqrt(2 k r) J_{ell+1/2}(k r)."""
-    kin = Kinematics.from_energy(energy, basis)
-    x = kin.wavenumber * r
-    return (2.0 / math.sqrt(math.pi)) * x * spherical_bessel_j(basis.ell, x)
-
-
-def regular_solution_residual(energy: float, r: float, count: int, basis: BasisParams) -> float:
-    """Relative mismatch between the resummed basis expansion and the exact wave.
-
-    The raw truncated expansion sum_{n<count} s_n phi_n(r) is only
-    conditionally convergent: its partial sums oscillate around the limit at
-    the 1e-2 level regardless of count.  A smooth taper (unit weight on the
-    first half, cosine-squared roll-off on the second) recovers the summed
-    limit; with count = 80 the residual is a few 1e-6 in the window
-    lam*r in [0.5, 5].
-    """
-    s = sine_coefficients(energy, basis, count).values
-    z = (basis.lam * r) ** 2
-    lt = laguerre_orthonormal_sequence(count - 1, basis.nu_basis, z)
-    phi = (
-        math.sqrt(2.0 * basis.lam)
-        * (basis.lam * r) ** (basis.ell + 1)
-        * math.exp(-z / 2.0)
-        * lt
-    )
-    n = np.arange(count)
-    half = count // 2
-    taper = np.where(
-        n < half, 1.0, np.cos(0.5 * math.pi * (n - half) / max(1, count - half)) ** 2
-    )
-    total = float(np.dot(s * taper, phi))
-    exact = regular_wave(energy, r, basis)
-    return abs(total - exact) / abs(exact)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import jmnl
-from jmnl import reference, scattering
+from jmnl import cli, reference, scattering
 from jmnl.cli import (
     ConfigError,
     ScanRequest,
@@ -19,7 +21,7 @@ from jmnl.cli import (
     run_scan,
     validate,
 )
-from jmnl.nonlinear import ModelConfig
+from jmnl.nonlinear import ModelConfig, lambda_matrix
 from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
 from jmnl.scattering import DegenerateEnergyError, PoleError
 
@@ -345,6 +347,25 @@ class TestValidate:
         assert linalg == {"cholesky": 1, "eigh": 8, "eigvalsh": 24}
         assert not generalized
 
+    def test_lambda_bound_fails_on_halved_eigenvalue(self, monkeypatch):
+        # one term: Lambda = I / Gamma(nu+1), so lambda_min Gamma(nu+1) = 1 sits on the bound
+        config = ModelConfig(basis=BasisParams(lam=5.0, ell=1), g=2.0, nu=3.0, size=12, terms=1)
+        energies = np.linspace(0.6, 3.9, 3)
+        assert validate(config, energies).passed
+        lam = lambda_matrix(config)
+        planted = dataclasses.replace(lam, min_eigenvalue=0.5 * lam.min_eigenvalue)
+        monkeypatch.setattr(cli, "lambda_matrix", lambda _: planted)
+        report = validate(config, energies)
+        assert [c.name for c in report.checks if not c.passed] == ["lambda-positive"]
+
+    def test_lambda_bound_where_gamma_overflows(self):
+        # Gamma(172.5) is above the double range; the bound is checked in logs
+        config = ModelConfig(basis=BasisParams(lam=5.0, ell=1), g=2.0, nu=171.5, size=4, terms=1)
+        with pytest.raises(OverflowError):
+            math.gamma(config.nu + 1.0)
+        check = validate(config, np.linspace(0.6, 3.9, 3)).checks[0]
+        assert check.name == "lambda-positive" and check.passed, check.detail
+
     def test_check_names(self):
         config = ModelConfig(
             basis=BasisParams(lam=5.0, ell=1), g=0.5, nu=1.0, size=10, terms=3
@@ -451,6 +472,23 @@ class TestMainEntry:
         assert "[FAIL] nu=1 green-three-route: worst spread 0.000 of the conditioning-aware " \
             "tolerance (0 checked, 2 pole-skipped)" in out
         assert "recursion-residual" in out
+
+    @pytest.mark.parametrize("command", ["scan", "validate"])
+    @pytest.mark.parametrize(
+        "line, bad_line, message",
+        [
+            ("e_max = 4.0", "e_max = inf", "need 0 < e_min < e_max, both finite"),
+            ("e_max = 4.0", "e_max = nan", "need 0 < e_min < e_max, both finite"),
+            ("e_min = 0.5", "e_min = nan", "need 0 < e_min < e_max, both finite"),
+            ("lambda = 5.0", "lambda = inf", "scale parameter lam must be positive and finite"),
+            ("lambda = 5.0", "lambda = nan", "scale parameter lam must be positive and finite"),
+        ],
+        ids=["e_max-inf", "e_max-nan", "e_min-nan", "lambda-inf", "lambda-nan"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, line, bad_line, message):
+        config = write_config(tmp_path, GOOD_CONFIG.replace(line, bad_line))
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["scan", "validate"])
     def test_certificate_failure_is_numerical_error(self, tmp_path, capsys, command):

@@ -11,10 +11,7 @@ from jmnl.reference import (
     cosine_coefficients,
     h0_element,
     h0_matrix,
-    regular_solution_residual,
-    regular_wave,
     sine_coefficients,
-    spherical_bessel_j,
 )
 
 from oracles import (
@@ -22,6 +19,8 @@ from oracles import (
     free_hamiltonian_residual,
     kummer_series,
     radial_overlap,
+    regular_solution_residual,
+    regular_wave,
     seed_residuals,
 )
 
@@ -33,6 +32,11 @@ class TestParams:
     def test_rejects_bad_lam(self):
         with pytest.raises(ValueError):
             BasisParams(lam=0.0, ell=0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BasisParams(lam=lam, ell=0)
 
     def test_rejects_bad_ell(self):
         with pytest.raises(ValueError):
@@ -64,7 +68,7 @@ class TestH0:
     def test_sine_solves_free_problem(self):
         basis = BasisParams(lam=1.5, ell=1)
         energy = 0.8
-        s = sine_coefficients(energy, basis, 24).values
+        s = sine_coefficients(energy, basis, 24)
         assert free_hamiltonian_residual(s, energy, basis.lam, basis.ell) < 1e-10
 
 
@@ -72,21 +76,27 @@ class TestSineCoefficients:
     def test_closed_form_seed(self):
         # ell=0, lam=1, mu=1 (E = 1/2): s_0 = 2 e^{-1/2} / sqrt(Gamma(3/2))
         basis = BasisParams(lam=1.0, ell=0)
-        s = sine_coefficients(0.5, basis, 4).values
+        s = sine_coefficients(0.5, basis, 4)
         expected = 2.0 * math.exp(-0.5) / math.sqrt(math.gamma(1.5))
         assert s[0] == pytest.approx(expected, rel=1e-13)
         assert s[0] == pytest.approx(1.288575, abs=5e-6)
 
+    def test_coefficients_read_only(self):
+        basis = BasisParams(lam=1.0, ell=0)
+        for values in (sine_coefficients(0.5, basis, 4), cosine_coefficients(0.5, basis, 4)):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
     def test_threshold_limit(self):
         basis = BasisParams(lam=1.0, ell=1)
-        s = sine_coefficients(1e-12, basis, 10).values
+        s = sine_coefficients(1e-12, basis, 10)
         assert np.abs(s).max() < 1e-10
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     @pytest.mark.parametrize("energy", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_recursion_residual(self, ell, energy):
         basis = BasisParams(lam=1.0, ell=ell)
-        s = sine_coefficients(energy, basis, 22).values
+        s = sine_coefficients(energy, basis, 22)
         assert free_hamiltonian_residual(s, energy, basis.lam, basis.ell) < 1e-8
         res_seed, _ = seed_residuals(s, s, energy, basis.lam, ell)
         assert res_seed < 1e-10
@@ -109,14 +119,14 @@ class TestCosineCoefficients:
             / math.sqrt(math.gamma(nu + 1))
             * kummer_series(-nu, 1 - nu, z)
         )
-        assert cosine_coefficients(energy, basis, 1).values[0] == pytest.approx(expected, rel=1e-12)
+        assert cosine_coefficients(energy, basis, 1)[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     @pytest.mark.parametrize("energy", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_recursion_and_seed_residuals(self, ell, energy):
         basis = BasisParams(lam=1.0, ell=ell)
-        c = cosine_coefficients(energy, basis, 22).values
-        s = sine_coefficients(energy, basis, 22).values
+        c = cosine_coefficients(energy, basis, 22)
+        s = sine_coefficients(energy, basis, 22)
         assert free_hamiltonian_residual(c, energy, basis.lam, basis.ell) < 1e-8
         _, res_seed = seed_residuals(s, c, energy, basis.lam, ell)
         assert res_seed < 1e-10
@@ -124,8 +134,8 @@ class TestCosineCoefficients:
     @pytest.mark.parametrize("energy", [0.3, 1.1, 4.0])
     def test_independence_from_sine(self, energy):
         basis = BasisParams(lam=1.0, ell=1)
-        s = sine_coefficients(energy, basis, 3).values
-        c = cosine_coefficients(energy, basis, 3).values
+        s = sine_coefficients(energy, basis, 3)
+        c = cosine_coefficients(energy, basis, 3)
         assert abs(s[0] * c[1] - s[1] * c[0]) > 1e-12
 
     def test_overflow_guard(self):
@@ -134,6 +144,12 @@ class TestCosineCoefficients:
         basis = BasisParams(lam=1.0, ell=0)
         with pytest.raises(RecurrenceOverflowError):
             cosine_coefficients(2.0e6, basis, 10)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_non_finite_seed_raises(self, count):
+        # e^{-mu^2/2} underflows to 0 while M(-nu, 1-nu, mu^2) overflows: c_0 is nan
+        with pytest.raises(RecurrenceOverflowError, match="cosine seed overflowed"):
+            cosine_coefficients(400.0, BasisParams(lam=1.0, ell=0), count)
 
     def test_resums_to_irregular_wave(self):
         # the tapered resummation of c_n phi_n approaches the cosine-like
@@ -144,7 +160,7 @@ class TestCosineCoefficients:
         energy = 0.5
         k = math.sqrt(2 * energy)
         count = 400
-        c = cosine_coefficients(energy, basis, count).values
+        c = cosine_coefficients(energy, basis, count)
         n = np.arange(count)
         half = count // 2
         taper = np.where(n < half, 1.0, np.cos(0.5 * math.pi * (n - half) / (count - half)) ** 2)
@@ -186,21 +202,25 @@ class TestBasisFunction:
 
 
 class TestBessel:
+    # the exact wave of the regular-solution tests; E = 1/2 gives k = 1, so x = k r = r
     @pytest.mark.parametrize("ell", [0, 1, 2, 3, 4])
-    def test_trig_forms_match_series(self, ell):
+    def test_regular_wave_matches_series(self, ell):
         # the power series is itself reliable only up to moderate argument
+        basis = BasisParams(lam=1.0, ell=ell)
         for x in np.linspace(0.05, 8.0, 18):
-            assert spherical_bessel_j(ell, float(x)) == pytest.approx(
-                bessel_j_series(ell, float(x)), rel=1e-12, abs=1e-14
+            assert regular_wave(0.5, float(x), basis) == pytest.approx(
+                2.0 / math.sqrt(math.pi) * x * bessel_j_series(ell, float(x)), rel=1e-12, abs=1e-14
             )
 
     @pytest.mark.parametrize("ell", [0, 1, 2, 3, 4])
-    def test_trig_forms_match_scipy(self, ell):
-        from scipy.special import spherical_jn
+    def test_regular_wave_matches_bessel_jv(self, ell):
+        # sqrt(2 x) J_{ell+1/2}(x), the form demo 02 uses, equals (2/sqrt(pi)) x j_ell(x)
+        from scipy.special import jv
 
+        basis = BasisParams(lam=1.0, ell=ell)
         for x in np.linspace(8.0, 25.0, 12):
-            assert spherical_bessel_j(ell, float(x)) == pytest.approx(
-                float(spherical_jn(ell, x)), rel=1e-11, abs=1e-14
+            assert regular_wave(0.5, float(x), basis) == pytest.approx(
+                math.sqrt(2.0 * x) * float(jv(ell + 0.5, x)), rel=1e-11, abs=1e-14
             )
 
     def test_regular_wave_l0(self):

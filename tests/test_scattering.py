@@ -225,8 +225,8 @@ class TestSMatrix:
 
         config = make_config()
         energy = 3.1
-        s = sine_coefficients(energy, config.basis, config.size + 1).values
-        c = cosine_coefficients(energy, config.basis, config.size + 1).values
+        s = sine_coefficients(energy, config.basis, config.size + 1)
+        c = cosine_coefficients(energy, config.basis, config.size + 1)
         last = config.size - 1
         t_last = (c[last] - 1j * s[last]) / (c[last] + 1j * s[last])
         assert abs(abs(t_last) - 1.0) < 1e-12
@@ -419,6 +419,21 @@ class TestScanKernel:
         assert any(isinstance(outcome, ScatterPoint) for outcome in outcomes)
         for energy, outcome in zip(grid, outcomes):
             assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PoleError,
+        reason="a failed stacked Cholesky sends its whole block to eigvalsh, whose gap for "
+        "POLE_ENERGY lies within rounding of the pole margin",
+    )
+    def test_row_independent_of_block_near_margin(self):
+        config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
+        (alone,), = _scatter([POLE_ENERGY], [config])
+        assert isinstance(alone, ScatterPoint)
+        (paired, _), = _scatter([POLE_ENERGY, 50.0], [config])
+        if isinstance(paired, ArithmeticError):
+            raise paired
+        assert paired == alone
 
     @pytest.mark.parametrize(
         "entry, value", [((2, 2), np.inf), ((2, 2), np.nan), ((2, 1), np.nan)], ids=["inf", "nan", "nan-off"]
