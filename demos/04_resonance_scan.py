@@ -3,9 +3,9 @@
 
 Runs the default scan (ell=1, g=2, lam=5, size 20, 8 coupling terms,
 weight mu^(2 nu) e^(-mu^2), nu = 1..7, 551 energies in [0.5, 6]) through the
-same code path as the command line front end, writes the CSV, and summarizes
-the |1 - S| structure per nu.  If matplotlib is importable a PNG of the
-curves is saved next to the CSV.
+same code path as the command line front end (its rows come back as columns),
+writes the CSV, and summarizes the |1 - S| structure per nu.  If matplotlib is
+importable a PNG of the curves is saved next to the CSV.
 """
 
 import numpy as np
@@ -25,24 +25,26 @@ request = ScanRequest(
     steps=551,
 )
 
-rows = run_scan(request)
+columns = run_scan(request)
 with open("resonance_scan.csv", "w", encoding="utf-8", newline="") as handle:
-    handle.write(format_csv(rows))
-print(f"wrote resonance_scan.csv ({len(rows)} rows)")
+    handle.write(format_csv(columns))
+print(f"wrote resonance_scan.csv ({len(columns)} rows)")
+
+ok = np.array(columns.status) == "ok"
 
 print("\n== |1 - S| structure per nu")
 print(f"   {'nu':>3} {'global max at E':>16} {'amp':>7} {'deepest dip at E':>17} {'amp':>9}")
 for nu in request.nu_list:
-    col = [row for row in rows if row.nu == nu and row.status == "ok"]
-    peak = max(col, key=lambda row: row.amplitude)
-    dip = min(col, key=lambda row: row.amplitude)
+    rows = ok & (columns.nu == nu)
+    energies, amps = columns.energy[rows], columns.amplitude[rows]
+    peak, dip = np.argmax(amps), np.argmin(amps)
     print(
-        f"   {nu:>3g} {peak.energy:>16.3f} {peak.amplitude:>7.3f} "
-        f"{dip.energy:>17.3f} {dip.amplitude:>9.5f}"
+        f"   {nu:>3g} {energies[peak]:>16.3f} {amps[peak]:>7.3f} "
+        f"{energies[dip]:>17.3f} {amps[dip]:>9.5f}"
     )
 
 print("\n== unitarity across the whole table")
-worst = max(abs(abs(row.s_value) - 1.0) for row in rows if row.status == "ok")
+worst = max(abs(abs(s_value) - 1.0) for s_value in columns.s_value[ok].tolist())
 print(f"   max ||S| - 1| = {worst:.2e}")
 
 try:
@@ -55,13 +57,8 @@ except ImportError:
 else:
     fig, ax = plt.subplots(figsize=(7.5, 4.5))
     for nu in request.nu_list:
-        col = [row for row in rows if row.nu == nu and row.status == "ok"]
-        ax.plot(
-            [row.energy for row in col],
-            [row.amplitude for row in col],
-            label=f"nu = {nu:g}",
-            linewidth=1.1,
-        )
+        rows = ok & (columns.nu == nu)
+        ax.plot(columns.energy[rows], columns.amplitude[rows], label=f"nu = {nu:g}", linewidth=1.1)
     ax.set_xlabel("E (atomic units)")
     ax.set_ylabel("|1 - S(E)|")
     ax.set_title("Scattering amplitude, quartic self-interaction model")

@@ -40,7 +40,7 @@ from .scattering import (
 
 __all__ = [
     "ScanRequest",
-    "ScanRow",
+    "ScanColumns",
     "ConfigError",
     "load_scan_request",
     "run_scan",
@@ -95,14 +95,23 @@ class ScanRequest:
         return np.linspace(self.e_min, self.e_max, self.steps)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    nu: float
-    energy: float
-    s_value: complex | None
-    delta: float | None
-    amplitude: float | None
-    status: str
+@dataclass(frozen=True, eq=False)
+class ScanColumns:
+    """A scan's rows as columns, in (nu, E) order.
+
+    ``s_value``, ``delta`` and ``amplitude`` are nan where ``status`` is not
+    ``ok``.
+    """
+
+    nu: np.ndarray
+    energy: np.ndarray
+    s_value: np.ndarray
+    delta: np.ndarray
+    amplitude: np.ndarray
+    status: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.status)
 
 
 _KEYS = {
@@ -216,23 +225,50 @@ def _status(error: ArithmeticError) -> str:
     raise error
 
 
-def run_scan(request: ScanRequest) -> list[ScanRow]:
+def run_scan(request: ScanRequest) -> ScanColumns:
     """Evaluate the scattering matrix over the requested (nu, E) grid.
 
-    Rows come back sorted by (nu, E), also for an unsorted or repeated nu
-    list.  Points where S cannot be evaluated carry the reason as their
+    Rows come back in (nu, E) order, also for an unsorted or repeated nu
+    list: rows with equal nu and E keep the order of the nu list, then of the
+    grid.  Points where S cannot be evaluated carry the reason as their
     status (``pole``, ``overflow`` or ``degenerate``) instead of values.
     """
-    grid = [float(energy) for energy in request.energy_grid()]
+    grid = request.energy_grid()
+    energies = grid.tolist()
     configs = [request.config_for(nu) for nu in request.nu_list]
-    rows = []
-    for nu, points in zip(request.nu_list, _scatter(grid, configs)):
-        for energy, point in zip(grid, points):
-            if isinstance(point, ArithmeticError):
-                rows.append(ScanRow(nu, energy, None, None, None, _status(point)))
-            else:
-                rows.append(ScanRow(nu, energy, point.s_value, point.delta, point.amplitude, "ok"))
-    return sorted(rows, key=lambda row: (row.nu, row.energy))
+    s_value, delta, amplitude, errors = zip(*_scatter(energies, configs))
+    status = [["ok" if error is None else _status(error) for error in row] for row in errors]
+    k, j = _row_order(request.nu_list, grid)
+    return ScanColumns(
+        nu=np.array(request.nu_list)[k],
+        energy=grid[j],
+        s_value=np.array(s_value)[k, j],
+        delta=np.array(delta)[k, j],
+        amplitude=np.array(amplitude)[k, j],
+        status=tuple(np.array(status, dtype=object)[k, j].tolist()),
+    )
+
+
+def _row_order(nu_list, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(config, energy) indices of the rows in the order of a stable sort by (nu, E).
+
+    Distinct nu values ascend.  Within one, the grid is walked in ascending
+    order; at each run of equal energies, the configs with that nu follow
+    the nu list, each over the run's grid positions in order.
+    """
+    order = np.argsort(grid, kind="stable")
+    starts = np.flatnonzero(np.r_[True, grid[order][1:] != grid[order][:-1]])
+    sizes = np.diff(np.r_[starts, len(grid)])
+    k_parts, j_parts = [], []
+    for nu in sorted(set(nu_list)):
+        same = np.array([k for k, value in enumerate(nu_list) if value == nu])
+        # rows of one run: len(same) configs x run size positions, config-major
+        run_rows = len(same) * sizes
+        run = np.repeat(np.arange(len(sizes)), run_rows)
+        offset = np.arange(run_rows.sum()) - np.repeat(np.cumsum(run_rows) - run_rows, run_rows)
+        k_parts.append(same[offset // sizes[run]])
+        j_parts.append(order[starts[run] + offset % sizes[run]])
+    return np.concatenate(k_parts), np.concatenate(j_parts)
 
 
 def _status_summary(statuses, suffix: str) -> str:
@@ -241,19 +277,38 @@ def _status_summary(statuses, suffix: str) -> str:
     return summary or f"0 pole-{suffix}"
 
 
-def format_csv(rows: list[ScanRow]) -> str:
-    """Deterministic CSV text (17 significant digits, fixed column order)."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        if row.status == "ok":
-            s_value = row.s_value
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok"
-                % (row.nu, row.energy, s_value.real, s_value.imag, row.delta, row.amplitude)
-            )
-        else:
-            lines.append("%.17g,%.17g,,,,,%s" % (row.nu, row.energy, row.status))
-    return "\n".join(lines) + "\n"
+def format_csv(columns: ScanColumns) -> str:
+    """Deterministic CSV text (17 significant digits, fixed column order).
+
+    Each distinct nu and energy is formatted once (keyed by its bits, so
+    -0.0 and 0.0 stay apart); a row that is not ``ok`` has empty values.
+    """
+    nu, energy = _formatted(columns.nu), _formatted(columns.energy)
+    s_value = columns.s_value
+    lines = [
+        "%s%s%.17g,%.17g,%.17g,%.17g,ok" % row
+        for row in zip(
+            nu,
+            energy,
+            s_value.real.tolist(),
+            s_value.imag.tolist(),
+            columns.delta.tolist(),
+            columns.amplitude.tolist(),
+        )
+    ]
+    if columns.status.count("ok") < len(lines):
+        for i, status in enumerate(columns.status):
+            if status != "ok":
+                lines[i] = f"{nu[i]}{energy[i]},,,,{status}"
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+def _formatted(values: np.ndarray) -> list[str]:
+    # "%.17g," of each value, formatted once per distinct bit pattern
+    bits = np.asarray(values, dtype=float).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    text = ["%.17g," % value for value in np.array(distinct, dtype=np.int64).view(float).tolist()]
+    return list(map(dict(zip(distinct, text)).__getitem__, bits))
 
 
 @dataclass
@@ -326,9 +381,10 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     worst_unit = 0.0
     skipped = []
     # S first, in one kernel call: its pole guard skips an energy on a spectral point
-    for energy, point in zip(energies, *_scatter(energies, [config])):
-        if isinstance(point, ArithmeticError):
-            skipped.append(_status(point))
+    ((s_values, _, _, errors),) = _scatter(energies, [config])
+    for energy, s_value, error in zip(energies, s_values.tolist(), errors):
+        if error is not None:
+            skipped.append(_status(error))
             continue
         try:
             matrix = wave_operator(energy, config)
@@ -343,7 +399,7 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         scale = abs(direct)
         spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
         worst_route = max(worst_route, spread / scale / tol)
-        worst_unit = max(worst_unit, abs(abs(point.s_value) - 1.0))
+        worst_unit = max(worst_unit, abs(abs(s_value) - 1.0))
     checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",
@@ -398,18 +454,18 @@ def _recursion_residual(energy: float, config: ModelConfig, kind: str) -> float:
 def _cmd_scan(args) -> int:
     try:
         request = load_scan_request(args.config, output_override=args.out)
-        rows = run_scan(request)
+        columns = run_scan(request)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    flagged = _status_summary((row.status for row in rows), "flagged")
-    if all(row.status != "ok" for row in rows):
+    flagged = _status_summary(columns.status, "flagged")
+    if "ok" not in columns.status:
         print(f"numerical failure: no grid point is ok ({flagged})", file=sys.stderr)
         return 3
-    text = format_csv(rows)
+    text = format_csv(columns)
     if request.output_path:
         try:
             with open(request.output_path, "w", encoding="utf-8", newline="") as handle:
@@ -417,7 +473,7 @@ def _cmd_scan(args) -> int:
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {len(rows)} rows to {request.output_path} ({flagged})")
+        print(f"wrote {len(columns)} rows to {request.output_path} ({flagged})")
     else:
         sys.stdout.write(text)
     return 0

@@ -115,11 +115,12 @@ def _free_recursion_coefficients(ell: int, count: int) -> tuple[tuple[float, flo
     )
 
 
-def _free_recursion(first: float, second: float, z: float, ell: int, count: int) -> list[float]:
+def _free_recursion(first, second, z, ell: int, count: int) -> list:
     """P_0 .. P_{count-1} (count >= 2) of the free three-term recursion.
 
     P_{n+1} = ((z - (2n + ell + 3/2)) P_n - sqrt(n (n + ell + 1/2)) P_{n-1})
-    / sqrt((n+1)(n + ell + 3/2)), run in Python floats.  The cosine
+    / sqrt((n+1)(n + ell + 3/2)), in Python floats or elementwise in arrays
+    (z broadcast against the seeds), which round alike.  The cosine
     coefficients obey it, and so does (-1)^n Lt_n(z) with nu = ell + 1/2,
     whose sign flips are exact.
     """
@@ -163,18 +164,23 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarr
     return _read_only(_sine_sequence(Kinematics.from_energy(energy, basis), basis, count))
 
 
-def _cosine_seed(kin: Kinematics, basis: BasisParams) -> float:
-    # closed-form c_0 through the Kummer function M(-nu, 1-nu, mu^2), nu = ell + 1/2
+def _kummer(basis: BasisParams, z):
+    # M(-nu, 1-nu, z), nu = ell + 1/2, of a float or elementwise of an array (same bits)
     nu = basis.nu_basis
-    z = kin.mu**2
+    return hyp1f1(-nu, 1.0 - nu, z)
+
+
+def _cosine_seed(kin: Kinematics, basis: BasisParams, kummer: float) -> float:
+    # closed-form c_0 from kummer = M(-nu, 1-nu, mu^2), nu = ell + 1/2
+    nu = basis.nu_basis
     a0 = math.exp(-0.5 * math.lgamma(nu + 1.0))
     return (
         (2.0 / math.sqrt(basis.lam))
         * (math.exp(math.lgamma(nu)) / math.pi)
         * kin.mu ** (-basis.ell)
-        * math.exp(-z / 2.0)
+        * math.exp(-kin.mu**2 / 2.0)
         * a0
-        * float(hyp1f1(-nu, 1.0 - nu, z))
+        * kummer
     )
 
 
@@ -186,6 +192,13 @@ def _seed_drive(kin: Kinematics, basis: BasisParams) -> float:
         * kin.mu ** (-basis.ell)
         * math.exp(kin.mu**2 / 2.0)
     )
+
+
+def _seed_in_range(drive: float) -> bool:
+    # The drive overflows (or is inf at mu = inf) from mu^2 ~ 1420, where c_0 is no
+    # longer finite either, so it is checked before hyp1f1, whose time grows with
+    # its argument: seconds at mu^2 = 1e12, and no end at inf.
+    return math.isfinite(drive)
 
 
 def _seed_overflow(kin: Kinematics) -> RecurrenceOverflowError:
@@ -200,12 +213,12 @@ def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[fl
     ell = basis.ell
     z = kin.mu**2
     try:
-        c0 = _cosine_seed(kin, basis)
-        if count == 1 and math.isfinite(c0):
-            return [c0]  # a non-finite c_0 reaches the seed check below
         drive = _seed_drive(kin, basis)
+        c0 = _cosine_seed(kin, basis, float(_kummer(basis, z))) if _seed_in_range(drive) else math.nan
     except OverflowError as exc:
         raise _seed_overflow(kin) from exc
+    if count == 1 and math.isfinite(c0):
+        return [c0]  # a non-finite c_0 reaches the seed check below
     c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
     if not (math.isfinite(c0) and math.isfinite(c1)):
         raise _seed_overflow(kin)
@@ -222,6 +235,85 @@ def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[fl
             f"(|c_n| exceeded {guard:.2e}); reduce count"
         )
     return values
+
+
+#: tail terms of an energy whose sequences raise; its error is reported instead
+_NAN_TERMS = (complex(math.nan, math.nan),) * 2
+
+#: energies from which the tails run as one stacked recursion: its cost is
+#: mostly a fixed four numpy calls per step, which the float sequences (about
+#: 5 us per energy at N = 20) exceed from about 16 energies at N = 16 to 48
+_STACKED_FROM = 16
+
+
+def _float_tails(kin: Kinematics, basis: BasisParams, count: int):
+    # the tail terms of one energy from the float sequences, or its error
+    try:
+        s0, s1 = _sine_sequence(kin, basis, count)[-2:]
+        c0, c1 = _cosine_sequence(kin, basis, count)[-2:]
+    except ArithmeticError as exc:
+        return _NAN_TERMS, exc
+    return (c0 - 1j * s0, c1 - 1j * s1), None
+
+
+def _free_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
+    """Tail terms c_n - i s_n at n = count-2, count-1 (count >= 2) of each energy.
+
+    Returns a (B, 2) complex array and, per energy, ``None`` or the
+    ArithmeticError that :func:`_sine_sequence`, then :func:`_cosine_sequence`
+    raise there (its terms are then nan).  Fewer than ``_STACKED_FROM``
+    energies run those float sequences one by one, more
+    :func:`_stacked_tails`, which gives the same bits and errors.
+    """
+    if len(kins) < _STACKED_FROM:
+        pairs = [_float_tails(kin, basis, count) for kin in kins]
+        return np.array([terms for terms, _ in pairs], dtype=complex).reshape(-1, 2), [e for _, e in pairs]
+    return _stacked_tails(kins, basis, count)
+
+
+def _stacked_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
+    """:func:`_free_tails` as one stacked (2, B) recursion of the unscaled sine and the cosine.
+
+    The recursion runs through :func:`_free_recursion`, with the seeds computed
+    per energy in ``math``, so every value and every overflow test rounds as in
+    the float sequences; an energy whose seeds raise or whose values fail a
+    test takes the float sequences, which raise its error.
+    """
+    ell = basis.ell
+    lt_0 = math.exp(-0.5 * math.lgamma(basis.nu_basis + 1.0))
+    regular, irregular, seeds = [], [], []
+    for j, kin in enumerate(kins):
+        try:
+            seed = (kin.mu**2, _sine_prefactor(kin, basis), _seed_drive(kin, basis))
+        except ArithmeticError:
+            seed = None
+        if seed is not None and _seed_in_range(seed[2]):
+            regular.append(j)
+            seeds.append(seed)
+        else:
+            irregular.append(j)
+    z, prefactor, drive = np.array(seeds).reshape(-1, 3).T
+    # no factor of c_0 raises where the drive did not
+    c0 = np.array([_cosine_seed(kins[j], basis, m) for j, m in zip(regular, _kummer(basis, z).tolist())])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a failing energy leaves inf or nan in its own column
+        c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
+        minus_lt_1 = (z - (ell + 1.5)) * lt_0 / math.sqrt(ell + 1.5)
+        values = np.array(
+            _free_recursion(np.stack([np.full_like(z, lt_0), c0]), np.stack([minus_lt_1, c1]), z, ell, count)
+        )
+        sine, cosine = prefactor * values[:, 0], values[:, 1]
+        guard = 1e8 * np.maximum(np.maximum(np.abs(c0), np.abs(c1)), 1e-300)
+        # max() of the float sequence skips nan as fmax does
+        peak = np.fmax.reduce(np.abs(cosine))
+        passed = np.isfinite(sine).all(axis=0) & np.isfinite(c0) & np.isfinite(c1)
+        passed &= np.isfinite(peak) & (peak <= guard)
+    terms = np.empty((len(kins), 2), dtype=complex)
+    terms[regular] = (cosine[-2:] - 1j * sine[-2:]).T
+    errors = [None] * len(kins)
+    for j in irregular + [regular[i] for i in np.flatnonzero(~passed).tolist()]:
+        terms[j], errors[j] = _float_tails(kins[j], basis, count)
+    return terms, errors
 
 
 def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarray:

@@ -14,10 +14,10 @@ and a determinant ratio needing eigenvalues only); they must agree, which is
 the main internal consistency oracle of the package.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
-per energy (see :func:`_scatter`); :func:`s_matrix` is a batch of one.  Its
-pole guard is one stacked Cholesky factorisation of M - delta I per block of
-energies; the spectrum is computed only for a block that factorisation cannot
-certify.
+per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
+batch of one.  Its pole guard is one stacked Cholesky factorisation of
+M - delta I per block of energies; the spectrum is computed only for a member
+that factorisation cannot certify.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .nonlinear import ModelConfig, _weight, lambda_matrix
 from .reference import (
     BasisParams,
     Kinematics,
-    _cosine_sequence,
-    _sine_sequence,
+    _free_tails,
     h0_element,
     h0_matrix,
 )
@@ -57,9 +56,6 @@ POLE_MARGIN = 1e-6
 #: energies per stacked block of the scan kernel; bounds its (B, N, N) arrays
 _BLOCK = 64
 
-#: tail terms of an energy whose tails raised; the error is reported instead
-_NAN_TERMS = (complex(np.nan, np.nan),) * 2
-
 
 class PoleError(ArithmeticError):
     """Requested energy sits on (or too close to) a Green's function pole."""
@@ -83,15 +79,30 @@ class ScatterPoint:
     amplitude: float
 
     def __post_init__(self):
-        if abs(abs(self.s_value) - 1.0) > 1e-10:
-            raise ValueError(
-                f"unitarity violated at E={self.energy}: |S|={abs(self.s_value)!r}"
-            )
+        _require_unitary(self.energy, self.s_value)
 
 
-def _norm_inf(stack: np.ndarray) -> np.ndarray:
-    # max-norm (largest absolute row sum) of each member of a (B, N, K) stack
-    return np.abs(stack).sum(axis=-1).max(axis=-1)
+def _require_unitary(energy: float, s_value: complex) -> None:
+    if abs(abs(s_value) - 1.0) > 1e-10:
+        raise ValueError(f"unitarity violated at E={energy}: |S|={abs(s_value)!r}")
+
+
+def _floor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """16 eps ||a_i|| ||x_i|| in max-norms (largest absolute row sum), per member.
+
+    Each member is divided by its largest entry before its row sums are taken,
+    so only a floor beyond the double range is inf; the caller rejects it.
+    """
+    floor = 16.0 * _EPS
+    scales = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for stack in (a, x):
+            size = np.abs(stack)
+            scale = size.max(axis=(1, 2))
+            floor = floor * (size / scale[:, None, None]).sum(axis=-1).max(axis=-1)
+            scales.append(scale)
+        # at most 16 eps N K so far: only the last product can overflow
+        return floor * scales[0] * scales[1]
 
 
 def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.ndarray, list]:
@@ -101,7 +112,8 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
     :class:`PoleError` that rejects it: the matrix is singular, or the
     max-norm residual stays above max(1e-9, 16 eps ||M|| ||x||).  Double
     precision cannot push it below ~eps ||M|| ||x||, and 1e-9 applies
-    whenever that is representable.  A failure marks only its own member.
+    whenever that is representable; a floor that is not finite accepts
+    nothing.  A failure marks only its own member.
     """
     try:
         solution = np.linalg.solve(matrix, rhs)
@@ -121,13 +133,15 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
     a, b, x = matrix, rhs, solution
     for refinement in range(3):
         defect = b - a @ x
-        residual = np.abs(defect).max(axis=(1, 2))
-        failed = ~(residual <= 1e-9)
-        if not failed.any():
+        size = np.abs(defect)
+        if size.max() <= 1e-9:
             return solution, errors
+        residual = size.max(axis=(1, 2))
+        failed = ~(residual <= 1e-9)
         # the double-precision floor, only for the members above 1e-9
         above = np.flatnonzero(failed)
-        failed[above] = ~(residual[above] <= 16.0 * _EPS * _norm_inf(a[above]) * _norm_inf(x[above]))
+        floor = _floor(a[above], x[above])
+        failed[above] = ~((residual[above] <= floor) & np.isfinite(floor))
         if not failed.any():
             return solution, errors
         rows, a, b, x, defect, residual = (
@@ -145,8 +159,12 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
     return solution, errors
 
 
+def _margin(e_hat: float) -> float:
+    return POLE_MARGIN * max(1.0, abs(e_hat))
+
+
 def _pole_error(gap: float, e_hat: float) -> PoleError | None:
-    if gap <= POLE_MARGIN * max(1.0, abs(e_hat)):
+    if gap <= _margin(e_hat):
         return PoleError(
             f"energy {e_hat} within pole margin of spectral point "
             f"(gap {gap:.3e})",
@@ -161,10 +179,12 @@ def _guard_pole(eigenvalues: np.ndarray, e_hat: float) -> None:
         raise error
 
 
+@lru_cache(maxsize=256)
 def _last_units(count: int, size: int) -> np.ndarray:
-    # (count, size, 1) stack of the last unit column
+    # read-only (count, size, 1) stack of the last unit column
     unit = np.zeros((count, size, 1))
     unit[:, -1] = 1.0
+    unit.setflags(write=False)
     return unit
 
 
@@ -226,56 +246,63 @@ def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
     return float(value / (eigenvalues[-1] - e_hat))
 
 
-def _scatter(energies, configs) -> list[list]:
-    """S of each config at each energy, or the ArithmeticError that stops it there.
+def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
+    """S of each config at each energy, as columns.
 
-    The scan kernel; ``result[k][j]`` is ``configs[k]`` at ``energies[j]``.
-    The configs must share basis and size: the free side (kinematics, tail
-    terms c_n - i s_n at n = N-1, N) is evaluated once per energy, and a
-    tail error surfaces after weight, pole guard and solve, as for the energy
-    alone.  Per config, each block of up to ``_BLOCK`` energies is one
-    (B, N, N) wave-operator stack with one pole guard and one checked solve.
+    The scan kernel; ``result[k]`` is ``(s, delta, amplitude, errors)`` of
+    ``configs[k]``: three arrays over ``energies``, and a list with, per
+    energy, ``None`` or the ArithmeticError that stops S there (its three
+    values are then nan).  The configs must share basis and size: the free
+    side (kinematics, tail terms c_n - i s_n at n = N-1, N) is evaluated once
+    per energy, and a tail error surfaces after weight, pole guard and solve,
+    as for the energy alone.  Per config, each block of up to ``_BLOCK``
+    energies is one (B, N, N) wave-operator stack with one pole guard and one
+    checked solve.
 
     The pole guard is one stacked Cholesky of M_i - delta_i I, with
-    delta_i = POLE_MARGIN * max(1, |E_i|).  If it succeeds with a finite
-    factor, every member has all its eigenvalues above delta_i and the block
-    is clear.  Otherwise (a member on a pole, or with E above part of its
-    spectrum) a member whose wave operator is not finite (the coupling
-    overflowed) is an OverflowError, and the rest take the eigvalsh gap and
+    delta_i = POLE_MARGIN * max(1, |E_i|).  A member with a finite factor has
+    all its eigenvalues above delta_i and is clear.  LAPACK stops the whole
+    stack at the first member that is not positive definite; then each
+    member is factored alone, so a row does not depend on its block.  A
+    member the Cholesky cannot certify (on a pole, or with E above part of
+    its spectrum) is an OverflowError if its wave operator is not finite (the
+    coupling overflowed); the rest take the eigvalsh gap and
     :func:`_pole_error`, which alone give the gap the PoleError reports.  The
     Cholesky succeeds only if M - delta I is numerically positive definite,
     the same floating-point evidence eigvalsh gives about the smallest
     eigenvalue, so the two can disagree only where the gap lies within
     rounding of delta.
 
-    The weight and the tail terms are computed per energy, and S for the
-    solved members of a block as arrays: numerator l + w u with
-    w = b_{N-1} G_c, denominator its exact conjugate, and one np.angle.  Each
-    array operation rounds as its numpy scalar form, and |1 - S| is Python's
-    (libm) complex abs, so every value is bit for bit what the energy gives
-    alone.  Errors that are no ArithmeticError (a non-positive energy, a
-    failed eigensolver) propagate.
+    The weight is computed per energy, and S per config as arrays: numerator
+    l + w u with w = b_{N-1} G_c, denominator its exact conjugate, and one
+    np.angle.  Each array operation rounds as its numpy scalar form, and
+    |1 - S| is Python's (libm) complex abs, so every value is bit for bit
+    what the energy gives alone.  |S| = 1 is one array test per config; a
+    value that fails it raises :class:`ScatterPoint`'s ValueError.  Errors
+    that are no ArithmeticError (a non-positive energy, a failed eigensolver)
+    propagate.
     """
     basis, size = configs[0].basis, configs[0].size
+    h0, b_tail = _free_block(basis, size)
     kins = [Kinematics.from_energy(energy, basis) for energy in energies]
-    tails = [_free_tails(kin, basis, size + 1) for kin in kins]
-    terms = np.array([_NAN_TERMS if isinstance(t, ArithmeticError) else t for t in tails], dtype=complex)
-    results = [[] for _ in configs]
-    for start in range(0, len(energies), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        for outcomes, config in zip(results, configs):
-            outcomes += _scatter_block(energies[block], kins[block], tails[block], terms[block], config)
-    return results
-
-
-def _free_tails(kin: Kinematics, basis: BasisParams, count: int):
-    """c_{N-1} - i s_{N-1} and c_N - i s_N, or the error that stops them."""
-    try:
-        s0, s1 = _sine_sequence(kin, basis, count)[-2:]
-        c0, c1 = _cosine_sequence(kin, basis, count)[-2:]
-    except ArithmeticError as exc:
-        return exc
-    return c0 - 1j * s0, c1 - 1j * s1
+    terms, tail_errors = _free_tails(kins, basis, size + 1)
+    tail_failed = [j for j, error in enumerate(tail_errors) if error is not None]
+    columns = []
+    # a failing member leaves inf or nan in its own entries (an overflowing coupling,
+    # nan tail terms, a vanishing denominator); its error is reported instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for config in configs:
+            entries = lambda_matrix(config).entries
+            corner, errors = np.empty(len(energies)), []
+            for start in range(0, len(energies), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                corner[block], block_errors = _block_corners(energies[block], kins[block], config, h0, entries)
+                errors += block_errors
+            for j in tail_failed:
+                if errors[j] is None:
+                    errors[j] = tail_errors[j]
+            columns.append(_assemble(energies, terms, b_tail * corner, errors))
+    return columns
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
@@ -283,74 +310,94 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
-def _clear_of_poles(stack: np.ndarray, e: np.ndarray) -> bool:
-    """Whether one stacked Cholesky certifies every member M_i - delta_i I positive definite.
+def _uncertified(stack: np.ndarray, margins: np.ndarray) -> list[int]:
+    """Members i for which a Cholesky factorisation cannot certify M_i - delta_i I positive definite.
 
-    delta_i = POLE_MARGIN * max(1, |E_i|) is the margin of :func:`_pole_error`, so
-    a certified member has every eigenvalue of M_i above it and no pole flag.
+    ``margins`` holds delta_i, the (B, 1) margins of :func:`_pole_error`, so a
+    certified member has every eigenvalue of M_i above it and no pole flag.
     """
     shifted = stack.copy()
-    _diagonal(shifted)[...] -= POLE_MARGIN * np.maximum(1.0, np.abs(e))
+    _diagonal(shifted)[...] -= margins
     try:
         factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return False
+        if len(stack) == 1:
+            return [0]
+        # LAPACK stops the whole stack at one member: settle each alone
+        return [i for i in range(len(stack)) if _uncertified(stack[i : i + 1], margins[i : i + 1])]
     # LAPACK lets nan and inf through without an error; they reach the factor
-    return bool(np.isfinite(factor).all())
+    finite = np.isfinite(factor)
+    if finite.all():
+        return []
+    return (~finite.all(axis=(1, 2))).nonzero()[0].tolist()
 
 
-def _scatter_block(block, kins, tails, terms, config: ModelConfig) -> list:
-    h0, b_tail = _free_block(config.basis, config.size)
-    out: list = [None] * len(block)
+def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np.ndarray):
+    """Corner G_c at each energy of one block, nan where a weight, pole guard or solve fails.
+
+    Returns the corners and, per energy, ``None`` or that failure.
+    """
+    errors: list = [None] * len(block)
     live, couplings = [], []
     for i, kin in enumerate(kins):
         try:
             w = _weight(kin.mu, config)
         except ArithmeticError as exc:
-            out[i] = exc
+            errors[i] = exc
             continue
         live.append(i)
         couplings.append(config.g * w * w)
     if not live:
-        return out
-    e = np.array([block[i] for i in live])[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an overflowing coupling leaves inf or nan entries: the pole guard reports them
-        stack = h0 + np.multiply.outer(couplings, lambda_matrix(config).entries)
+        return np.full(len(block), np.nan), errors
+    at = [block[i] for i in live]
+    e = np.array(at)[:, None]
+    # an overflowing coupling leaves inf or nan entries: the pole guard reports them
+    stack = h0 + np.multiply.outer(couplings, entries)
     _diagonal(stack)[...] -= e
-    if not _clear_of_poles(stack, e):
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        shifts = e[finite]
-        gaps = iter(np.abs(np.linalg.eigvalsh(stack[finite]) + shifts - shifts).min(axis=1).tolist())
-        for i, ok in zip(live, finite.tolist()):
-            if ok:
-                out[i] = _pole_error(next(gaps), block[i])
-            else:
-                out[i] = OverflowError(f"wave operator is not finite at E={block[i]}")
-    clear = [j for j, i in enumerate(live) if out[i] is None]
-    if not clear:
-        return out
-    if len(clear) < len(live):
-        stack, live = stack[clear], [live[j] for j in clear]
-    solution, errors = _checked_solve(
-        stack, _last_units(len(live), config.size), [block[i] for i in live]
-    )
-    lower, upper = terms[live].T
-    numerators = lower + (b_tail * solution[:, -1, 0]) * upper
-    denominators = numerators.conj()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # nan tail terms or a vanishing denominator: that member's S is not used
-        s_values = numerators / denominators
-    deltas = np.angle(s_values) / 2.0
-    for i, error, den, s, delta in zip(
-        live, errors, denominators.tolist(), s_values.tolist(), deltas.tolist()
-    ):
-        if error is None and isinstance(tails[i], ArithmeticError):
-            error = tails[i]
-        elif error is None and abs(den) < 1e-300:
-            error = DegenerateEnergyError(f"scattering denominator vanished at E={block[i]}")
-        out[i] = error or ScatterPoint(energy=block[i], s_value=s, delta=delta, amplitude=abs(1.0 - s))
-    return out
+    doubtful = _uncertified(stack, np.array([_margin(energy) for energy in at])[:, None])
+    if doubtful:
+        finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
+        spectral = [m for m, ok in zip(doubtful, finite) if ok]
+        shifts = e[spectral]
+        gaps = np.abs(np.linalg.eigvalsh(stack[spectral]) + shifts - shifts).min(axis=1).tolist()
+        for m, gap in zip(spectral, gaps):
+            errors[live[m]] = _pole_error(gap, at[m])
+        for m, ok in zip(doubtful, finite):
+            if not ok:
+                errors[live[m]] = OverflowError(f"wave operator is not finite at E={at[m]}")
+        clear = [m for m in range(len(live)) if errors[live[m]] is None]
+        if not clear:
+            return np.full(len(block), np.nan), errors
+        stack, live, at = stack[clear], [live[m] for m in clear], [at[m] for m in clear]
+    solution, solve_errors = _checked_solve(stack, _last_units(len(live), len(h0)), at)
+    corner = solution[:, -1, 0]
+    for m, error in enumerate(solve_errors):
+        if error is not None:
+            errors[live[m]] = error
+            corner[m] = np.nan
+    if len(live) < len(block):
+        corner, solved = np.full(len(block), np.nan), corner
+        corner[live] = solved
+    return corner, errors
+
+
+def _assemble(energies, terms: np.ndarray, w: np.ndarray, errors: list):
+    """S, delta and |1 - S| from the tail terms and w = b_{N-1} G_c; flags a vanishing denominator."""
+    lower, upper = terms[:, 0], terms[:, 1]
+    numerators = lower + w * upper
+    s = numerators / numerators.conj()
+    # a vanishing denominator (|denominator| = |numerator|) or |S| off 1: numpy's abs
+    # may differ from Python's in the last bit, so the masks take a superset
+    doubtful = (np.abs(numerators) < 2e-300) | (np.abs(np.abs(s) - 1.0) > 0.5e-10)
+    for j in doubtful.nonzero()[0].tolist():
+        if errors[j] is None and abs(complex(numerators[j])) < 1e-300:
+            errors[j] = DegenerateEnergyError(f"scattering denominator vanished at E={energies[j]}")
+            s[j] = complex(np.nan, np.nan)
+        elif errors[j] is None:
+            _require_unitary(energies[j], complex(s[j]))
+    # only where S is used: Python's complex abs of a nan can raise on a stale errno
+    amplitude = [abs(1.0 - value) if error is None else np.nan for value, error in zip(s.tolist(), errors)]
+    return s, np.angle(s) / 2.0, np.array(amplitude), errors
 
 
 def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
@@ -360,7 +407,7 @@ def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
     at this energy (:class:`PoleError`, :class:`RecurrenceOverflowError`,
     :class:`DegenerateEnergyError`, ...).
     """
-    ((point,),) = _scatter([energy], [config])
-    if isinstance(point, ArithmeticError):
-        raise point
-    return point
+    ((s, delta, amplitude, (error,)),) = _scatter([energy], [config])
+    if error is not None:
+        raise error
+    return ScatterPoint(energy, s.tolist()[0], delta.tolist()[0], amplitude.tolist()[0])

@@ -69,12 +69,14 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def default_scan():
     start = time.perf_counter()
-    rows = run_scan(default_scan_request(g=2.0))
-    return rows, time.perf_counter() - start
+    columns = run_scan(default_scan_request(g=2.0))
+    return columns, time.perf_counter() - start
 
 
-def column(rows, nu):
-    return [row for row in rows if row.nu == nu]
+def column(columns, nu):
+    """Energies, amplitudes and statuses of the rows of one nu."""
+    rows = columns.nu == nu
+    return columns.energy[rows], columns.amplitude[rows], np.array(columns.status)[rows]
 
 
 def local_maxima(values):
@@ -87,7 +89,7 @@ def local_maxima(values):
 
 def test_criterion_1_zero_coupling_identity():
     start = time.perf_counter()
-    rows = run_scan(
+    columns = run_scan(
         ScanRequest(
             basis=SCAN_BASIS,
             g=0.0,
@@ -101,8 +103,10 @@ def test_criterion_1_zero_coupling_identity():
         )
     )
     elapsed = time.perf_counter() - start
-    worst = max(abs(row.s_value - 1.0) for row in rows if row.status == "ok")
-    flagged = sum(row.status != "ok" for row in rows)
+    worst = max(
+        abs(s_value - 1.0) for s_value, status in zip(columns.s_value.tolist(), columns.status) if status == "ok"
+    )
+    flagged = sum(status != "ok" for status in columns.status)
     passed = worst < 1e-8 and flagged == 0 and elapsed < 5.0
     report(1, "zero-coupling identity", passed, f"max |S-1| = {worst:.2e}, {elapsed:.2f} s")
     assert flagged == 0
@@ -111,15 +115,15 @@ def test_criterion_1_zero_coupling_identity():
 
 
 def test_criterion_2_unitarity(default_scan):
-    rows, elapsed = default_scan
-    ok_rows = [row for row in rows if row.status == "ok"]
-    worst = max(abs(abs(row.s_value) - 1.0) for row in ok_rows)
+    columns, elapsed = default_scan
+    ok_values = [s for s, status in zip(columns.s_value.tolist(), columns.status) if status == "ok"]
+    worst = max(abs(abs(s_value) - 1.0) for s_value in ok_values)
     passed = worst < 1e-10 and elapsed < 10.0
     report(
         2,
         "elastic unitarity",
         passed,
-        f"max ||S|-1| = {worst:.2e} over {len(ok_rows)} points, scan {elapsed:.2f} s",
+        f"max ||S|-1| = {worst:.2e} over {len(ok_values)} points, scan {elapsed:.2f} s",
     )
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -254,14 +258,12 @@ def test_default_scan_mechanics(default_scan):
     # supplementary to criterion 8: the full scan finishes inside the budget
     # and every emitted row is either unitary or pole-flagged; the amplitude
     # swings hard inside the reported 3.0-3.5 activity band for every nu
-    rows, elapsed = default_scan
+    columns, elapsed = default_scan
     assert elapsed < 60.0
-    assert len(rows) == 7 * 551
+    assert len(columns) == 7 * 551
     for nu in SCAN_NUS:
-        col = column(rows, nu)
-        window = [
-            row.amplitude for row in col if row.status == "ok" and 3.0 <= row.energy <= 3.6
-        ]
+        energies, amps, statuses = column(columns, nu)
+        window = amps[(statuses == "ok") & (3.0 <= energies) & (energies <= 3.6)]
         assert min(window) < 0.05, f"no transparency dip in band for nu={nu}"
         assert max(window) - min(window) > 0.5, f"no amplitude swing in band for nu={nu}"
     print(
@@ -279,13 +281,12 @@ def test_default_scan_mechanics(default_scan):
     "'Resonance positions' in the README's Numerical notes",
 )
 def test_criterion_8_resonance_positions(default_scan):
-    rows, _ = default_scan
+    columns, _ = default_scan
     peaks = {}
     curves = {}
     for nu in SCAN_NUS:
-        col = column(rows, nu)
-        amps = np.array([row.amplitude if row.status == "ok" else np.nan for row in col])
-        energies = np.array([row.energy for row in col])
+        energies, amps, statuses = column(columns, nu)
+        amps = np.where(statuses == "ok", amps, np.nan)
         curves[nu] = (energies, amps)
         peaks[nu] = float(energies[int(np.nanargmax(amps))])
     grid_1, amps_1 = curves[1.0]

@@ -1,9 +1,10 @@
+import cmath
 import dataclasses
 import math
+import warnings
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import jmnl
 from jmnl import cli, reference, scattering
 from jmnl.cli import (
     ConfigError,
+    ScanColumns,
     ScanRequest,
-    ScanRow,
     format_csv,
     load_scan_request,
     main,
@@ -120,6 +121,60 @@ steps = 2
 """
 
 
+# 7 steps between two floats 2 ulps apart: the grid repeats energies
+REPEATED_GRID_REQUEST = dataclasses.replace(
+    PAPER_REQUEST, nu_list=(3.0, 1.0, 3.0), e_min=1.0, e_max=1.0000000000000004, steps=7
+)
+
+# the drive of the cosine seed overflows (mu^2 ~ 1420) long before these energies;
+# hyp1f1 takes seconds at such arguments
+HUGE_ENERGY_CONFIG = """\
+ell = 1
+g = 2.0
+lambda = 1
+nu = 1
+N = 20
+K = 8
+e_min = 4e14
+e_max = 5e14
+steps = 2
+"""
+
+
+def bits(values):
+    """Bit-exact, hashable form of a row of floats and complex numbers (nan and -0.0 included)."""
+    return tuple(
+        (value.real.hex(), value.imag.hex()) if isinstance(value, complex) else float(value).hex()
+        for value in values
+    )
+
+
+def stable_sorted_rows(request):
+    """The rows as the per-row scan built them: config-major, then a stable sort by (nu, E)."""
+    grid = request.energy_grid().tolist()
+    configs = [request.config_for(nu) for nu in request.nu_list]
+    rows = []
+    for nu, (s, delta, amplitude, errors) in zip(request.nu_list, scattering._scatter(grid, configs)):
+        statuses = ["ok" if error is None else ORACLE_STATUS[type(error)] for error in errors]
+        rows += zip([nu] * len(grid), grid, s.tolist(), delta.tolist(), amplitude.tolist(), statuses)
+    return sorted(rows, key=lambda row: (row[0], row[1]))
+
+
+def per_row_csv(rows):
+    """CSV text formatted one row at a time from (nu, E, point or error) rows."""
+    lines = ["nu,E,re_S,im_S,delta,amplitude,status"]
+    for nu, energy, point in rows:
+        if isinstance(point, ArithmeticError):
+            lines.append("%.17g,%.17g,,,,,%s" % (nu, energy, ORACLE_STATUS[type(point)]))
+        else:
+            s_value = point.s_value
+            lines.append(
+                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok"
+                % (nu, energy, s_value.real, s_value.imag, point.delta, point.amplitude)
+            )
+    return "\n".join(lines) + "\n"
+
+
 def write_config(tmp_path, text, name="scan.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -127,7 +182,7 @@ def write_config(tmp_path, text, name="scan.cfg"):
 
 
 def assert_ok_then_overflow(config, capsys):
-    assert [row.status for row in run_scan(load_scan_request(config))] == [
+    assert list(run_scan(load_scan_request(config)).status) == [
         "ok",
         "overflow",
         "overflow",
@@ -192,19 +247,19 @@ class TestConfigParsing:
 class TestRunScan:
     def test_rows_sorted_and_unitary(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
-        rows = run_scan(request)
-        assert len(rows) == 16
-        keys = [(row.nu, row.energy) for row in rows]
+        columns = run_scan(request)
+        assert len(columns) == 16
+        keys = list(zip(columns.nu.tolist(), columns.energy.tolist()))
         assert keys == sorted(keys)
-        for row in rows:
-            if row.status == "ok":
-                assert abs(abs(row.s_value) - 1.0) < 1e-10
+        for s_value, status in zip(columns.s_value.tolist(), columns.status):
+            if status == "ok":
+                assert abs(abs(s_value) - 1.0) < 1e-10
 
     def test_zero_coupling_amplitudes(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG.replace("g = 2.0", "g = 0")))
-        rows = run_scan(request)
-        assert all(row.status == "ok" for row in rows)
-        assert max(row.amplitude for row in rows) < 1e-8
+        columns = run_scan(request)
+        assert all(status == "ok" for status in columns.status)
+        assert max(columns.amplitude) < 1e-8
 
     def test_pole_rows_flagged(self):
         basis = BasisParams(lam=5.0, ell=1)
@@ -220,9 +275,9 @@ class TestRunScan:
             e_max=eigenvalue + 0.1,
             steps=3,
         )
-        rows = run_scan(request)
-        assert [row.status for row in rows] == ["ok", "pole", "ok"]
-        assert rows[1].s_value is None
+        columns = run_scan(request)
+        assert list(columns.status) == ["ok", "pole", "ok"]
+        assert cmath.isnan(columns.s_value[1])
 
     @pytest.mark.parametrize(
         "basis, g, bounds",
@@ -244,49 +299,110 @@ class TestRunScan:
             e_max=bounds[1],
             steps=130,
         )
-        rows = run_scan(request)
+        columns = run_scan(request)
         config = request.config_for(1.0)
         statuses = set()
-        for row in rows:
+        for energy, s_value, delta, amplitude, status in zip(
+            columns.energy.tolist(),
+            columns.s_value.tolist(),
+            columns.delta.tolist(),
+            columns.amplitude.tolist(),
+            columns.status,
+        ):
             try:
-                point = s_matrix_point(row.energy, config)
+                point = s_matrix_point(energy, config)
             except ArithmeticError as exc:
-                assert row.status == ORACLE_STATUS[type(exc)]
-                assert row.s_value is None
+                assert status == ORACLE_STATUS[type(exc)]
+                assert cmath.isnan(s_value) and math.isnan(delta) and math.isnan(amplitude)
             else:
-                assert row.status == "ok"
-                assert (row.s_value, row.delta, row.amplitude) == (
+                assert status == "ok"
+                assert (s_value, delta, amplitude) == (
                     point.s_value,
                     point.delta,
                     point.amplitude,
                 )
-            statuses.add(row.status)
+            statuses.add(status)
         assert len(statuses) > 1
 
     def test_free_tails_once_per_energy(self, monkeypatch):
-        # 7 nu x 551 E share the sine and cosine tails of each energy
-        calls = Counter()
-        for name in ("_sine_sequence", "_cosine_sequence"):
-            original = getattr(reference, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            for module in (reference, scattering):
-                monkeypatch.setattr(module, name, counted)
+        # 7 nu x 551 E share the sine and cosine tails of each energy: one stacked
+        # recursion over the grid, and no energy takes the float sequences
+        tails = count_calls(monkeypatch, scattering, ("_free_tails",))
+        sequences = count_calls(monkeypatch, reference, ("_sine_sequence", "_cosine_sequence"))
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
-        assert calls == {"_sine_sequence": 551, "_cosine_sequence": 551}
+        assert tails == {"_free_tails": 1}
+        assert sequences == {}
 
     def test_pole_guard_one_cholesky_per_block(self, linalg_calls):
         # every paper wave operator is positive definite: 7 nu x 9 blocks certified, no spectrum
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
         assert linalg_calls == {"cholesky": 63}
 
-    def test_s_assembled_once_per_block(self, angle_calls):
-        # 7 nu x 9 blocks, the S values of each block in one set of array operations
+    def test_s_assembled_once_per_config(self, angle_calls):
+        # the S values of each of the 7 nu in one set of array operations
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
-        assert angle_calls == {"angle": 63}
+        assert angle_calls == {"angle": 7}
+
+    @pytest.mark.parametrize(
+        "request_",
+        [dataclasses.replace(PAPER_REQUEST, nu_list=(3.0, 1.0, 3.0)), REPEATED_GRID_REQUEST],
+        ids=["nu-3-1-3", "repeated-energies"],
+    )
+    def test_column_order_is_the_stable_sort(self, request_):
+        # repeated nu interleave per energy, and repeated energies per config, as a stable sort leaves them
+        columns = run_scan(request_)
+        rows = zip(
+            columns.nu.tolist(),
+            columns.energy.tolist(),
+            columns.s_value.tolist(),
+            columns.delta.tolist(),
+            columns.amplitude.tolist(),
+            columns.status,
+        )
+        assert [bits(row[:5]) + row[5:] for row in rows] == [
+            bits(row[:5]) + row[5:] for row in stable_sorted_rows(request_)
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_order_is_a_stable_sort(self, seed):
+        # unsorted grids with repeats, and nu lists with repeats and a signed zero
+        rng = np.random.default_rng(seed)
+        nu_list = tuple(rng.choice([3.0, 1.0, 0.0, -0.0, 2.5], size=rng.integers(1, 7)).tolist())
+        grid = rng.choice([1.0, 2.0, 2.0000000000000004, 0.5], size=rng.integers(1, 13))
+        k, j = cli._row_order(nu_list, grid)
+        pairs = [(a, b) for a in range(len(nu_list)) for b in range(len(grid))]
+        assert list(zip(k.tolist(), j.tolist())) == sorted(pairs, key=lambda p: (nu_list[p[0]], grid[p[1]]))
+
+    def test_paper_csv_equals_point_oracle(self):
+        # all 3,857 rows, bit for bit, against one oracle point and one format per row
+        rows = [
+            (nu, energy, s_matrix_point(energy, PAPER_REQUEST.config_for(nu)))
+            for nu in PAPER_REQUEST.nu_list
+            for energy in PAPER_REQUEST.energy_grid().tolist()
+        ]
+        assert format_csv(run_scan(PAPER_REQUEST)) == per_row_csv(rows)
+
+    def test_huge_energies_never_reach_hyp1f1(self, tmp_path, capsys, monkeypatch):
+        original = reference.hyp1f1
+
+        def bounded(a, b, z):
+            assert np.all(np.asarray(z) <= 1e4), "hyp1f1 called at a huge argument"
+            return original(a, b, z)
+
+        monkeypatch.setattr(reference, "hyp1f1", bounded)
+        config = write_config(tmp_path, HUGE_ENERGY_CONFIG)
+        assert list(run_scan(load_scan_request(config)).status) == ["overflow"] * 2
+        assert main(["scan", "--config", config]) == 3
+        assert capsys.readouterr().err == "numerical failure: no grid point is ok (2 overflow-flagged)\n"
+
+    def test_coupling_overflow_on_paper_grid_warns_nothing(self):
+        # g = 1e308: some wave operators have finite entries whose row sums overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            columns = run_scan(dataclasses.replace(PAPER_REQUEST, g=1e308))
+        assert len(columns) == 7 * 551
+        assert columns.status.count("overflow") == 3588
+        assert columns.status.count("ok") == 7 * 551 - 3588
 
     def test_byte_identical_reruns(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
@@ -309,17 +425,21 @@ class TestCsvFormat:
 
     def test_seventeen_significant_digits(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
-        row = run_scan(request)[0]
-        text = format_csv([row])
+        columns = run_scan(request)
+        text = format_csv(columns)
         value = text.strip().split("\n")[1].split(",")[2]
-        assert float(value) == row.s_value.real
+        assert float(value) == columns.s_value[0].real
 
     def test_row_bytes(self):
-        rows = [
-            ScanRow(1.0, 0.1, complex(-0.0, 5e-324), 1.7976931348623157e308, 0.1, "ok"),
-            ScanRow(7.0, 1.7976931348623157e308, None, None, None, "overflow"),
-            ScanRow(0.1, -0.0, None, None, None, "pole"),
-        ]
+        nan = math.nan
+        rows = ScanColumns(
+            nu=np.array([1.0, 7.0, 0.1]),
+            energy=np.array([0.1, 1.7976931348623157e308, -0.0]),
+            s_value=np.array([complex(-0.0, 5e-324), complex(nan, nan), complex(nan, nan)]),
+            delta=np.array([1.7976931348623157e308, nan, nan]),
+            amplitude=np.array([0.1, nan, nan]),
+            status=("ok", "overflow", "pole"),
+        )
         assert format_csv(rows).splitlines() == [
             "nu,E,re_S,im_S,delta,amplitude,status",
             "1,0.10000000000000001,-0,4.9406564584124654e-324,1.7976931348623157e+308,"
@@ -439,7 +559,7 @@ class TestMainEntry:
 
     def test_overflow_rows_flagged_and_exit_code(self, tmp_path, capsys):
         config = write_config(tmp_path, OVERFLOW_CONFIG)
-        assert [row.status for row in run_scan(load_scan_request(config))] == ["overflow"] * 3
+        assert list(run_scan(load_scan_request(config)).status) == ["overflow"] * 3
         assert main(["scan", "--config", config]) == 3
         err = capsys.readouterr().err
         assert "numerical failure: no grid point is ok (3 overflow-flagged)" in err

@@ -1,11 +1,22 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from jmnl import scattering
+from jmnl import reference, scattering
 from jmnl.nonlinear import ModelConfig, wave_operator
-from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
+from jmnl.reference import (
+    BasisParams,
+    Kinematics,
+    RecurrenceOverflowError,
+    _cosine_sequence,
+    _STACKED_FROM,
+    _free_tails,
+    _sine_sequence,
+    _stacked_tails,
+    h0_matrix,
+)
 from jmnl.scattering import (
     _BLOCK,
     POLE_MARGIN,
@@ -13,14 +24,17 @@ from jmnl.scattering import (
     PoleError,
     ScatterPoint,
     _checked_solve,
-    _clear_of_poles,
+    _floor,
+    _last_units,
     _scatter,
+    _uncertified,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
     s_matrix,
 )
 
+from conftest import count_calls
 from oracles import s_matrix_point, s_matrix_tr_form
 
 
@@ -99,6 +113,36 @@ class TestGreenDirect:
         assert isinstance(errors[1], PoleError) and errors[1].energy == 2.0
         assert str(errors[1]).startswith(message)
         assert str(errors[1]) == str(alone.value)
+
+
+class TestSolveFloor:
+    def test_no_overflow_where_row_sums_overflow(self):
+        # entries near the top of the double range: their row sums overflow, the floor does not
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.5, 1.0, (2, 4, 4)) * 1e308
+        x = rng.uniform(-1.0, 1.0, (2, 4, 1)) * 1e-300
+        scale = 2.0**-64  # exact, so the scaled sums round as the unscaled ones would
+        expected = 16 * np.finfo(float).eps * np.abs(a * scale).sum(-1).max(-1) * np.abs(x).sum(-1).max(-1) / scale
+        floor = _floor(a, x)
+        assert np.isfinite(floor).all()
+        np.testing.assert_allclose(floor, expected, rtol=1e-14)
+
+    def test_floor_beyond_double_range_is_inf(self):
+        a = np.array([[[1e300, 0.0], [0.0, 1.0]]])
+        x = np.array([[[1e300], [1.0]]])
+        assert _floor(a, x).tolist() == [np.inf]
+
+    def test_infinite_floor_accepts_nothing(self, monkeypatch):
+        # g = 1e308, nu = 5, E = 0.61: one solve leaves a residual of 3.7e-9, above 1e-9;
+        # the floor (1.5e-5) accepts it, as an infinite one would, but an infinite one must not
+        matrix = wave_operator(0.61, make_config(g=1e308, nu=5.0))[None]
+        solves = count_calls(monkeypatch, np.linalg, ("solve",))
+        _, (error,) = _checked_solve(matrix, _last_units(1, 20), [0.61])
+        assert error is None and solves == {"solve": 1}
+        monkeypatch.setattr(scattering, "_floor", lambda a, x: np.full(len(a), np.inf))
+        _, (error,) = _checked_solve(matrix, _last_units(1, 20), [0.61])
+        assert isinstance(error, PoleError) and str(error).startswith("solve residual")
+        assert solves == {"solve": 1 + 3}
 
 
 class TestGreenCornerRoutes:
@@ -249,6 +293,34 @@ def oracle_outcome(energy, config):
         return exc
 
 
+def kernel_outcomes(energies, configs):
+    """Per config, the kernel's ScatterPoint or ArithmeticError at each energy, from its columns."""
+    outcomes = []
+    for s, delta, amplitude, errors in _scatter(energies, configs):
+        assert len(s) == len(delta) == len(amplitude) == len(errors) == len(energies)
+        column = []
+        for energy, s_value, d, a, error in zip(energies, s.tolist(), delta.tolist(), amplitude.tolist(), errors):
+            if error is None:
+                column.append(ScatterPoint(energy, s_value, d, a))
+            else:
+                # a row that is not ok carries no values
+                assert math.isnan(s_value.real) and math.isnan(s_value.imag) and math.isnan(d) and math.isnan(a)
+                column.append(error)
+        outcomes.append(column)
+    return outcomes
+
+
+def float_tails(energy, basis, count):
+    """c_n - i s_n at n = count-2, count-1 from the float sequences, or their error."""
+    kin = Kinematics.from_energy(energy, basis)
+    try:
+        s = _sine_sequence(kin, basis, count)
+        c = _cosine_sequence(kin, basis, count)
+    except ArithmeticError as exc:
+        return exc
+    return [c[-2] - 1j * s[-2], c[-1] - 1j * s[-1]]
+
+
 def same_outcome(first, second):
     if isinstance(first, ArithmeticError) or isinstance(second, ArithmeticError):
         return (type(first), str(first), getattr(first, "energy", None)) == (
@@ -265,8 +337,68 @@ OVERFLOW_BASIS = BasisParams(lam=1.0, ell=1)
 FREE_EIGENVALUES = [float(x) for x in np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))]
 FREE_EIGENVALUE = FREE_EIGENVALUES[3]
 # lambda = 1, nu = 1: the lowest eigenvalue of M(E) lies 3.2e-7 from zero here, inside the
-# pole margin (found among the floats next to where that eigenvalue changes sign)
+# pole margin (found among the floats next to where that eigenvalue changes sign); the
+# Cholesky guard certifies M - delta I, since the gap lies within rounding of the margin
 POLE_ENERGY = 1.3829290143012876
+# lambda = 1 with g = 0: the wave operator is singular here, a pole for both guards
+OVERFLOW_BASIS_POLE = float(np.linalg.eigvalsh(h0_matrix(OVERFLOW_BASIS, 20))[0])
+
+
+TAIL_GRIDS = {
+    "paper": (BasisParams(lam=5.0, ell=1), np.linspace(0.5, 6.0, 551).tolist()),
+    "mixed-errors": (
+        OVERFLOW_BASIS,
+        np.linspace(40.0, 90.0, 2 * _BLOCK + 2).tolist() + [42.50583527842615, 77.17805935311771, 710.0],
+    ),
+    "overflow": (BasisParams(lam=5.0, ell=1), [0.5, 1e300, 8.5e307, 1.7e308, 3.25]),
+    "huge": (OVERFLOW_BASIS, [4e14, 30.0, 5e14]),
+    "ell-0": (BasisParams(lam=2.0, ell=0), np.linspace(0.1, 1500.0, 97).tolist()),
+    "ell-3": (BasisParams(lam=3.0, ell=3), np.linspace(0.1, 5000.0, 97).tolist()),
+}
+
+
+class TestFreeTails:
+    @pytest.mark.parametrize("name", TAIL_GRIDS)
+    def test_array_tails_equal_float_sequences(self, name):
+        # bit for bit, and the same error class and message where the float sequences raise
+        basis, grid = TAIL_GRIDS[name]
+        terms, errors = _stacked_tails([Kinematics.from_energy(e, basis) for e in grid], basis, 21)
+        assert terms.shape == (len(grid), 2) and len(errors) == len(grid)
+        for energy, row, error in zip(grid, terms, errors):
+            expected = float_tails(energy, basis, 21)
+            if isinstance(expected, ArithmeticError):
+                assert (type(error), str(error)) == (type(expected), str(expected)), energy
+                assert all(cmath.isnan(term) for term in row.tolist())
+            else:
+                assert error is None, energy
+                assert row.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist(), energy
+
+    def test_grids_reach_every_tail_error(self):
+        messages = [
+            str(outcome)
+            for basis, grid in TAIL_GRIDS.values()
+            for outcome in (float_tails(energy, basis, 21) for energy in grid)
+            if isinstance(outcome, ArithmeticError)
+        ]
+        for start in ("sine coefficients overflowed", "cosine seed overflowed", "cosine recursion unstable"):
+            assert any(message.startswith(start) for message in messages), start
+
+    @pytest.mark.parametrize(
+        "count, kind", [(1, float), (_STACKED_FROM - 1, float), (_STACKED_FROM, np.ndarray)]
+    )
+    def test_recursion_operands(self, monkeypatch, count, kind):
+        # few energies run the recursion in Python floats, more in arrays, through one body
+        operands = []
+        recursion = reference._free_recursion
+
+        def recorded(first, *args):
+            operands.append(type(first))
+            return recursion(first, *args)
+
+        monkeypatch.setattr(reference, "_free_recursion", recorded)
+        basis = BasisParams(lam=5.0, ell=1)
+        _free_tails([Kinematics.from_energy(2.5, basis)] * count, basis, 21)
+        assert set(operands) == {kind}
 
 
 class TestScanKernel:
@@ -274,7 +406,7 @@ class TestScanKernel:
     def test_bitwise_equal_to_point_oracle(self, nu):
         config = make_config(nu=nu)
         grid = [float(e) for e in np.linspace(0.5, 6.0, 100)]
-        for energy, point in zip(grid, _scatter(grid, [config])[0]):
+        for energy, point in zip(grid, kernel_outcomes(grid, [config])[0]):
             expected = s_matrix_point(energy, config)
             assert point.s_value == expected.s_value
             assert point.delta == expected.delta
@@ -284,7 +416,7 @@ class TestScanKernel:
     def test_errors_match_point_oracle_across_blocks(self):
         config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
         grid = [float(e) for e in np.linspace(40.0, 90.0, 2 * _BLOCK + 2)]
-        outcomes = _scatter(grid, [config])[0]
+        outcomes = kernel_outcomes(grid, [config])[0]
         kinds = {type(outcome) for outcome in outcomes}
         assert {ScatterPoint, DegenerateEnergyError, RecurrenceOverflowError} <= kinds
         for energy, outcome in zip(grid, outcomes):
@@ -292,10 +424,11 @@ class TestScanKernel:
 
     def test_every_status_in_one_block(self):
         # S is assembled as arrays over the solved members; degenerate and tail-error members sit among them.
-        # E = 42.5 lies above part of the spectrum, so the block takes eigvalsh, as the oracle does
-        config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
-        grid = [10.0, 42.50583527842615, POLE_ENERGY, 50.0, 55.0, 77.17805935311771, 30.0, 710.0]
-        outcomes = _scatter(grid, [config])[0]
+        # E = 42.5 lies above part of the spectrum, so its member takes eigvalsh, as the oracle does.
+        # With g = 0 the coupling changes no wave operator above E = 10 (it is below rounding there)
+        config = make_config(basis=OVERFLOW_BASIS, nu=1.0, g=0.0)
+        grid = [10.0, 42.50583527842615, OVERFLOW_BASIS_POLE, 50.0, 55.0, 77.17805935311771, 30.0, 710.0]
+        outcomes = kernel_outcomes(grid, [config])[0]
         assert [type(outcome) for outcome in outcomes] == [
             ScatterPoint,
             DegenerateEnergyError,
@@ -312,13 +445,17 @@ class TestScanKernel:
     def test_coupling_overflow_marks_its_member(self, linalg_calls):
         # g omega^2 Lambda: inf entries at E = 3.25, and inf * 0 = nan at E = 87.5 where g omega^2 is inf
         config = make_config(g=1e308)
-        outcomes = _scatter([0.5, 3.25, 87.5], [config])[0]
+        outcomes = kernel_outcomes([0.5, 3.25, 87.5], [config])[0]
         assert linalg_calls == {"cholesky": 1, "eigvalsh": 1}
         assert isinstance(outcomes[0], ScatterPoint)
-        assert same_outcome(outcomes[0], _scatter([0.5], [config])[0][0])
+        assert same_outcome(outcomes[0], kernel_outcomes([0.5], [config])[0][0])
         for energy, outcome in zip([3.25, 87.5], outcomes[1:]):
             assert type(outcome) is OverflowError
             assert str(outcome) == f"wave operator is not finite at E={energy}"
+
+    def test_no_energies(self):
+        ((s, delta, amplitude, errors),) = _scatter([], [make_config()])
+        assert (s.shape, delta.shape, amplitude.shape, errors) == ((0,), (0,), (0,), [])
 
     def test_solve_error_before_tail_error(self, monkeypatch):
         # as for the point oracle, a member whose solve fails reports that, not its tail error
@@ -327,7 +464,7 @@ class TestScanKernel:
             return solution, [PoleError("forced", energy=energy) for energy in energies]
 
         monkeypatch.setattr(scattering, "_checked_solve", failing_solve)
-        outcomes = _scatter([30.0, 710.0], [make_config(basis=OVERFLOW_BASIS, nu=1.0)])[0]
+        outcomes = kernel_outcomes([30.0, 710.0], [make_config(basis=OVERFLOW_BASIS, nu=1.0)])[0]
         assert [(type(outcome), str(outcome)) for outcome in outcomes] == [(PoleError, "forced")] * 2
 
     @pytest.mark.parametrize(
@@ -361,15 +498,19 @@ class TestScanKernel:
     @pytest.mark.parametrize("length", [1, 37, 64, 65, 200])
     @pytest.mark.parametrize(
         "config, low, high",
-        [(make_config(nu=3.0), 0.5, 6.0), (make_config(basis=OVERFLOW_BASIS, nu=1.0), 40.0, 90.0)],
-        ids=["paper", "mixed-errors"],
+        [
+            (make_config(nu=3.0), 0.5, 6.0),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), 40.0, 90.0),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), POLE_ENERGY, 90.0),
+        ],
+        ids=["paper", "mixed-errors", "near-margin"],
     )
     def test_result_independent_of_position(self, config, low, high, length):
         # an unsorted list drawn with repetition from a 37-point pool, seeded by its length
         pool = np.linspace(low, high, 37)
         energies = [float(e) for e in np.random.default_rng(length).choice(pool, size=length)]
-        alone = {energy: _scatter([energy], [config])[0][0] for energy in set(energies)}
-        for energy, outcome in zip(energies, _scatter(energies, [config])[0]):
+        alone = {energy: kernel_outcomes([energy], [config])[0][0] for energy in set(energies)}
+        for energy, outcome in zip(energies, kernel_outcomes(energies, [config])[0]):
             assert same_outcome(outcome, alone[energy])
 
     @pytest.mark.parametrize(
@@ -381,8 +522,8 @@ class TestScanKernel:
         # the configs share the free tails of each energy, errors included
         configs = [make_config(basis=basis, nu=nu) for nu in (3.0, 1.0, 3.0)]
         grid = [float(e) for e in np.linspace(low, high, steps)]
-        for config, outcomes in zip(configs, _scatter(grid, configs)):
-            alone = _scatter(grid, [config])[0]
+        for config, outcomes in zip(configs, kernel_outcomes(grid, configs)):
+            alone = kernel_outcomes(grid, [config])[0]
             assert len(outcomes) == len(grid)
             for energy, outcome, expected in zip(grid, outcomes, alone):
                 assert same_outcome(outcome, expected), (config.nu, energy)
@@ -394,16 +535,35 @@ class TestScanKernel:
         delta = POLE_MARGIN * max(1.0, lowest)
         inside, outside = lowest - 0.5 * delta, lowest - 2.0 * delta
         clear = [float(e) for e in np.linspace(0.5, lowest - 0.5, 8)]
-        certified = _scatter(clear + [outside], [config])[0]
+        certified = kernel_outcomes(clear + [outside], [config])[0]
         assert linalg_calls == {"cholesky": 1}
         grid = clear + [inside, outside]
-        outcomes = _scatter(grid, [config])[0]
-        assert linalg_calls == {"cholesky": 2, "eigvalsh": 1}
+        outcomes = kernel_outcomes(grid, [config])[0]
+        # the stacked factorisation fails, then each of the 10 members is factored alone
+        assert linalg_calls == {"cholesky": 1 + 1 + 10, "eigvalsh": 1}
         assert isinstance(outcomes[-2], PoleError)
         assert isinstance(outcomes[-1], ScatterPoint)
         assert certified == outcomes[:-2] + outcomes[-1:]
         for energy, outcome in zip(grid, outcomes):
             assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+
+    def test_only_uncertified_members_take_spectrum(self, monkeypatch):
+        # the stacked factorisation fails on one member; the others are certified alone
+        config = make_config(g=0.0)
+        lowest = FREE_EIGENVALUES[0]
+        inside = lowest - 0.5 * POLE_MARGIN * max(1.0, lowest)
+        grid = [float(e) for e in np.linspace(0.5, lowest - 0.5, 8)] + [inside]
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(stack):
+            sizes.append(len(stack))
+            return eigvalsh(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        outcomes = kernel_outcomes(grid, [config])[0]
+        assert sizes == [1]
+        assert [type(outcome) for outcome in outcomes] == [ScatterPoint] * 8 + [PoleError]
 
     @pytest.mark.parametrize(
         "config, low, high",
@@ -413,24 +573,18 @@ class TestScanKernel:
     def test_clear_indefinite_block_takes_spectrum(self, linalg_calls, config, low, high):
         # E above part of the spectrum: the Cholesky cannot certify, yet no energy is a pole
         grid = [float(e) for e in np.linspace(low, high, _BLOCK)]
-        outcomes = _scatter(grid, [config])[0]
-        assert linalg_calls == {"cholesky": 1, "eigvalsh": 1}
+        outcomes = kernel_outcomes(grid, [config])[0]
+        assert linalg_calls == {"cholesky": 1 + _BLOCK, "eigvalsh": 1}
         assert not any(isinstance(outcome, PoleError) for outcome in outcomes)
         assert any(isinstance(outcome, ScatterPoint) for outcome in outcomes)
         for energy, outcome in zip(grid, outcomes):
             assert same_outcome(outcome, oracle_outcome(energy, config)), energy
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=PoleError,
-        reason="a failed stacked Cholesky sends its whole block to eigvalsh, whose gap for "
-        "POLE_ENERGY lies within rounding of the pole margin",
-    )
     def test_row_independent_of_block_near_margin(self):
         config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
-        (alone,), = _scatter([POLE_ENERGY], [config])
+        (alone,), = kernel_outcomes([POLE_ENERGY], [config])
         assert isinstance(alone, ScatterPoint)
-        (paired, _), = _scatter([POLE_ENERGY, 50.0], [config])
+        (paired, _), = kernel_outcomes([POLE_ENERGY, 50.0], [config])
         if isinstance(paired, ArithmeticError):
             raise paired
         assert paired == alone
@@ -442,6 +596,6 @@ class TestScanKernel:
         # LAPACK's Cholesky can return without error on nan or inf entries
         stack = np.stack([4.0 * np.eye(3)] * 2)
         stack[(1,) + entry] = stack[(1,) + entry[::-1]] = value
-        energies = np.ones((2, 1))
-        assert _clear_of_poles(stack[:1], energies[:1])
-        assert not _clear_of_poles(stack, energies)
+        margins = np.full((2, 1), POLE_MARGIN)
+        assert _uncertified(stack[:1], margins[:1]) == []
+        assert _uncertified(stack, margins) == [1]
