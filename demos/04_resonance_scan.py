@@ -10,7 +10,7 @@ importable a PNG of the curves is saved next to the CSV.
 
 import numpy as np
 
-from jmnl.cli import ScanRequest, format_csv, run_scan
+from jmnl.scattering import ScanRequest, format_csv, run_scan
 from jmnl.reference import BasisParams
 
 request = ScanRequest(

@@ -14,16 +14,17 @@ import time
 import numpy as np
 import pytest
 
-from jmnl.cli import ScanRequest, run_scan
 from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform
 from jmnl.orthopoly import linearization_table
 from jmnl.reference import BasisParams, cosine_coefficients, sine_coefficients
 from jmnl.scattering import (
     DegenerateEnergyError,
     PoleError,
+    ScanRequest,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
+    run_scan,
     s_matrix,
 )
 from jmnl.nonlinear import wave_operator

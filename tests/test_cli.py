@@ -1,3 +1,4 @@
+import ast
 import cmath
 import dataclasses
 import math
@@ -5,6 +6,7 @@ import warnings
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,19 +14,18 @@ import scipy.linalg
 
 import jmnl
 from jmnl import cli, reference, scattering
-from jmnl.cli import (
-    ConfigError,
+from jmnl.cli import ConfigError, load_scan_request, main
+from jmnl.nonlinear import ModelConfig, lambda_matrix
+from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
+from jmnl.scattering import (
+    DegenerateEnergyError,
+    PoleError,
     ScanColumns,
     ScanRequest,
     format_csv,
-    load_scan_request,
-    main,
     run_scan,
     validate,
 )
-from jmnl.nonlinear import ModelConfig, lambda_matrix
-from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
-from jmnl.scattering import DegenerateEnergyError, PoleError
 
 from conftest import count_calls
 from oracles import s_matrix_point
@@ -197,6 +198,24 @@ def assert_ok_then_overflow(config, capsys):
     assert captured.err == ""
 
 
+class TestArchitecture:
+    def test_cli_imports_no_kernel_internals(self):
+        # the scan's statuses and the kernel's results are read only in jmnl.scattering
+        tree = ast.parse(Path(cli.__file__).read_text())
+        imported = [
+            alias.name.rsplit(".", 1)[-1]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert [name for name in imported if name.startswith("_") and not name.endswith("__")] == []
+        assert {"PoleError", "DegenerateEnergyError", "RecurrenceOverflowError"}.isdisjoint(imported)
+
+    @pytest.mark.parametrize("name", ["run_scan", "format_csv", "validate", "CSV_HEADER"])
+    def test_cli_names_are_the_library_objects(self, name):
+        assert getattr(cli, name) is getattr(scattering, name)
+
+
 class TestConfigParsing:
     def test_good_config(self, tmp_path):
         request = load_scan_request(write_config(tmp_path, GOOD_CONFIG))
@@ -345,8 +364,12 @@ class TestRunScan:
 
     @pytest.mark.parametrize(
         "request_",
-        [dataclasses.replace(PAPER_REQUEST, nu_list=(3.0, 1.0, 3.0)), REPEATED_GRID_REQUEST],
-        ids=["nu-3-1-3", "repeated-energies"],
+        [
+            dataclasses.replace(PAPER_REQUEST, nu_list=(3.0, 1.0, 3.0)),
+            dataclasses.replace(PAPER_REQUEST, nu_list=(0.0, -0.0, 0.0)),
+            REPEATED_GRID_REQUEST,
+        ],
+        ids=["nu-3-1-3", "nu-signed-zeros", "repeated-energies"],
     )
     def test_column_order_is_the_stable_sort(self, request_):
         # repeated nu interleave per energy, and repeated energies per config, as a stable sort leaves them
@@ -369,7 +392,7 @@ class TestRunScan:
         rng = np.random.default_rng(seed)
         nu_list = tuple(rng.choice([3.0, 1.0, 0.0, -0.0, 2.5], size=rng.integers(1, 7)).tolist())
         grid = rng.choice([1.0, 2.0, 2.0000000000000004, 0.5], size=rng.integers(1, 13))
-        k, j = cli._row_order(nu_list, grid)
+        k, j = scattering._row_order(nu_list, grid)
         pairs = [(a, b) for a in range(len(nu_list)) for b in range(len(grid))]
         assert list(zip(k.tolist(), j.tolist())) == sorted(pairs, key=lambda p: (nu_list[p[0]], grid[p[1]]))
 
@@ -474,7 +497,7 @@ class TestValidate:
         assert validate(config, energies).passed
         lam = lambda_matrix(config)
         planted = dataclasses.replace(lam, min_eigenvalue=0.5 * lam.min_eigenvalue)
-        monkeypatch.setattr(cli, "lambda_matrix", lambda _: planted)
+        monkeypatch.setattr(scattering, "lambda_matrix", lambda _: planted)
         report = validate(config, energies)
         assert [c.name for c in report.checks if not c.passed] == ["lambda-positive"]
 
@@ -496,8 +519,28 @@ class TestValidate:
             "omega-identity",
             "green-three-route",
             "unitarity",
-            "recursion-residual",
+            "casoratian",
         ]
+
+    def test_casoratian_fails_on_planted_drive(self, monkeypatch):
+        # a drive off by 1e-8 shifts the Casoratian by 1e-8; the recurrence itself still holds
+        config = ModelConfig(basis=BasisParams(lam=5.0, ell=1), g=2.0, nu=3.0, size=12, terms=4)
+        energies = np.linspace(0.6, 3.9, 5)
+        assert validate(config, energies).passed
+        drive = reference._seed_drive
+        monkeypatch.setattr(reference, "_seed_drive", lambda kin, basis: drive(kin, basis) * (1.0 + 1e-8))
+        report = validate(config, energies)
+        assert [c.name for c in report.checks if not c.passed] == ["casoratian"]
+        assert "worst relative defect 1.0" in report.checks[-1].detail
+
+    def test_casoratian_fails_above_the_free_spectrum(self):
+        # largest eigenvalue of the free block 34.6: the recursion's growth leaves the tails no digits
+        config = ModelConfig(basis=BasisParams(lam=1.0, ell=1), g=2.0, nu=1.0, size=20, terms=8)
+        check = validate(config, np.array([20.0, 40.0])).checks[-1]
+        # rounding explains the defect (a small share of its bound); the limit rejects it
+        assert check.name == "casoratian" and not check.passed
+        assert check.detail.startswith("worst relative defect 1.415e-01 (limit 1e-08), 0.0"), check.detail
+        assert validate(config, np.array([20.0, 30.0])).checks[-1].passed
 
 
 class TestMainEntry:
@@ -522,6 +565,34 @@ class TestMainEntry:
     def test_missing_file_exit_code(self, capsys):
         assert main(["scan", "--config", "/nonexistent.cfg"]) == 1
         assert "i/o error" in capsys.readouterr().err
+
+    def test_validate_missing_file_exit_code(self, capsys):
+        assert main(["validate", "--config", "/nonexistent.cfg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and captured.out == ""
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        # the output path is a directory
+        config = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["scan", "--config", config, "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and captured.out == ""
+
+    def test_broken_stdout_exit_code(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        config = write_config(tmp_path, GOOD_CONFIG)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["scan", "--config", config]) == 1
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+        # the rest of the output goes nowhere, so the exit flush has nothing left to fail on
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -581,8 +652,8 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "[FAIL] nu=1 green-three-route: worst spread 0.000 of the conditioning-aware " \
             "tolerance (0 checked, 3 overflow-skipped)" in out
-        assert "[FAIL] nu=1 recursion-residual: sine 0.000e+00, cosine 0.000e+00 " \
-            "(0 checked, 3 overflow-skipped)" in out
+        assert "[FAIL] nu=1 casoratian: worst relative defect 0.000e+00 (limit 1e-08), 0.000 of the " \
+            "rounding bound (0 checked, 3 overflow-skipped)" in out
         assert "pole-skipped" not in out
 
     def test_validate_skips_energies_on_poles(self, tmp_path, capsys):
@@ -591,7 +662,7 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "[FAIL] nu=1 green-three-route: worst spread 0.000 of the conditioning-aware " \
             "tolerance (0 checked, 2 pole-skipped)" in out
-        assert "recursion-residual" in out
+        assert "[ok ] nu=1 casoratian: " in out and "(2 checked, 0 pole-skipped)" in out
 
     @pytest.mark.parametrize("command", ["scan", "validate"])
     @pytest.mark.parametrize(

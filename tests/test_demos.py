@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import jmnl
-from jmnl.cli import ScanRequest, format_csv, run_scan
+from jmnl.scattering import ScanRequest, format_csv, run_scan
 from jmnl.reference import BasisParams
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
