@@ -17,7 +17,9 @@ S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
 batch of one.  Its pole guard is one stacked Cholesky factorisation of
 M - delta I per block of energies; the spectrum is computed only for a member
-that factorisation cannot certify.
+that factorisation cannot certify.  A certified member takes its corner from
+the last pivot of a second, unshifted Cholesky factorisation, checked against
+the last row of M; the rest take a checked solve.
 
 The paper's pipeline runs here too: :func:`run_scan` evaluates a scan over its
 (nu, E) grid into columns with a status per row, :func:`format_csv` writes
@@ -177,6 +179,11 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
     return solution, errors
 
 
+def _gamma(n: int) -> float:
+    # gamma_n = n u / (1 - n u), u = eps / 2: Higham's bound for n rounded operations
+    return n * 0.5 * _EPS / (1.0 - n * 0.5 * _EPS)
+
+
 def _margin(e_hat: float) -> float:
     return POLE_MARGIN * max(1.0, abs(e_hat))
 
@@ -255,7 +262,11 @@ def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
     so all intermediate products stay of moderate size.
     """
     h = _symmetric(h)
-    eigenvalues = np.linalg.eigvalsh(h)
+    return _determinant_corner(h, e_hat, np.linalg.eigvalsh(h))
+
+
+def _determinant_corner(h: np.ndarray, e_hat: float, eigenvalues: np.ndarray) -> float:
+    # green_corner_determinant given the ascending eigenvalues of h
     _guard_pole(eigenvalues, e_hat)
     trimmed = np.linalg.eigvalsh(h[:-1, :-1])
     value = 1.0
@@ -275,7 +286,9 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     per energy, and a tail error surfaces after weight, pole guard and solve,
     as for the energy alone.  Per config, each block of up to ``_BLOCK``
     energies is one (B, N, N) wave-operator stack with one pole guard and one
-    checked solve.
+    stacked Cholesky factorisation of M for the corners of its certified
+    members (:func:`_pivot_corners`); a member cleared only by eigvalsh, or
+    whose factor fails the pivot check, takes the checked solve.
 
     The pole guard is one stacked Cholesky of M_i - delta_i I, with
     delta_i = POLE_MARGIN * max(1, |E_i|).  A member with a finite factor has
@@ -328,6 +341,21 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
+def _factors(stack: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (B, N, N) stack, nan for a member that is not numerically positive definite.
+
+    LAPACK stops the whole stack at its first such member; then each member
+    is factored alone, so a member's factor does not depend on its block.
+    LAPACK lets nan and inf through without an error; they reach the factor.
+    """
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.full(stack.shape, np.nan)
+        return np.concatenate([_factors(stack[i : i + 1]) for i in range(len(stack))])
+
+
 def _uncertified(stack: np.ndarray, margins: np.ndarray) -> list[int]:
     """Members i for which a Cholesky factorisation cannot certify M_i - delta_i I positive definite.
 
@@ -336,24 +364,43 @@ def _uncertified(stack: np.ndarray, margins: np.ndarray) -> list[int]:
     """
     shifted = stack.copy()
     _diagonal(shifted)[...] -= margins
-    try:
-        factor = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return [0]
-        # LAPACK stops the whole stack at one member: settle each alone
-        return [i for i in range(len(stack)) if _uncertified(stack[i : i + 1], margins[i : i + 1])]
-    # LAPACK lets nan and inf through without an error; they reach the factor
-    finite = np.isfinite(factor)
+    finite = np.isfinite(_factors(shifted))
     if finite.all():
         return []
     return (~finite.all(axis=(1, 2))).nonzero()[0].tolist()
 
 
+def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Corner G_c = 1 / L[N-1, N-1]^2 of each member's inverse from its Cholesky factor M = L L^T.
+
+    The last pivot is the Schur complement of the leading block, so its
+    inverse square is the corner.  Returns the corners and the members whose
+    factor fails the check (their corner is nan): the factorisation fails or
+    is not finite, or the last row of L L^T, (L @ L[N-1])^T, misses the last
+    row of M by more than gamma_{N+1} |L| |L[N-1]| (Higham, Accuracy and
+    Stability, Thm 10.3).  The check reads only what the corner uses; a false
+    alarm costs a checked solve.
+    """
+    factor = _factors(stack)
+    last = factor[:, -1, :, None]
+    defect = np.abs(stack[:, -1] - (factor @ last)[..., 0])
+    bound = _gamma(stack.shape[-1] + 1) * (np.abs(factor) @ np.abs(last))[..., 0]
+    # an entry of L that is not finite makes the bound of its row inf or nan (inf * 0 is nan)
+    passed = (defect <= bound).all(axis=1) & np.isfinite(bound).all(axis=1)
+    corner = 1.0 / factor[:, -1, -1] ** 2
+    if passed.all():
+        return corner, []
+    corner[~passed] = np.nan
+    return corner, (~passed).nonzero()[0].tolist()
+
+
 def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np.ndarray):
     """Corner G_c at each energy of one block, nan where a weight, pole guard or solve fails.
 
-    Returns the corners and, per energy, ``None`` or that failure.
+    Returns the corners and, per energy, ``None`` or that failure.  A member
+    the pole guard certifies takes its corner from its last Cholesky pivot
+    (:func:`_pivot_corners`); a member cleared only by eigvalsh, or whose
+    factor fails the pivot check, takes the checked solve.
     """
     errors: list = [None] * len(block)
     live, couplings = [], []
@@ -365,14 +412,16 @@ def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np
             continue
         live.append(i)
         couplings.append(config.g * w * w)
+    corner = np.full(len(block), np.nan)
     if not live:
-        return np.full(len(block), np.nan), errors
+        return corner, errors
     at = [block[i] for i in live]
     e = np.array(at)[:, None]
     # an overflowing coupling leaves inf or nan entries: the pole guard reports them
     stack = h0 + np.multiply.outer(couplings, entries)
     _diagonal(stack)[...] -= e
-    doubtful = _uncertified(stack, np.array([_margin(energy) for energy in at])[:, None])
+    doubtful = _uncertified(stack, POLE_MARGIN * np.maximum(1.0, np.abs(e)))
+    certified, solve = list(range(len(live))), []
     if doubtful:
         finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
         spectral = [m for m, ok in zip(doubtful, finite) if ok]
@@ -383,19 +432,19 @@ def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np
         for m, ok in zip(doubtful, finite):
             if not ok:
                 errors[live[m]] = OverflowError(f"wave operator is not finite at E={at[m]}")
-        clear = [m for m in range(len(live)) if errors[live[m]] is None]
-        if not clear:
-            return np.full(len(block), np.nan), errors
-        stack, live, at = stack[clear], [live[m] for m in clear], [at[m] for m in clear]
-    solution, solve_errors = _checked_solve(stack, _last_units(len(live), len(h0)), at)
-    corner = solution[:, -1, 0]
-    for m, error in enumerate(solve_errors):
-        if error is not None:
-            errors[live[m]] = error
-            corner[m] = np.nan
-    if len(live) < len(block):
-        corner, solved = np.full(len(block), np.nan), corner
-        corner[live] = solved
+        solve = [m for m in doubtful if errors[live[m]] is None]
+        certified = sorted(set(certified) - set(doubtful))
+    if certified:
+        pivots, failed = _pivot_corners(stack[certified] if doubtful else stack)
+        corner[[live[m] for m in certified]] = pivots
+        solve += [certified[k] for k in failed]
+    if solve:
+        solution, solve_errors = _checked_solve(stack[solve], _last_units(len(solve), len(h0)), [at[m] for m in solve])
+        for m, value, error in zip(solve, solution[:, -1, 0].tolist(), solve_errors):
+            if error is None:
+                corner[live[m]] = value
+            else:
+                errors[live[m]] = error
     return corner, errors
 
 
@@ -684,10 +733,12 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         try:
             matrix = wave_operator(energy, config)
             hamiltonian = matrix + energy * np.eye(config.size)
-            tol = _three_route_tolerance(np.linalg.eigvalsh(hamiltonian), energy)
+            # the spectrum of H, shared by the tolerance and the determinant route
+            eigenvalues = np.linalg.eigvalsh(hamiltonian)
+            tol = _three_route_tolerance(eigenvalues, energy)
             direct = green_corner_direct(matrix, energy)
             spectral = green_corner_spectral(hamiltonian, energy)
-            det_route = green_corner_determinant(hamiltonian, energy)
+            det_route = _determinant_corner(hamiltonian, energy, eigenvalues)
         except ArithmeticError as exc:
             skipped.append(_status(exc))
             continue

@@ -8,7 +8,8 @@ residuals in the middle (product linearization, the regular free wave) and
 the ansatz coefficients combine the package's own pieces; the tests and the
 acceptance gate need them, the scan does not.  The per-point scattering
 routes at the end evaluate one energy at a time through the public per-point
-functions; the batched scan kernel is compared with them.
+functions and numpy's Cholesky factorisation; the batched scan kernel is
+compared with them.
 """
 
 import math
@@ -199,6 +200,18 @@ def _kinematic_tail(energy: float, config: ModelConfig):
     return s, c, b_tail
 
 
+def _pivot_corner(matrix: np.ndarray, margin: float) -> float | None:
+    """1 / L[N-1, N-1]^2 from the Cholesky factor of the matrix, or None when a
+    Cholesky factorisation cannot certify matrix - margin I positive definite."""
+    try:
+        shifted = np.linalg.cholesky(matrix - margin * np.eye(len(matrix)))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(shifted).all():
+        return None
+    return float(1.0 / np.linalg.cholesky(matrix)[-1, -1] ** 2)
+
+
 def _corner_and_tail(energy: float, config: ModelConfig):
     matrix = wave_operator(energy, config)
     eigenvalues = np.linalg.eigvalsh(matrix) + energy
@@ -208,7 +221,9 @@ def _corner_and_tail(energy: float, config: ModelConfig):
             f"energy {energy} within pole margin of spectral point (gap {gap:.3e})",
             energy=energy,
         )
-    corner = green_corner_direct(matrix, energy)
+    corner = _pivot_corner(matrix, POLE_MARGIN * max(1.0, abs(energy)))
+    if corner is None:
+        corner = green_corner_direct(matrix, energy)
     s, c, b_tail = _kinematic_tail(energy, config)
     return corner, s, c, b_tail
 

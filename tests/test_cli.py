@@ -352,10 +352,14 @@ class TestRunScan:
         assert tails == {"_free_tails": 1}
         assert sequences == {}
 
-    def test_pole_guard_one_cholesky_per_block(self, linalg_calls):
-        # every paper wave operator is positive definite: 7 nu x 9 blocks certified, no spectrum
+    def test_pole_guard_one_cholesky_per_block(self, monkeypatch, linalg_calls):
+        # every paper wave operator is positive definite: 7 nu x 9 blocks certified, no
+        # spectrum; per block one Cholesky of M - delta I and one of M whose pivots give
+        # the corners, so no LU solve runs
+        solves = count_calls(monkeypatch, np.linalg, ("solve",))
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
-        assert linalg_calls == {"cholesky": 63}
+        assert linalg_calls == {"cholesky": 2 * 63}
+        assert solves == {}
 
     def test_s_assembled_once_per_config(self, angle_calls):
         # the S values of each of the 7 nu in one set of array operations
@@ -481,13 +485,14 @@ class TestValidate:
         assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_routes_run_on_numpy_linear_algebra(self, monkeypatch):
-        # per energy one eigh (spectral route) and three eigvalsh (tolerance, determinant
-        # route); the one cholesky is the kernel's pole guard over the block of 8 energies
+        # per energy one eigh (spectral route) and two eigvalsh (the spectrum of H, shared by
+        # the tolerance and the determinant route, and its trimmed block); the two cholesky
+        # are the kernel's pole guard and pivot corners over the block of 8 energies
         linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh"))
         generalized = count_calls(monkeypatch, scipy.linalg, ("eigh",))
         report = validate(PAPER_REQUEST.config_for(1.0))
         assert report.passed
-        assert linalg == {"cholesky": 1, "eigh": 8, "eigvalsh": 24}
+        assert linalg == {"cholesky": 2, "eigh": 8, "eigvalsh": 16}
         assert not generalized
 
     def test_lambda_bound_fails_on_halved_eigenvalue(self, monkeypatch):
@@ -548,7 +553,8 @@ class TestMainEntry:
         config = write_config(tmp_path, GOOD_CONFIG)
         out = str(tmp_path / "rows.csv")
         assert main(["scan", "--config", config, "--out", out]) == 0
-        text = open(out).read()
+        with open(out) as handle:
+            text = handle.read()
         assert text.startswith("nu,E,")
         assert "wrote 16 rows" in capsys.readouterr().out
 

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jmnl import reference, scattering
-from jmnl.nonlinear import ModelConfig, wave_operator
+from jmnl.nonlinear import ModelConfig, lambda_matrix, wave_operator
 from jmnl.reference import (
     BasisParams,
     Kinematics,
@@ -23,9 +25,13 @@ from jmnl.scattering import (
     DegenerateEnergyError,
     PoleError,
     ScatterPoint,
+    _block_corners,
     _checked_solve,
     _floor,
+    _free_block,
+    _gamma,
     _last_units,
+    _pivot_corners,
     _scatter,
     _uncertified,
     green_corner_determinant,
@@ -446,7 +452,8 @@ class TestScanKernel:
         # g omega^2 Lambda: inf entries at E = 3.25, and inf * 0 = nan at E = 87.5 where g omega^2 is inf
         config = make_config(g=1e308)
         outcomes = kernel_outcomes([0.5, 3.25, 87.5], [config])[0]
-        assert linalg_calls == {"cholesky": 1, "eigvalsh": 1}
+        # the pole guard, then the pivot corner of E = 0.5
+        assert linalg_calls == {"cholesky": 1 + 1, "eigvalsh": 1}
         assert isinstance(outcomes[0], ScatterPoint)
         assert same_outcome(outcomes[0], kernel_outcomes([0.5], [config])[0][0])
         for energy, outcome in zip([3.25, 87.5], outcomes[1:]):
@@ -536,11 +543,13 @@ class TestScanKernel:
         inside, outside = lowest - 0.5 * delta, lowest - 2.0 * delta
         clear = [float(e) for e in np.linspace(0.5, lowest - 0.5, 8)]
         certified = kernel_outcomes(clear + [outside], [config])[0]
-        assert linalg_calls == {"cholesky": 1}
+        # the pole guard and the pivot corners, one stacked Cholesky each
+        assert linalg_calls == {"cholesky": 1 + 1}
         grid = clear + [inside, outside]
         outcomes = kernel_outcomes(grid, [config])[0]
-        # the stacked factorisation fails, then each of the 10 members is factored alone
-        assert linalg_calls == {"cholesky": 1 + 1 + 10, "eigvalsh": 1}
+        # the stacked factorisation fails, then each of the 10 members is factored alone;
+        # the 9 certified take their corners from one stacked Cholesky of M
+        assert linalg_calls == {"cholesky": (1 + 1) + (1 + 10 + 1), "eigvalsh": 1}
         assert isinstance(outcomes[-2], PoleError)
         assert isinstance(outcomes[-1], ScatterPoint)
         assert certified == outcomes[:-2] + outcomes[-1:]
@@ -566,15 +575,16 @@ class TestScanKernel:
         assert [type(outcome) for outcome in outcomes] == [ScatterPoint] * 8 + [PoleError]
 
     @pytest.mark.parametrize(
-        "config, low, high",
-        [(make_config(g=0.0), 0.5, 6.0), (make_config(basis=OVERFLOW_BASIS, nu=1.0), 40.0, 90.0)],
+        "config, low, high, pivots",
+        [(make_config(g=0.0), 0.5, 6.0, 1), (make_config(basis=OVERFLOW_BASIS, nu=1.0), 40.0, 90.0, 0)],
         ids=["free", "mixed-errors"],
     )
-    def test_clear_indefinite_block_takes_spectrum(self, linalg_calls, config, low, high):
-        # E above part of the spectrum: the Cholesky cannot certify, yet no energy is a pole
+    def test_clear_indefinite_block_takes_spectrum(self, linalg_calls, config, low, high, pivots):
+        # E above part of the spectrum: the Cholesky cannot certify, yet no energy is a pole;
+        # the members below the free spectrum (free only) take one stacked Cholesky of M
         grid = [float(e) for e in np.linspace(low, high, _BLOCK)]
         outcomes = kernel_outcomes(grid, [config])[0]
-        assert linalg_calls == {"cholesky": 1 + _BLOCK, "eigvalsh": 1}
+        assert linalg_calls == {"cholesky": 1 + _BLOCK + pivots, "eigvalsh": 1}
         assert not any(isinstance(outcome, PoleError) for outcome in outcomes)
         assert any(isinstance(outcome, ScatterPoint) for outcome in outcomes)
         for energy, outcome in zip(grid, outcomes):
@@ -599,3 +609,122 @@ class TestScanKernel:
         margins = np.full((2, 1), POLE_MARGIN)
         assert _uncertified(stack[:1], margins[:1]) == []
         assert _uncertified(stack, margins) == [1]
+
+
+def recorded_sizes(monkeypatch, name):
+    """Stack sizes passed to scattering.<name> while the test runs."""
+    sizes, original = [], getattr(scattering, name)
+
+    def recorded(stack, *args):
+        sizes.append(len(stack))
+        return original(stack, *args)
+
+    monkeypatch.setattr(scattering, name, recorded)
+    return sizes
+
+
+def block_corners(grid, config):
+    """The kernel's corners and errors over one block of energies."""
+    kins = [Kinematics.from_energy(energy, config.basis) for energy in grid]
+    h0, _ = _free_block(config.basis, config.size)
+    return _block_corners(grid, kins, config, h0, lambda_matrix(config).entries)
+
+
+def exact_last_column(matrix) -> list:
+    """Last column of the inverse of a float matrix, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        return mpmath.lu_solve(mpmath.matrix(matrix.tolist()), mpmath.matrix([0] * (len(matrix) - 1) + [1]))
+
+
+def backward_error_bound(exact, left, right, perturbed, gamma) -> float:
+    """gamma |g|^T |left| |right| |g'|: how far a corner may sit from the exact corner g[-1]
+    when it is exactly that of M + dM, |dM| <= gamma |left| |right|, and g' is the last
+    column of (M + dM)^-1 (the corner moves by -g^T dM g')."""
+    size = np.abs(np.array([float(v) for v in exact]))
+    moved = np.abs(np.array([float(v) for v in perturbed]))
+    return gamma * float(size @ (np.abs(left) @ np.abs(right)) @ moved)
+
+
+class TestPivotCorner:
+    @pytest.mark.parametrize("nu", [1.0, 7.0])
+    def test_pivot_and_solve_against_mpmath(self, nu):
+        # Both corners are exact for a perturbed M + dM: the pivot with |dM| <= gamma_{N+1} |L| |L^T|
+        # (Higham, Thm 10.3), the solve with |dM| <= gamma_{3N} |P L| |U| (Thm 9.4).  So each
+        # misses the exact corner by at most gamma |g|^T |factors| |g'|, a bound of order
+        # kappa(M) N eps relative, checked against a 60-digit inverse of the same float matrix.
+        config = make_config(nu=nu)
+        grid = np.linspace(0.5, 6.0, 551).tolist()[::110]
+        stack = np.stack([wave_operator(energy, config) for energy in grid])
+        size = config.size
+        pivots, failed = _pivot_corners(stack)
+        assert failed == []
+        for energy, matrix, pivot in zip(grid, stack, pivots.tolist()):
+            exact = exact_last_column(matrix)
+            factor = np.linalg.cholesky(matrix)
+            with mpmath.workdps(60):
+                # the last column of (L L^T)^-1 is L^-T e_N / L[N-1, N-1]
+                unit = mpmath.matrix([0] * (size - 1) + [1]) / factor[-1, -1]
+                perturbed = mpmath.lu_solve(mpmath.matrix(factor.T.tolist()), unit)
+                pivot_error = float(abs(pivot - exact[size - 1]))
+            # and 1 / L[N-1, N-1]^2 rounds twice
+            bound = backward_error_bound(exact, factor, factor.T, perturbed, _gamma(size + 1))
+            assert pivot_error <= bound + _gamma(2) * pivot, energy
+
+            solution, (error,) = _checked_solve(matrix[None], _last_units(1, size), [energy])
+            # the checked solve kept LAPACK's solution: no refinement step ran
+            assert error is None and np.array_equal(solution[0], np.linalg.solve(matrix, _last_units(1, size)[0]))
+            permutation, lower, upper = scipy.linalg.lu(matrix)
+            with mpmath.workdps(60):
+                solve_error = float(abs(solution[0, -1, 0] - exact[size - 1]))
+            bound = backward_error_bound(exact, permutation @ lower, upper, solution[0, :, 0], _gamma(3 * size))
+            assert solve_error <= bound, energy
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((2, 2), np.inf), ((2, 2), np.nan), ((2, 1), np.nan), ((2, 2), -4.0)],
+        ids=["inf", "nan", "nan-off", "indefinite"],
+    )
+    def test_bad_member_fails_alone(self, entry, value):
+        # LAPACK lets nan and inf through, and stops the whole stack at an indefinite member
+        stack = np.stack([np.diag([2.0, 2.0, 4.0])] * 3)
+        stack[(1,) + entry] = stack[(1,) + entry[::-1]] = value
+        # inf * 0 in the check is nan, as under the kernel's errstate
+        with np.errstate(invalid="ignore"):
+            corners, failed = _pivot_corners(stack)
+        assert failed == [1]
+        assert corners[[0, 2]].tolist() == [0.25, 0.25] and math.isnan(corners[1])
+
+    def test_failed_check_takes_checked_solve(self, monkeypatch):
+        config = make_config(nu=3.0)
+        grid = np.linspace(0.5, 6.0, 10).tolist()
+        clean, _ = block_corners(grid, config)
+        cholesky, calls = np.linalg.cholesky, []
+
+        def planted(stack):
+            # the second call factors M for the corners: spoil the last row of member 4
+            calls.append(len(stack))
+            factor = cholesky(stack)
+            if len(calls) == 2:
+                factor[4, -1] *= 1.0 + 1e-6
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", planted)
+        solves = recorded_sizes(monkeypatch, "_checked_solve")
+        corners, errors = block_corners(grid, config)
+        assert calls == [10, 10] and solves == [1] and errors == [None] * 10
+        assert corners[4] == green_corner_direct(wave_operator(grid[4], config), grid[4])
+        others = [m for m in range(10) if m != 4]
+        assert corners[others].tolist() == clean[others].tolist()
+
+    def test_clear_indefinite_members_skip_pivot(self, monkeypatch):
+        # g = 0: M = H0 - E is certified below the lowest free eigenvalue and cleared only by
+        # eigvalsh above it; those members take the checked solve, never the Cholesky of M
+        config = make_config(g=0.0)
+        grid = np.linspace(0.5, 6.0, _BLOCK).tolist()
+        below = sum(energy < FREE_EIGENVALUES[0] for energy in grid)
+        assert 0 < below < _BLOCK
+        pivots = recorded_sizes(monkeypatch, "_pivot_corners")
+        solves = recorded_sizes(monkeypatch, "_checked_solve")
+        corners, errors = block_corners(grid, config)
+        assert pivots == [below] and solves == [_BLOCK - below]
+        assert errors == [None] * _BLOCK and np.isfinite(corners).all()
