@@ -25,6 +25,7 @@ pure, so results are safe to share across threads.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,9 +100,17 @@ def gauss_laguerre_rule(count: int, nu: float):
     return nodes, weights
 
 
+@lru_cache(maxsize=32)
+def _distances(size: int) -> np.ndarray:
+    # read-only |i - j| over the size x size grid, shared by every band mask of that size
+    n = np.arange(size)
+    grid = np.abs(n[:, None] - n)
+    grid.setflags(write=False)
+    return grid
+
+
 def _band_mask(size: int, width: int) -> np.ndarray:
-    rows, cols = np.indices((size, size))
-    return (np.abs(rows - cols) <= width).astype(float)
+    return (_distances(size) <= width).astype(float)
 
 
 def _polynomial_family(count: int, nu: float, size: int) -> list[np.ndarray]:

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import ModelConfig, _weight, lambda_matrix, omega_transform, wave_operator
+from .nonlinear import ModelConfig, _weight, lambda_matrix, omega_transform, weight
 from .reference import (
     BasisParams,
     Kinematics,
@@ -119,7 +119,8 @@ def _floor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         for stack in (a, x):
             size = np.abs(stack)
             scale = size.max(axis=(1, 2))
-            floor = floor * (size / scale[:, None, None]).sum(axis=-1).max(axis=-1)
+            size /= scale[:, None, None]
+            floor = floor * size.sum(axis=-1).max(axis=-1)
             scales.append(scale)
         # at most 16 eps N K so far: only the last product can overflow
         return floor * scales[0] * scales[1]
@@ -157,11 +158,9 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.nd
         if size.max() <= 1e-9:
             return solution, errors
         residual = size.max(axis=(1, 2))
-        failed = ~(residual <= 1e-9)
-        # the double-precision floor, only for the members above 1e-9
-        above = np.flatnonzero(failed)
-        floor = _floor(a[above], x[above])
-        failed[above] = ~((residual[above] <= floor) & np.isfinite(floor))
+        # within 1e-9, or within the double-precision floor where that is finite
+        floor = _floor(a, x)
+        failed = ~((residual <= 1e-9) | ((residual <= floor) & np.isfinite(floor)))
         if not failed.any():
             return solution, errors
         rows, a, b, x, defect, residual = (
@@ -198,10 +197,11 @@ def _pole_error(gap: float, e_hat: float) -> PoleError | None:
     return None
 
 
-def _guard_pole(eigenvalues: np.ndarray, e_hat: float) -> None:
-    error = _pole_error(float(np.min(np.abs(eigenvalues - e_hat))), e_hat)
-    if error is not None:
-        raise error
+def _pole_errors(eigenvalues: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, list]:
+    # eigenvalues - E_i of each member, and per member None or the PoleError of its gap
+    shifted = eigenvalues - energies[:, None]
+    gaps = np.abs(shifted).min(axis=1).tolist()
+    return shifted, [_pole_error(gap, energy) for gap, energy in zip(gaps, energies.tolist())]
 
 
 @lru_cache(maxsize=256)
@@ -248,31 +248,59 @@ def _symmetric(h: np.ndarray) -> np.ndarray:
 
 
 def green_corner_spectral(h: np.ndarray, e_hat: float) -> float:
-    """Corner of (h - E)^-1 from the spectral sum over the orthonormal eigenpairs of h."""
-    eigenvalues, vectors = np.linalg.eigh(_symmetric(h))
-    _guard_pole(eigenvalues, e_hat)
-    return float(np.sum(vectors[-1] ** 2 / (eigenvalues - e_hat)))
+    """Corner of (h - E)^-1 from the spectral sum over the orthonormal eigenpairs of h.
+
+    A batch of one through :func:`_spectral_corners`.
+    """
+    (value,), (error,) = _spectral_corners(_symmetric(h)[None], np.array([e_hat]))
+    if error is not None:
+        raise error
+    return value
 
 
 def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
     """Corner of (h - E)^-1 from eigenvalues only (no eigenvectors).
 
-    The ratio of the characteristic products of the top-left (N-1) x (N-1)
-    block of h and of h itself.  The factors are paired in interlaced order
-    so all intermediate products stay of moderate size.
+    A batch of one through :func:`_determinant_corners`.
     """
-    h = _symmetric(h)
-    return _determinant_corner(h, e_hat, np.linalg.eigvalsh(h))
+    h = _symmetric(h)[None]
+    (value,), (error,) = _determinant_corners(h, np.array([e_hat]), np.linalg.eigvalsh(h))
+    if error is not None:
+        raise error
+    return value
 
 
-def _determinant_corner(h: np.ndarray, e_hat: float, eigenvalues: np.ndarray) -> float:
-    # green_corner_determinant given the ascending eigenvalues of h
-    _guard_pole(eigenvalues, e_hat)
-    trimmed = np.linalg.eigvalsh(h[:-1, :-1])
-    value = 1.0
-    for m in range(len(trimmed)):
-        value *= (trimmed[m] - e_hat) / (eigenvalues[m] - e_hat)
-    return float(value / (eigenvalues[-1] - e_hat))
+def _spectral_corners(h: np.ndarray, energies: np.ndarray) -> tuple[list, list]:
+    """Corner of each (h_i - E_i)^-1 of a (B, N, N) symmetric stack from the spectral sum.
+
+    One stacked eigh; returns the corners and, per member, ``None`` or the
+    :class:`PoleError` of its gap (its corner is then meaningless).
+    """
+    eigenvalues, vectors = np.linalg.eigh(h)
+    shifted, errors = _pole_errors(eigenvalues, energies)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.sum(vectors[:, -1] ** 2 / shifted, axis=1)
+    return values.tolist(), errors
+
+
+def _determinant_corners(h: np.ndarray, energies: np.ndarray, eigenvalues: np.ndarray) -> tuple[list, list]:
+    """Corner of each (h_i - E_i)^-1 of a (B, N, N) symmetric stack from eigenvalues only.
+
+    ``eigenvalues`` are the ascending eigenvalues of each h_i; the corner is
+    the ratio of the characteristic products of the top-left (N-1) x (N-1)
+    block (one stacked eigvalsh) and of h_i itself.  The factors are paired
+    in interlaced order and multiplied in that order, so every intermediate
+    product stays of moderate size.  Returns the corners and, per member,
+    ``None`` or the :class:`PoleError` of its gap.
+    """
+    shifted, errors = _pole_errors(eigenvalues, energies)
+    trimmed = np.linalg.eigvalsh(h[:, :-1, :-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = (trimmed - energies[:, None]) / shifted[:, :-1]
+        # a running product multiplies each member's factors in index order
+        product = np.cumprod(ratios, axis=1)[:, -1] if ratios.shape[1] else np.ones(len(h))
+        values = product / shifted[:, -1]
+    return values.tolist(), errors
 
 
 def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
@@ -394,6 +422,14 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return corner, (~passed).nonzero()[0].tolist()
 
 
+def _wave_stack(h0: np.ndarray, couplings, entries: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Wave operators H0 + c_i Lambda - E_i as a (B, N, N) stack; ``energies`` is (B, 1)."""
+    stack = np.multiply.outer(couplings, entries)
+    stack += h0
+    _diagonal(stack)[...] -= energies
+    return stack
+
+
 def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np.ndarray):
     """Corner G_c at each energy of one block, nan where a weight, pole guard or solve fails.
 
@@ -418,8 +454,7 @@ def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np
     at = [block[i] for i in live]
     e = np.array(at)[:, None]
     # an overflowing coupling leaves inf or nan entries: the pole guard reports them
-    stack = h0 + np.multiply.outer(couplings, entries)
-    _diagonal(stack)[...] -= e
+    stack = _wave_stack(h0, couplings, entries, e)
     doubtful = _uncertified(stack, POLE_MARGIN * np.maximum(1.0, np.abs(e)))
     certified, solve = list(range(len(live))), []
     if doubtful:
@@ -665,12 +700,42 @@ def _lambda_bound(lam, nu: float) -> tuple[bool, str]:
     )
 
 
-def _three_route_tolerance(eigenvalues: np.ndarray, energy: float) -> float:
-    # route agreement saturates at eps * (spectral radius / gap); strongly
+def _three_route_tolerance(eigenvalues: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    # per member: route agreement saturates at eps * (spectral radius / gap); strongly
     # graded coupling matrices (condition up to ~1e17) push it above 1e-8
-    gap = float(np.min(np.abs(eigenvalues - energy)))
-    radius = float(np.max(np.abs(eigenvalues)))
-    return max(1e-8, 1024.0 * _EPS * radius / gap)
+    gap = np.abs(eigenvalues - energies[:, None]).min(axis=1)
+    radius = np.abs(eigenvalues).max(axis=1)
+    return np.maximum(1e-8, 1024.0 * _EPS * radius / gap)
+
+
+def _green_routes(config: ModelConfig, energies: list) -> tuple[tuple[list, list, list], np.ndarray, list]:
+    """The direct, spectral and determinant corners at each energy, each route run once on one stack.
+
+    The wave operators M_i come as one (B, N, N) stack from the scan kernel's
+    builder, and H_i = M_i + E_i.  Each route is one stacked call: a checked
+    solve of M (:func:`green_corner_direct`), eigh of H
+    (:func:`green_corner_spectral`) and eigvalsh of H and of its trimmed
+    blocks (:func:`green_corner_determinant`), so every corner is bit for bit
+    the public route's at that energy alone.  The spectrum of H from eigvalsh,
+    never eigh's, also serves the tolerance, so the routes stay independent.
+
+    Returns the three routes' corners, the (B, N) eigenvalues of H, and per
+    energy ``None`` or its first error in the order direct, spectral guard,
+    determinant guard.
+    """
+    h0, _ = _free_block(config.basis, config.size)
+    e = np.array(energies)[:, None]
+    couplings = [config.g * w * w for w in (weight(energy, config) for energy in energies)]
+    matrix = _wave_stack(h0, couplings, lambda_matrix(config).entries, e)
+    solution, direct_errors = _checked_solve(matrix, _last_units(len(e), config.size), energies)
+    # the direct route is done with M: it becomes H in place
+    hamiltonian = matrix
+    _diagonal(hamiltonian)[...] += e
+    eigenvalues = np.linalg.eigvalsh(hamiltonian)
+    spectral, spectral_errors = _spectral_corners(hamiltonian, e[:, 0])
+    determinant, determinant_errors = _determinant_corners(hamiltonian, e[:, 0], eigenvalues)
+    errors = [a or b or c for a, b, c in zip(direct_errors, spectral_errors, determinant_errors)]
+    return (solution[:, -1, 0].tolist(), spectral, determinant), eigenvalues, errors
 
 
 #: largest relative Casoratian defect validate accepts: above the free spectrum the
@@ -678,19 +743,19 @@ def _three_route_tolerance(eigenvalues: np.ndarray, energy: float) -> float:
 _CASORATIAN_LIMIT = 1e-8
 
 
-def _casoratian(energy: float, config: ModelConfig) -> tuple[float, float]:
+def _casoratian(energy: float, basis: BasisParams, b: np.ndarray) -> tuple[float, float]:
     """Relative defect of b_n (s_n c_{n+1} - s_{n+1} c_n) = 2k/pi over n < N, and its bound.
 
-    Two solutions of one three-term recursion have a Casoratian constant in n;
-    the seed relation's drive fixes it at 2k/pi, k = sqrt(2E).  A wrong seed or
-    drive shifts it by its own relative error, while rounding, kept once made,
-    adds up over the N + 1 values of about five operations each: the bound is
+    ``b`` holds the free couplings b_0 .. b_{N-1}.  Two solutions of one
+    three-term recursion have a Casoratian constant in n; the seed relation's
+    drive fixes it at 2k/pi, k = sqrt(2E).  A wrong seed or drive shifts it by
+    its own relative error, while rounding, kept once made, adds up over the
+    N + 1 values of about five operations each: the bound is
     5 (N + 1) eps max_n b_n (|s_n c_{n+1}| + |s_{n+1} c_n|) / (2k/pi).
     """
-    basis, count = config.basis, config.size + 1
+    count = len(b) + 1
     sine = sine_coefficients(energy, basis, count)
     cosine = cosine_coefficients(energy, basis, count)
-    b = np.array([h0_element(n, n + 1, basis) for n in range(config.size)])
     wronskian = 2.0 * math.sqrt(2.0 * energy) / math.pi
     first, second = b * sine[:-1] * cosine[1:], b * sine[1:] * cosine[:-1]
     defect = float(np.max(np.abs(first - second - wronskian))) / wronskian
@@ -702,7 +767,9 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     """Run the internal consistency suites at one configuration.
 
     An energy where S or the free sequences cannot be evaluated is skipped and
-    counted by its row status; a check that could check no energy fails.
+    counted by its row status; a check that could check no energy fails.  The
+    Green's routes run once each on the stack of the energies S accepted
+    (:func:`_green_routes`).
     """
     report = ValidationReport()
     if energies is None:
@@ -723,29 +790,22 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
 
     worst_route = 0.0
     worst_unit = 0.0
-    skipped = []
     # S first, in one kernel call: its pole guard skips an energy on a spectral point
     ((s_values, _, _, errors),) = _scatter(energies, [config])
-    for energy, s_value, error in zip(energies, s_values.tolist(), errors):
-        if error is not None:
-            skipped.append(_status(error))
-            continue
-        try:
-            matrix = wave_operator(energy, config)
-            hamiltonian = matrix + energy * np.eye(config.size)
-            # the spectrum of H, shared by the tolerance and the determinant route
-            eigenvalues = np.linalg.eigvalsh(hamiltonian)
-            tol = _three_route_tolerance(eigenvalues, energy)
-            direct = green_corner_direct(matrix, energy)
-            spectral = green_corner_spectral(hamiltonian, energy)
-            det_route = _determinant_corner(hamiltonian, energy, eigenvalues)
-        except ArithmeticError as exc:
-            skipped.append(_status(exc))
-            continue
-        scale = abs(direct)
-        spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
-        worst_route = max(worst_route, spread / scale / tol)
-        worst_unit = max(worst_unit, abs(abs(s_value) - 1.0))
+    skipped = [_status(error) for error in errors if error is not None]
+    live = [j for j, error in enumerate(errors) if error is None]
+    if live:
+        at = [energies[j] for j in live]
+        routes, eigenvalues, route_errors = _green_routes(config, at)
+        skipped += [_status(error) for error in route_errors if error is not None]
+        agreed = [m for m, error in enumerate(route_errors) if error is None]
+        tolerances = _three_route_tolerance(eigenvalues[agreed], np.array(at)[agreed]).tolist()
+        s_list = s_values.tolist()
+        for m, tol in zip(agreed, tolerances):
+            direct, spectral, det_route = (route[m] for route in routes)
+            spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
+            worst_route = max(worst_route, spread / abs(direct) / tol)
+            worst_unit = max(worst_unit, abs(abs(s_list[live[m]]) - 1.0))
     checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",
@@ -755,12 +815,14 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     )
     report.add("unitarity", worst_unit < 1e-10, f"worst ||S|-1| = {worst_unit:.3e}")
 
+    h0, b_tail = _free_block(config.basis, config.size)
+    b = np.append(np.diag(h0, 1), b_tail)
     worst_defect = 0.0
     worst_ratio = 0.0
     skipped = []
     for energy in energies[:4]:
         try:
-            defect, bound = _casoratian(energy, config)
+            defect, bound = _casoratian(energy, config.basis, b)
         except ArithmeticError as exc:
             skipped.append(_status(exc))
             continue

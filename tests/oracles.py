@@ -9,7 +9,8 @@ the ansatz coefficients combine the package's own pieces; the tests and the
 acceptance gate need them, the scan does not.  The per-point scattering
 routes at the end evaluate one energy at a time through the public per-point
 functions and numpy's Cholesky factorisation; the batched scan kernel is
-compared with them.
+compared with them, and the stacked ``validate`` with the per-energy
+``validate_point``.
 """
 
 import math
@@ -19,15 +20,24 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, roots_genlaguerre, spherical_jn
 
-from jmnl.nonlinear import ModelConfig, wave_operator, weight
+from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform, wave_operator, weight
 from jmnl.orthopoly import laguerre_orthonormal_sequence, linearization_table
 from jmnl.reference import BasisParams, Kinematics, cosine_coefficients, h0_element, sine_coefficients
 from jmnl.scattering import (
+    _CASORATIAN_LIMIT,
+    _EPS,
     POLE_MARGIN,
     DegenerateEnergyError,
     PoleError,
     ScatterPoint,
+    ValidationReport,
+    _lambda_bound,
+    _scatter,
+    _status,
+    green_corner_determinant,
     green_corner_direct,
+    green_corner_spectral,
+    status_summary,
 )
 
 
@@ -268,3 +278,93 @@ def s_matrix_tr_form(energy: float, config: ModelConfig) -> ScatterPoint:
         delta=float(np.angle(s_value) / 2.0),
         amplitude=float(abs(1.0 - s_value)),
     )
+
+
+def _casoratian_point(energy: float, config: ModelConfig) -> tuple[float, float]:
+    """Relative Casoratian defect over n < N and its rounding bound, b_n one h0_element each."""
+    basis, count = config.basis, config.size + 1
+    sine = sine_coefficients(energy, basis, count)
+    cosine = cosine_coefficients(energy, basis, count)
+    b = np.array([h0_element(n, n + 1, basis) for n in range(config.size)])
+    wronskian = 2.0 * math.sqrt(2.0 * energy) / math.pi
+    first, second = b * sine[:-1] * cosine[1:], b * sine[1:] * cosine[:-1]
+    defect = float(np.max(np.abs(first - second - wronskian))) / wronskian
+    scale = float(np.max(np.abs(first) + np.abs(second))) / wronskian
+    return defect, 5.0 * count * _EPS * scale
+
+
+def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
+    """The validate report with the Green's routes run one energy at a time.
+
+    Each energy S accepts gets its own wave operator and one call of each
+    public route; an error skips it in the order direct, spectral,
+    determinant.
+    """
+    report = ValidationReport()
+    if energies is None:
+        energies = np.linspace(0.6, 5.9, 8)
+    lam = lambda_matrix(config)
+    report.add("lambda-positive", *_lambda_bound(lam, config.nu))
+    try:
+        transform = omega_transform(lam)
+        report.add(
+            "omega-identity",
+            True,
+            f"residual {transform.residual:.3e} (double-precision floor {transform.floor:.3e})",
+        )
+    except np.linalg.LinAlgError as exc:
+        report.add("omega-identity", False, str(exc))
+
+    worst_route = 0.0
+    worst_unit = 0.0
+    skipped = []
+    ((s_values, _, _, errors),) = _scatter(energies, [config])
+    for energy, s_value, error in zip(energies, s_values.tolist(), errors):
+        if error is not None:
+            skipped.append(_status(error))
+            continue
+        try:
+            matrix = wave_operator(energy, config)
+            hamiltonian = matrix + energy * np.eye(config.size)
+            direct = green_corner_direct(matrix, energy)
+            spectral = green_corner_spectral(hamiltonian, energy)
+            det_route = green_corner_determinant(hamiltonian, energy)
+        except ArithmeticError as exc:
+            skipped.append(_status(exc))
+            continue
+        eigenvalues = np.linalg.eigvalsh(hamiltonian)
+        gap = float(np.min(np.abs(eigenvalues - energy)))
+        radius = float(np.max(np.abs(eigenvalues)))
+        tol = max(1e-8, 1024.0 * _EPS * radius / gap)
+        scale = abs(direct)
+        spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
+        worst_route = max(worst_route, spread / scale / tol)
+        worst_unit = max(worst_unit, abs(abs(s_value) - 1.0))
+    checked = len(energies) - len(skipped)
+    report.add(
+        "green-three-route",
+        checked > 0 and worst_route <= 1.0,
+        f"worst spread {worst_route:.3f} of the conditioning-aware tolerance "
+        f"({checked} checked, {status_summary(skipped, 'skipped')})",
+    )
+    report.add("unitarity", worst_unit < 1e-10, f"worst ||S|-1| = {worst_unit:.3e}")
+
+    worst_defect = 0.0
+    worst_ratio = 0.0
+    skipped = []
+    for energy in energies[:4]:
+        try:
+            defect, bound = _casoratian_point(energy, config)
+        except ArithmeticError as exc:
+            skipped.append(_status(exc))
+            continue
+        worst_defect = max(worst_defect, defect)
+        worst_ratio = max(worst_ratio, defect / bound)
+    checked = len(energies[:4]) - len(skipped)
+    report.add(
+        "casoratian",
+        checked > 0 and worst_ratio <= 1.0 and worst_defect <= _CASORATIAN_LIMIT,
+        f"worst relative defect {worst_defect:.3e} (limit {_CASORATIAN_LIMIT:.0e}), "
+        f"{worst_ratio:.3f} of the rounding bound ({checked} checked, {status_summary(skipped, 'skipped')})",
+    )
+    return report

@@ -485,14 +485,15 @@ class TestValidate:
         assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_routes_run_on_numpy_linear_algebra(self, monkeypatch):
-        # per energy one eigh (spectral route) and two eigvalsh (the spectrum of H, shared by
-        # the tolerance and the determinant route, and its trimmed block); the two cholesky
-        # are the kernel's pole guard and pivot corners over the block of 8 energies
-        linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh"))
+        # each route runs once on the stack of the 8 energies: one solve (direct route), one
+        # eigh (spectral route) and two eigvalsh (the spectrum of H, shared by the tolerance
+        # and the determinant route, and its trimmed blocks); the two cholesky are the
+        # kernel's pole guard and pivot corners over the same block
+        linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh", "solve"))
         generalized = count_calls(monkeypatch, scipy.linalg, ("eigh",))
         report = validate(PAPER_REQUEST.config_for(1.0))
         assert report.passed
-        assert linalg == {"cholesky": 2, "eigh": 8, "eigvalsh": 16}
+        assert linalg == {"cholesky": 2, "eigh": 1, "eigvalsh": 2, "solve": 1}
         assert not generalized
 
     def test_lambda_bound_fails_on_halved_eigenvalue(self, monkeypatch):

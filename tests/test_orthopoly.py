@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jmnl.orthopoly import (
+    _band_mask,
     _polynomial_family,
     gauss_laguerre_rule,
     jacobi_matrix,
@@ -178,6 +179,16 @@ class TestMatrixPolynomial:
         assert np.all(block[outside] == 0.0)
         band_edge = np.abs(rows - cols) == 3
         assert np.any(block[band_edge] != 0.0)
+
+    @pytest.mark.parametrize("size, width", [(1, 0), (5, 0), (5, 2), (9, 4), (9, 20)])
+    def test_band_mask_from_shared_grid(self, size, width):
+        rows, cols = np.indices((size, size))
+        expected = (np.abs(rows - cols) <= width).astype(float)
+        first, second = _band_mask(size, width), _band_mask(size, width)
+        assert np.array_equal(first, expected) and first.dtype == expected.dtype
+        # each mask is a fresh array; the cached grid behind it stays unchanged
+        first[...] = 7.0
+        assert np.array_equal(second, expected) and np.array_equal(_band_mask(size, width), expected)
 
     def test_matches_scalar_polynomial_on_spectrum(self):
         # eigen-decomposing J and applying the scalar polynomial must agree

@@ -30,6 +30,7 @@ from jmnl.scattering import (
     _floor,
     _free_block,
     _gamma,
+    _green_routes,
     _last_units,
     _pivot_corners,
     _scatter,
@@ -38,10 +39,11 @@ from jmnl.scattering import (
     green_corner_direct,
     green_corner_spectral,
     s_matrix,
+    validate,
 )
 
 from conftest import count_calls
-from oracles import s_matrix_point, s_matrix_tr_form
+from oracles import s_matrix_point, s_matrix_tr_form, validate_point
 
 
 def make_config(**overrides):
@@ -728,3 +730,64 @@ class TestPivotCorner:
         corners, errors = block_corners(grid, config)
         assert pivots == [below] and solves == [_BLOCK - below]
         assert errors == [None] * _BLOCK and np.isfinite(corners).all()
+
+
+LAMBDA_ONE = BasisParams(lam=1.0, ell=1)
+# the paper configs, one seeded nu per (N, K) pair of the benchmark's validate-sweep with
+# its seed-27 draw, and lambda = 1 energy lists with pole, overflow and degenerate skips
+VALIDATE_CASES = (
+    [(make_config(nu=float(nu)), None) for nu in range(1, 8)]
+    + [
+        (make_config(nu=float(nu), size=size, terms=terms), None)
+        for nu, (size, terms) in zip(
+            np.random.default_rng(15).uniform(0.0, 8.0, 6),
+            ((16, 4), (20, 8), (24, 10), (32, 8), (40, 8), (48, 8)),
+        )
+    ]
+    + [
+        (make_config(nu=1.3941544542304376, size=48), None),
+        (make_config(basis=LAMBDA_ONE, nu=1.0), [20.0, 30.0, 40.0, 42.5, 50.0, 60.0, 1e300]),
+        (
+            make_config(basis=LAMBDA_ONE, g=0.0, nu=1.0),
+            [*np.linalg.eigvalsh(h0_matrix(LAMBDA_ONE, 20))[[1, 3]].tolist(), 2.0, 9.0, 42.5, 1e300],
+        ),
+    ]
+)
+
+
+def point_routes(energy, config):
+    """The three public routes at one energy, or the first error in the order direct, spectral, determinant."""
+    matrix = wave_operator(energy, config)
+    hamiltonian = matrix + energy * np.eye(config.size)
+    try:
+        return (
+            green_corner_direct(matrix, energy),
+            green_corner_spectral(hamiltonian, energy),
+            green_corner_determinant(hamiltonian, energy),
+        )
+    except PoleError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "config, energies",
+    VALIDATE_CASES,
+    ids=[f"lam{c.basis.lam:g}-g{c.g:g}-nu{c.nu:.6g}-N{c.size}-K{c.terms}" for c, _ in VALIDATE_CASES],
+)
+class TestStackedValidate:
+    def test_report_equals_per_energy_oracle(self, config, energies):
+        report = validate(config, energies)
+        expected = validate_point(config, energies)
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            (c.name, c.passed, c.detail) for c in expected.checks
+        ]
+
+    def test_stacked_routes_equal_public_routes(self, config, energies):
+        energies = np.linspace(0.6, 5.9, 8).tolist() if energies is None else energies
+        ((_, _, _, errors),) = _scatter(energies, [config])
+        at = [energy for energy, error in zip(energies, errors) if error is None]
+        routes, eigenvalues, route_errors = _green_routes(config, at)
+        assert eigenvalues.shape == (len(at), config.size)
+        for energy, *values, error in zip(at, *routes, route_errors):
+            expected = point_routes(energy, config)
+            assert (tuple(values) if error is None else type(error)) == expected, energy
