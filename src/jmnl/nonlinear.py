@@ -86,14 +86,41 @@ def weight(energy: float, config: ModelConfig) -> float:
 
 
 def _weight(mu: float, config: ModelConfig) -> float:
-    if config.weight_choice == "resonance":
-        value = mu ** (2.0 * config.nu) * math.exp(-mu**2)
-    else:
-        value = 2.0 * mu ** (config.basis.ell + 1) * math.exp(-mu**2 / 2.0)
-    if not math.isfinite(value):
-        # mu = inf once 2E overflows, and inf * e^{-inf} is nan
-        raise OverflowError(f"weight is not finite at mu={mu:.3g}")
+    (value,), (error,) = _weights([mu], config)
+    if error is not None:
+        raise error
     return value
+
+
+def _weights(mus, config: ModelConfig) -> tuple[list, list]:
+    """The weight at each mu in one pass of Python float operations.
+
+    Returns the values and, per mu, ``None`` or the ArithmeticError that
+    stops the weight there (its value is then nan).  Every value is bit for
+    bit the weight of that mu alone.
+    """
+    try:
+        if config.weight_choice == "resonance":
+            power = 2.0 * config.nu
+            values = [mu**power * math.exp(-mu**2) for mu in mus]
+        else:
+            power = config.basis.ell + 1
+            values = [2.0 * mu**power * math.exp(-mu**2 / 2.0) for mu in mus]
+    except ArithmeticError as exc:
+        if len(mus) == 1:
+            return [math.nan], [exc]
+        # Python's float power and exp raise where the result overflows: settle each mu alone
+        parts = [_weights([mu], config) for mu in mus]
+        return [value for (value,), _ in parts], [error for _, (error,) in parts]
+    errors = [None] * len(values)
+    if all(map(math.isfinite, values)):
+        return values, errors
+    for j, value in enumerate(values):
+        if not math.isfinite(value):
+            # mu = inf once 2E overflows, and inf * e^{-inf} is nan
+            errors[j] = OverflowError(f"weight is not finite at mu={mus[j]:.3g}")
+            values[j] = math.nan
+    return values, errors
 
 
 @dataclass(frozen=True)
@@ -133,6 +160,21 @@ def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
     return LambdaMatrix(
         entries=entries, nu=nu, terms=terms, min_eigenvalue=min_eig, factor=factor
     )
+
+
+@lru_cache(maxsize=64)
+def _lambda_row_sums(nu: float, terms: int, size: int) -> np.ndarray:
+    """|F|^T |F| 1 for the stacked factor F of Lambda = F^T F, read-only.
+
+    Each entry bounds the absolute row sum of Lambda, and the rounding of its
+    stored entries row by row (they are Gram products of F); for the
+    Laguerre family, whose Gram products do not cancel, it equals the
+    absolute row sum.  Cached like the matrix itself.
+    """
+    factor = np.abs(_lambda_core(nu, terms, size).factor)
+    sums = factor.T @ factor.sum(axis=1)
+    sums.setflags(write=False)
+    return sums
 
 
 def lambda_matrix(config: ModelConfig) -> LambdaMatrix:

@@ -15,11 +15,15 @@ the main internal consistency oracle of the package.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
-batch of one.  Its pole guard is one stacked Cholesky factorisation of
-M - delta I per block of energies; the spectrum is computed only for a member
-that factorisation cannot certify.  A certified member takes its corner from
-the last pivot of a second, unshifted Cholesky factorisation, checked against
-the last row of M; the rest take a checked solve.
+batch of one.  Its pole guard works per block of energies: since Lambda is
+positive semi-definite, one Cholesky factorisation of a lower operator
+H0 + c_min Lambda - (E_max + delta_max) I, less a derived rounding slack,
+certifies every member of the block (a Loewner sandwich).  A block it cannot
+clear, or a block of one, takes one stacked Cholesky factorisation of
+M - delta I, and the spectrum is computed only for a member that this
+factorisation cannot certify.  A certified member takes its corner from the last pivot of
+its one unshifted Cholesky factorisation, checked against the last row of M;
+the rest take a checked solve.
 
 The paper's pipeline runs here too: :func:`run_scan` evaluates a scan over its
 (nu, E) grid into columns with a status per row, :func:`format_csv` writes
@@ -35,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import ModelConfig, _weight, lambda_matrix, omega_transform, weight
+from .nonlinear import ModelConfig, _lambda_row_sums, _weights, lambda_matrix, omega_transform, weight
 from .reference import (
     BasisParams,
     Kinematics,
@@ -214,14 +218,16 @@ def _last_units(count: int, size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, float]:
-    """Free Hamiltonian block and its tail coupling b_{N-1}, shared by every energy.
+def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Free Hamiltonian block, its tail coupling b_{N-1} and its absolute row sums, shared by every energy.
 
     Cached so that a batch of one (:func:`s_matrix`) does not rebuild it.
     """
     h0 = h0_matrix(basis, size)
     h0.setflags(write=False)
-    return h0, h0_element(size - 1, size, basis)
+    sums = np.abs(h0).sum(axis=1)
+    sums.setflags(write=False)
+    return h0, h0_element(size - 1, size, basis), sums
 
 
 def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> float:
@@ -312,38 +318,42 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     values are then nan).  The configs must share basis and size: the free
     side (kinematics, tail terms c_n - i s_n at n = N-1, N) is evaluated once
     per energy, and a tail error surfaces after weight, pole guard and solve,
-    as for the energy alone.  Per config, each block of up to ``_BLOCK``
-    energies is one (B, N, N) wave-operator stack with one pole guard and one
-    stacked Cholesky factorisation of M for the corners of its certified
-    members (:func:`_pivot_corners`); a member cleared only by eigvalsh, or
-    whose factor fails the pivot check, takes the checked solve.
+    as for the energy alone.  Per config, the weights and couplings of all
+    energies are one pass each, and each block of up to ``_BLOCK`` energies
+    is one (B, N, N) wave-operator stack whose certified members take their
+    corners from one stacked Cholesky factorisation of M
+    (:func:`_pivot_corners`); a member cleared only by eigvalsh, or whose
+    factor fails the pivot check, takes the checked solve.
 
-    The pole guard is one stacked Cholesky of M_i - delta_i I, with
-    delta_i = POLE_MARGIN * max(1, |E_i|).  A member with a finite factor has
-    all its eigenvalues above delta_i and is clear.  LAPACK stops the whole
-    stack at the first member that is not positive definite; then each
-    member is factored alone, so a row does not depend on its block.  A
-    member the Cholesky cannot certify (on a pole, or with E above part of
-    its spectrum) is an OverflowError if its wave operator is not finite (the
+    The pole guard of a block is first its Loewner sandwich
+    (:func:`_cleared_blocks`): one Cholesky factorisation of a lower operator
+    A with M_i - delta_i I >= A for every member, delta_i = POLE_MARGIN *
+    max(1, |E_i|).  If it succeeds, every member has all its eigenvalues
+    above delta_i and is clear.  Otherwise, and for a block of one, the guard
+    is one stacked Cholesky of M_i - delta_i I; LAPACK stops the whole stack
+    at the first member that is not positive definite, and then each member
+    is factored alone, so a row does not depend on its block.  A member that
+    Cholesky cannot certify (on a pole, or with E above part of its
+    spectrum) is an OverflowError if its wave operator is not finite (the
     coupling overflowed); the rest take the eigvalsh gap and
-    :func:`_pole_error`, which alone give the gap the PoleError reports.  The
-    Cholesky succeeds only if M - delta I is numerically positive definite,
-    the same floating-point evidence eigvalsh gives about the smallest
-    eigenvalue, so the two can disagree only where the gap lies within
-    rounding of delta.
+    :func:`_pole_error`, which alone give the gap the PoleError reports.  A
+    Cholesky factorisation succeeds only if its matrix is numerically
+    positive definite, the same floating-point evidence eigvalsh gives about
+    the smallest eigenvalue, so the guards can disagree only where a gap lies
+    within rounding of delta.
 
-    The weight is computed per energy, and S per config as arrays: numerator
-    l + w u with w = b_{N-1} G_c, denominator its exact conjugate, and one
-    np.angle.  Each array operation rounds as its numpy scalar form, and
-    |1 - S| is Python's (libm) complex abs, so every value is bit for bit
-    what the energy gives alone.  |S| = 1 is one array test per config; a
-    value that fails it raises :class:`ScatterPoint`'s ValueError.  Errors
-    that are no ArithmeticError (a non-positive energy, a failed eigensolver)
-    propagate.
+    S is assembled per config as arrays: numerator l + w u with
+    w = b_{N-1} G_c, denominator its exact conjugate, and one np.angle.  Each
+    array operation rounds as its numpy scalar form, and |1 - S| is Python's
+    (libm) complex abs, so every value is bit for bit what the energy gives
+    alone.  |S| = 1 is one array test per config; a value that fails it
+    raises :class:`ScatterPoint`'s ValueError.  Errors that are no
+    ArithmeticError (a non-positive energy, a failed eigensolver) propagate.
     """
     basis, size = configs[0].basis, configs[0].size
-    h0, b_tail = _free_block(basis, size)
+    h0, b_tail, _ = _free_block(basis, size)
     kins = [Kinematics.from_energy(energy, basis) for energy in energies]
+    mus = [kin.mu for kin in kins]
     terms, tail_errors = _free_tails(kins, basis, size + 1)
     tail_failed = [j for j, error in enumerate(tail_errors) if error is not None]
     columns = []
@@ -352,16 +362,75 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for config in configs:
             entries = lambda_matrix(config).entries
-            corner, errors = np.empty(len(energies)), []
-            for start in range(0, len(energies), _BLOCK):
+            weights, errors = _weights(mus, config)
+            w = np.array(weights)
+            couplings = config.g * w * w
+            cleared = [False]
+            if len(energies) > 1:
+                cleared = _cleared_blocks(np.asarray(energies, dtype=float), couplings, config)
+            corner = np.empty(len(energies))
+            for b, start in enumerate(range(0, len(energies), _BLOCK)):
                 block = slice(start, start + _BLOCK)
-                corner[block], block_errors = _block_corners(energies[block], kins[block], config, h0, entries)
-                errors += block_errors
+                corner[block], errors[block] = _block_corners(
+                    energies[block], couplings[block], errors[block], h0, entries, cleared[b]
+                )
             for j in tail_failed:
                 if errors[j] is None:
                     errors[j] = tail_errors[j]
             columns.append(_assemble(energies, terms, b_tail * corner, errors))
     return columns
+
+
+def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelConfig) -> list[bool]:
+    """Per block of up to ``_BLOCK`` energies, whether its Loewner sandwich clears every member of poles.
+
+    ``couplings`` holds c_i = g w_i^2 of each energy, nan where the weight
+    failed.  Lambda >= 0, so every live member of a block has M_i - delta_i I
+    >= H0 + c_min Lambda - (E_max + delta_max) I with c_min the smallest
+    live coupling and E_max the largest energy of the block (energies are
+    positive, so E_max is also max|E|).  The block's lower operator is that
+    matrix minus diag(r), and one stacked Cholesky factorisation of all of
+    them answers for every block; a finite factor clears the block.
+
+    r bounds, by Gershgorin's theorem, the rounding that separates the float
+    matrices from the exact sandwich, row by row.  With u = eps/2, C = max|c_i|,
+    s = fl(E_max + delta_max), rho_j from :func:`_lambda_row_sums` and
+    eta_j = sum_k |H0_jk|, each of these moves row j by at most:
+
+    - the stored Lambda, sums of rounded Gram products of the K blocks of
+      its factor (2K - 1 products each, two symmetrisations, K - 1 sums):
+      gamma_{3K} rho_j, times c_i - c_min <= 2C;
+    - fl(M_i), three roundings (c_i Lambda, + H0, - E_i on the diagonal):
+      gamma_3 (C rho_j + eta_j + s);
+    - fl(A), four (the diagonal shift s + r_j rounds before it is subtracted):
+      gamma_4 (C rho_j + eta_j + s + r_j);
+    - s itself, rounded once: u s / (1 - u).
+
+    To first order in u that is eps ((3K + 3.5) C rho_j + 3.5 eta_j + 4 s)
+    plus 2 eps r_j, so r_j = (3K + 4) eps (C rho_j + eta_j + s) suffices; four
+    more eps cover the O(N eps) relative rounding of the sums and of r.
+    Hence r_j = (3K + 8) eps (C rho_j + eta_j + s).  A block clears only if
+    every r_j is finite: where C rho_j overflows, a member's c_i Lambda may
+    too, and that member must report overflow, not a pole.  A block of one
+    live member is its own sandwich and is left to the per-member guard.
+    """
+    h0, _, h0_sums = _free_block(config.basis, config.size)
+    lambda_sums = _lambda_row_sums(config.nu, config.terms, config.size)
+    starts = np.arange(0, len(couplings), _BLOCK)
+    # fmin and fmax pass over the nan of a failed weight
+    live = np.add.reduceat(~np.isnan(couplings), starts, dtype=np.intp)
+    low = np.fmin.reduceat(couplings, starts)
+    size = np.fmax.reduceat(np.abs(couplings), starts)
+    top = np.maximum.reduceat(energies, starts)
+    shift = top + POLE_MARGIN * np.maximum(1.0, top)
+    slack = (3 * config.terms + 8) * _EPS * (np.multiply.outer(size, lambda_sums) + h0_sums + shift[:, None])
+    diagonal = shift[:, None] + slack
+    candidates = ((live > 1) & np.isfinite(diagonal).all(axis=1)).nonzero()[0]
+    cleared = np.zeros(len(starts), dtype=bool)
+    if len(candidates):
+        lower = _wave_stack(h0, low[candidates], lambda_matrix(config).entries, diagonal[candidates])
+        cleared[candidates] = np.isfinite(_factors(lower)).all(axis=(1, 2))
+    return cleared.tolist()
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
@@ -410,52 +479,48 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
     alarm costs a checked solve.
     """
     factor = _factors(stack)
-    last = factor[:, -1, :, None]
-    defect = np.abs(stack[:, -1] - (factor @ last)[..., 0])
-    bound = _gamma(stack.shape[-1] + 1) * (np.abs(factor) @ np.abs(last))[..., 0]
+    corner = 1.0 / factor[:, -1, -1] ** 2
+    defect = np.abs(stack[:, -1] - (factor @ factor[:, -1, :, None])[..., 0])
+    # the factor is done with: its buffer takes |L|
+    size = np.abs(factor, out=factor)
+    bound = _gamma(stack.shape[-1] + 1) * (size @ size[:, -1, :, None])[..., 0]
     # an entry of L that is not finite makes the bound of its row inf or nan (inf * 0 is nan)
     passed = (defect <= bound).all(axis=1) & np.isfinite(bound).all(axis=1)
-    corner = 1.0 / factor[:, -1, -1] ** 2
     if passed.all():
         return corner, []
     corner[~passed] = np.nan
     return corner, (~passed).nonzero()[0].tolist()
 
 
-def _wave_stack(h0: np.ndarray, couplings, entries: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Wave operators H0 + c_i Lambda - E_i as a (B, N, N) stack; ``energies`` is (B, 1)."""
+def _wave_stack(h0: np.ndarray, couplings, entries: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Operators H0 + c_i Lambda - diag(shifts_i) as a (B, N, N) stack; ``shifts`` is (B, 1) or (B, N)."""
     stack = np.multiply.outer(couplings, entries)
     stack += h0
-    _diagonal(stack)[...] -= energies
+    _diagonal(stack)[...] -= shifts
     return stack
 
 
-def _block_corners(block, kins, config: ModelConfig, h0: np.ndarray, entries: np.ndarray):
+def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, entries: np.ndarray, cleared: bool):
     """Corner G_c at each energy of one block, nan where a weight, pole guard or solve fails.
 
-    Returns the corners and, per energy, ``None`` or that failure.  A member
-    the pole guard certifies takes its corner from its last Cholesky pivot
+    ``couplings`` holds c_i = g w_i^2 and ``errors``, per energy, ``None`` or
+    the failure of its weight.  Returns the corners and ``errors`` with the
+    pole guard's and the solve's failures added.  ``cleared`` says that the
+    block's Loewner sandwich cleared every member (:func:`_cleared_blocks`);
+    otherwise the members take the per-member Cholesky guard.  A certified
+    member takes its corner from its last Cholesky pivot
     (:func:`_pivot_corners`); a member cleared only by eigvalsh, or whose
     factor fails the pivot check, takes the checked solve.
     """
-    errors: list = [None] * len(block)
-    live, couplings = [], []
-    for i, kin in enumerate(kins):
-        try:
-            w = _weight(kin.mu, config)
-        except ArithmeticError as exc:
-            errors[i] = exc
-            continue
-        live.append(i)
-        couplings.append(config.g * w * w)
     corner = np.full(len(block), np.nan)
+    live = [i for i, error in enumerate(errors) if error is None]
     if not live:
         return corner, errors
     at = [block[i] for i in live]
     e = np.array(at)[:, None]
     # an overflowing coupling leaves inf or nan entries: the pole guard reports them
-    stack = _wave_stack(h0, couplings, entries, e)
-    doubtful = _uncertified(stack, POLE_MARGIN * np.maximum(1.0, np.abs(e)))
+    stack = _wave_stack(h0, couplings if len(live) == len(block) else couplings[live], entries, e)
+    doubtful = [] if cleared else _uncertified(stack, POLE_MARGIN * np.maximum(1.0, np.abs(e)))
     certified, solve = list(range(len(live))), []
     if doubtful:
         finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
@@ -723,7 +788,7 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[tuple[list, list
     energy ``None`` or its first error in the order direct, spectral guard,
     determinant guard.
     """
-    h0, _ = _free_block(config.basis, config.size)
+    h0, _, _ = _free_block(config.basis, config.size)
     e = np.array(energies)[:, None]
     couplings = [config.g * w * w for w in (weight(energy, config) for energy in energies)]
     matrix = _wave_stack(h0, couplings, lambda_matrix(config).entries, e)
@@ -815,7 +880,7 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     )
     report.add("unitarity", worst_unit < 1e-10, f"worst ||S|-1| = {worst_unit:.3e}")
 
-    h0, b_tail = _free_block(config.basis, config.size)
+    h0, b_tail, _ = _free_block(config.basis, config.size)
     b = np.append(np.diag(h0, 1), b_tail)
     worst_defect = 0.0
     worst_ratio = 0.0

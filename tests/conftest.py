@@ -25,6 +25,19 @@ def linalg_calls(monkeypatch):
 
 
 @pytest.fixture
+def factored(monkeypatch):
+    """Sizes of the stacks np.linalg.cholesky factors while the test runs; a single matrix counts 1."""
+    sizes, original = [], np.linalg.cholesky
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a) if np.ndim(a) == 3 else 1)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return sizes
+
+
+@pytest.fixture
 def angle_calls(monkeypatch):
     """Counter of np.angle calls made while the test runs: one per assembled batch of S values."""
     return count_calls(monkeypatch, np, ("angle",))

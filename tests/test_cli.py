@@ -353,13 +353,19 @@ class TestRunScan:
         assert sequences == {}
 
     def test_pole_guard_one_cholesky_per_block(self, monkeypatch, linalg_calls):
-        # every paper wave operator is positive definite: 7 nu x 9 blocks certified, no
-        # spectrum; per block one Cholesky of M - delta I and one of M whose pivots give
-        # the corners, so no LU solve runs
+        # every paper wave operator is positive definite and every block's Loewner sandwich
+        # clears it: per nu one stacked Cholesky of the 9 lower operators, no spectrum, and
+        # per block one Cholesky of M whose pivots give the corners, so no LU solve runs
         solves = count_calls(monkeypatch, np.linalg, ("solve",))
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
-        assert linalg_calls == {"cholesky": 2 * 63}
+        assert linalg_calls == {"cholesky": 7 + 63}
         assert solves == {}
+
+    def test_one_factorisation_per_member(self, factored):
+        # the 63 lower operators and the 3,857 wave operators M, each factored once;
+        # no member's M - delta I is factored (that was 2 x 3,857 = 7,714 matrices)
+        assert len(run_scan(PAPER_REQUEST)) == 7 * 551
+        assert sum(factored) == 63 + 7 * 551
 
     def test_s_assembled_once_per_config(self, angle_calls):
         # the S values of each of the 7 nu in one set of array operations
@@ -484,16 +490,17 @@ class TestValidate:
         report = validate(config, energies=np.linspace(0.6, 3.9, 5))
         assert report.passed, [c for c in report.checks if not c.passed]
 
-    def test_routes_run_on_numpy_linear_algebra(self, monkeypatch):
+    def test_routes_run_on_numpy_linear_algebra(self, monkeypatch, factored):
         # each route runs once on the stack of the 8 energies: one solve (direct route), one
         # eigh (spectral route) and two eigvalsh (the spectrum of H, shared by the tolerance
         # and the determinant route, and its trimmed blocks); the two cholesky are the
-        # kernel's pole guard and pivot corners over the same block
+        # kernel's pole guard (the block's Loewner sandwich) and pivot corners (the 8 M)
         linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh", "solve"))
         generalized = count_calls(monkeypatch, scipy.linalg, ("eigh",))
         report = validate(PAPER_REQUEST.config_for(1.0))
         assert report.passed
         assert linalg == {"cholesky": 2, "eigh": 1, "eigvalsh": 2, "solve": 1}
+        assert factored == [1, 8]
         assert not generalized
 
     def test_lambda_bound_fails_on_halved_eigenvalue(self, monkeypatch):

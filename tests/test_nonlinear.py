@@ -6,6 +6,8 @@ import pytest
 from jmnl.nonlinear import (
     LambdaMatrix,
     ModelConfig,
+    _lambda_row_sums,
+    _weights,
     lambda_matrix,
     omega_transform,
     wave_operator,
@@ -64,6 +66,38 @@ class TestWeight:
         assert weight(0.5, config) == pytest.approx(2.0 * math.exp(-0.5), rel=1e-14)
 
 
+def weight_alone(mu, config):
+    """The weight's float operations at one mu, or the ArithmeticError they raise."""
+    try:
+        if config.weight_choice == "resonance":
+            value = mu ** (2.0 * config.nu) * math.exp(-mu**2)
+        else:
+            value = 2.0 * mu ** (config.basis.ell + 1) * math.exp(-mu**2 / 2.0)
+    except ArithmeticError as exc:
+        return exc
+    return value if math.isfinite(value) else OverflowError(f"weight is not finite at mu={mu:.3g}")
+
+
+class TestWeights:
+    @pytest.mark.parametrize(
+        "config",
+        [make_config(), make_config(weight_choice="sine"), make_config(nu=-0.5)],
+        ids=["resonance", "sine", "nu<0"],
+    )
+    def test_one_pass_equals_each_mu_alone(self, config):
+        # a power or exp that raises, a nan from inf * 0 and an underflow to 0 among finite weights
+        mus = [0.3, 2e160, 1.5, math.inf, 0.0, 40.0, 1.5e154]
+        values, errors = _weights(mus, config)
+        assert len(values) == len(errors) == len(mus)
+        for mu, value, error in zip(mus, values, errors):
+            expected = weight_alone(mu, config)
+            if isinstance(expected, ArithmeticError):
+                assert (type(error), str(error)) == (type(expected), str(expected)) and math.isnan(value), mu
+            else:
+                assert error is None and value.hex() == expected.hex(), mu
+        assert {type(error) for error in errors} > {type(None)}
+
+
 class TestAnsatz:
     def test_matches_alternating_sine(self):
         # nu = ell + 1/2 with the sine weight reproduces (-1)^n s_n at lam = 1
@@ -118,6 +152,17 @@ class TestLambdaMatrix:
     def test_factor_reproduces_entries(self):
         lam = lambda_matrix(make_config(nu=2.5, terms=4, size=9))
         assert np.allclose(lam.factor.T @ lam.factor, lam.entries, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "nu, terms, size", [(1.0, 8, 20), (7.0, 8, 20), (0.0, 8, 48), (1.3941544542304376, 8, 48), (2.5, 4, 9)]
+    )
+    def test_row_sums_from_factor(self, nu, terms, size):
+        # |F|^T |F| 1 bounds Lambda's absolute row sums; the Gram products of the Laguerre family
+        # do not cancel, so the two agree to rounding
+        sums = _lambda_row_sums(nu, terms, size)
+        absolute = np.abs(lambda_matrix(make_config(nu=nu, terms=terms, size=size)).entries).sum(axis=1)
+        assert not sums.flags.writeable
+        assert np.allclose(sums, absolute, rtol=1e-13, atol=0.0)
 
     def test_shared_instance_is_cached(self):
         a = lambda_matrix(make_config())

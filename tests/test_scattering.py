@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from jmnl import reference, scattering
-from jmnl.nonlinear import ModelConfig, lambda_matrix, wave_operator
+from jmnl.nonlinear import ModelConfig, _weights, lambda_matrix, wave_operator, weight
 from jmnl.reference import (
     BasisParams,
     Kinematics,
@@ -27,6 +27,8 @@ from jmnl.scattering import (
     ScatterPoint,
     _block_corners,
     _checked_solve,
+    _cleared_blocks,
+    _diagonal,
     _floor,
     _free_block,
     _gamma,
@@ -35,6 +37,7 @@ from jmnl.scattering import (
     _pivot_corners,
     _scatter,
     _uncertified,
+    _wave_stack,
     green_corner_determinant,
     green_corner_direct,
     green_corner_spectral,
@@ -545,13 +548,13 @@ class TestScanKernel:
         inside, outside = lowest - 0.5 * delta, lowest - 2.0 * delta
         clear = [float(e) for e in np.linspace(0.5, lowest - 0.5, 8)]
         certified = kernel_outcomes(clear + [outside], [config])[0]
-        # the pole guard and the pivot corners, one stacked Cholesky each
+        # the block's Loewner sandwich clears it; then the pivot corners, one stacked Cholesky
         assert linalg_calls == {"cholesky": 1 + 1}
         grid = clear + [inside, outside]
         outcomes = kernel_outcomes(grid, [config])[0]
-        # the stacked factorisation fails, then each of the 10 members is factored alone;
-        # the 9 certified take their corners from one stacked Cholesky of M
-        assert linalg_calls == {"cholesky": (1 + 1) + (1 + 10 + 1), "eigvalsh": 1}
+        # the sandwich and then the stacked factorisation of M - delta I fail, then each of the
+        # 10 members is factored alone; the 9 certified take their corners from one stacked Cholesky of M
+        assert linalg_calls == {"cholesky": (1 + 1) + (1 + 1 + 10 + 1), "eigvalsh": 1}
         assert isinstance(outcomes[-2], PoleError)
         assert isinstance(outcomes[-1], ScatterPoint)
         assert certified == outcomes[:-2] + outcomes[-1:]
@@ -582,11 +585,11 @@ class TestScanKernel:
         ids=["free", "mixed-errors"],
     )
     def test_clear_indefinite_block_takes_spectrum(self, linalg_calls, config, low, high, pivots):
-        # E above part of the spectrum: the Cholesky cannot certify, yet no energy is a pole;
-        # the members below the free spectrum (free only) take one stacked Cholesky of M
+        # E above part of the spectrum: neither the sandwich nor the Cholesky can certify, yet no
+        # energy is a pole; the members below the free spectrum (free only) take one stacked Cholesky of M
         grid = [float(e) for e in np.linspace(low, high, _BLOCK)]
         outcomes = kernel_outcomes(grid, [config])[0]
-        assert linalg_calls == {"cholesky": 1 + _BLOCK + pivots, "eigvalsh": 1}
+        assert linalg_calls == {"cholesky": 1 + 1 + _BLOCK + pivots, "eigvalsh": 1}
         assert not any(isinstance(outcome, PoleError) for outcome in outcomes)
         assert any(isinstance(outcome, ScatterPoint) for outcome in outcomes)
         for energy, outcome in zip(grid, outcomes):
@@ -613,6 +616,104 @@ class TestScanKernel:
         assert _uncertified(stack, margins) == [1]
 
 
+PAPER_GRID = np.linspace(0.5, 6.0, 551).tolist()
+
+
+class TestLoewnerSandwich:
+    def test_planted_pole_fails_its_block(self, linalg_calls):
+        # g = 0: a block of 64 energies below the lowest free eigenvalue clears; with one of them
+        # moved within the pole margin, the block's sandwich fails and each member takes its own guard
+        config = make_config(g=0.0)
+        lowest = FREE_EIGENVALUES[0]
+        delta = POLE_MARGIN * max(1.0, lowest)
+        clear = np.linspace(0.5, lowest - 2.0 * delta, _BLOCK).tolist()
+        grid = clear[:20] + [lowest - 0.5 * delta] + clear[21:]
+        assert cleared_blocks(clear, config) == [True] and cleared_blocks(grid, config) == [False]
+        linalg_calls.clear()
+        outcomes = kernel_outcomes(grid, [config])[0]
+        # the sandwich, the stacked factorisation of M - delta I, each member alone, then the
+        # pivot corners of the 63 certified
+        assert linalg_calls == {"cholesky": 1 + 1 + _BLOCK + 1, "eigvalsh": 1}
+        assert [m for m, outcome in enumerate(outcomes) if not isinstance(outcome, ScatterPoint)] == [20]
+        for energy, outcome in zip(grid, outcomes):
+            assert same_outcome(outcome, oracle_outcome(energy, config)), energy
+            assert same_outcome(outcome, kernel_outcomes([energy], [config])[0][0]), energy
+
+    @pytest.mark.parametrize("g", [3e292, 1e300, 1e308, -1e300])
+    def test_coupling_overflow_reads_overflow(self, g):
+        # where max|c| rho_j is not finite no block clears, so a member whose c_i Lambda
+        # overflows reports overflow, never a pole; a finite member is the oracle's
+        configs = [make_config(g=g, nu=float(nu)) for nu in range(1, 8)]
+        for config, outcomes in zip(configs, kernel_outcomes(PAPER_GRID, configs)):
+            assert not any(isinstance(outcome, PoleError) for outcome in outcomes), config.nu
+            for energy, outcome in zip(PAPER_GRID, outcomes):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(wave_operator(energy, config)).all()
+                if finite:
+                    assert same_outcome(outcome, oracle_outcome(energy, config)), (config.nu, energy)
+                else:
+                    assert type(outcome) is OverflowError, (config.nu, energy)
+                    assert str(outcome) == f"wave operator is not finite at E={energy}"
+
+    @pytest.mark.parametrize("nu", [1.0, 7.0])
+    def test_lower_operator_below_every_member(self, monkeypatch, nu):
+        # fl(M_i) - delta_i I - fl(A) >= 0 for every member of every paper block: r covers the
+        # rounding of fl(M_i), fl(A) and the stored Lambda.  The check scales that difference to
+        # a unit diagonal, a congruence that keeps its inertia, so that eigvalsh's normwise
+        # rounding (||Lambda|| ~ 1e17 at nu = 1) does not swamp its small eigenvalues
+        config = make_config(nu=nu)
+        stacks = recorded_stacks(monkeypatch, "_factors")
+        kernel_outcomes(PAPER_GRID, [config])
+        lower = stacks[0]
+        assert lower.shape == (9, config.size, config.size)
+        h0, _, _ = _free_block(config.basis, config.size)
+        for b, start in enumerate(range(0, len(PAPER_GRID), _BLOCK)):
+            energies = np.array(PAPER_GRID[start : start + _BLOCK])
+            couplings = [config.g * w * w for w in (weight(energy, config) for energy in energies)]
+            members = _wave_stack(h0, couplings, lambda_matrix(config).entries, energies[:, None])
+            difference = members - lower[b]
+            _diagonal(difference)[...] -= POLE_MARGIN * np.maximum(1.0, energies)[:, None]
+            scale = 1.0 / np.sqrt(_diagonal(difference))
+            scaled = scale[:, :, None] * difference * scale[:, None, :]
+            assert np.linalg.eigvalsh(scaled).min() >= 0.0, b
+
+    def test_block_of_one_takes_its_own_guard(self, linalg_calls):
+        # a single energy, or a block with one live member, is its own sandwich: no extra factorisation
+        config = make_config(nu=3.0)
+        s_matrix(3.0, config)
+        assert linalg_calls == {"cholesky": 1 + 1}
+        (coupling,), _ = block_couplings([3.0], config)
+        energies = np.array([3.0, 3.1])
+        assert _cleared_blocks(energies, np.array([coupling, coupling]), config) == [True]
+        linalg_calls.clear()
+        # nan marks a failed weight
+        assert _cleared_blocks(energies, np.array([coupling, np.nan]), config) == [False]
+        assert linalg_calls == {}
+
+
+def block_couplings(grid, config):
+    """The couplings g w^2 of the grid's energies, nan where the weight fails, and those failures."""
+    w, errors = _weights([Kinematics.from_energy(energy, config.basis).mu for energy in grid], config)
+    return config.g * np.array(w) * np.array(w), errors
+
+
+def cleared_blocks(grid, config):
+    """Per block of the grid, whether its Loewner sandwich clears it."""
+    return _cleared_blocks(np.array(grid), block_couplings(grid, config)[0], config)
+
+
+def recorded_stacks(monkeypatch, name):
+    """Stacks passed to scattering.<name> while the test runs."""
+    stacks, original = [], getattr(scattering, name)
+
+    def recorded(stack, *args):
+        stacks.append(stack.copy())
+        return original(stack, *args)
+
+    monkeypatch.setattr(scattering, name, recorded)
+    return stacks
+
+
 def recorded_sizes(monkeypatch, name):
     """Stack sizes passed to scattering.<name> while the test runs."""
     sizes, original = [], getattr(scattering, name)
@@ -626,10 +727,11 @@ def recorded_sizes(monkeypatch, name):
 
 
 def block_corners(grid, config):
-    """The kernel's corners and errors over one block of energies."""
-    kins = [Kinematics.from_energy(energy, config.basis) for energy in grid]
-    h0, _ = _free_block(config.basis, config.size)
-    return _block_corners(grid, kins, config, h0, lambda_matrix(config).entries)
+    """The kernel's corners and errors over one block of energies, its Loewner sandwich first."""
+    (cleared,) = cleared_blocks(grid, config)
+    h0, _, _ = _free_block(config.basis, config.size)
+    couplings, errors = block_couplings(grid, config)
+    return _block_corners(grid, couplings, errors, h0, lambda_matrix(config).entries, cleared)
 
 
 def exact_last_column(matrix) -> list:
@@ -703,7 +805,8 @@ class TestPivotCorner:
         cholesky, calls = np.linalg.cholesky, []
 
         def planted(stack):
-            # the second call factors M for the corners: spoil the last row of member 4
+            # the first call factors the block's lower operator, the second M for the corners:
+            # spoil the last row of member 4
             calls.append(len(stack))
             factor = cholesky(stack)
             if len(calls) == 2:
@@ -713,7 +816,7 @@ class TestPivotCorner:
         monkeypatch.setattr(np.linalg, "cholesky", planted)
         solves = recorded_sizes(monkeypatch, "_checked_solve")
         corners, errors = block_corners(grid, config)
-        assert calls == [10, 10] and solves == [1] and errors == [None] * 10
+        assert calls == [1, 10] and solves == [1] and errors == [None] * 10
         assert corners[4] == green_corner_direct(wave_operator(grid[4], config), grid[4])
         others = [m for m in range(10) if m != 4]
         assert corners[others].tolist() == clean[others].tolist()
