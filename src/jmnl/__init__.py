@@ -1,4 +1,4 @@
-"""Nonlinear short-range scattering in a tridiagonal (J-matrix) basis.
+"""Nonlinear scattering in a tridiagonal (J-matrix) basis.
 
 The package builds, for a quartic self-interaction projected on a Gaussian
 radial basis, the product-linearization coupling matrix, the finite Green's

@@ -6,8 +6,9 @@ Two subcommands:
   for every requested ansatz parameter and writes one CSV row per (nu, E)
   pair with :func:`jmnl.scattering.format_csv`.
 * ``jmnl validate --config FILE`` runs :func:`jmnl.scattering.validate`
-  (coupling-matrix bound, whitening identity, three-route Green's agreement,
-  unitarity, the free sequences' Casoratian) at the configured parameters.
+  (coupling-matrix bound, whitening identity, the scan kernel's own Green's
+  corner against two other routes, the free sequences' Casoratian) at the
+  configured parameters.
 
 Config files are flat ``key = value`` text with ``#`` comments.  Keys:
 ell, g, lambda, nu (or nu_list), N, K, weight, e_min, e_max, steps, out.
@@ -179,7 +180,7 @@ def _cmd_validate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="jmnl",
-        description="Nonlinear short-range scattering scans in a tridiagonal basis",
+        description="Nonlinear scattering scans in a tridiagonal basis",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

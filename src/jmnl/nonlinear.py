@@ -1,10 +1,13 @@
 """Nonlinear interaction block: weight, coupling matrix, normalizer.
 
-The short-range nonlinear potential acts on the expansion coefficients as a
-rank-dense N x N block  W(E) = g * omega(E)^2 * Lambda, where Lambda sums the
+The nonlinear interaction acts on the expansion coefficients as a rank-dense
+N x N block  W(E) = g * omega(E)^2 * Lambda, where Lambda sums the
 product-linearization tables of the ansatz polynomials:
 
-    Lambda = sum_{i<K} Lt_i(J)^2  restricted to the leading N x N block.
+    Lambda = sum_{i<K} Lt_i(J)^2  restricted to the leading N x N block,
+
+the compression of multiplication by the degree-2(K-1) polynomial
+sum_{i<K} Lt_i(x)^2 (14 at K = 8): a confining term, not a short-range one.
 
 Lambda is a sum of squares of symmetric matrices, hence positive definite for
 any nu > -1.  Its entries are extremely graded (the high-index corner grows
@@ -82,11 +85,7 @@ class ModelConfig:
 
 def weight(energy: float, config: ModelConfig) -> float:
     """Energy-dependent weight of the ansatz coefficients; OverflowError where it is not finite."""
-    return _weight(Kinematics.from_energy(energy, config.basis).mu, config)
-
-
-def _weight(mu: float, config: ModelConfig) -> float:
-    (value,), (error,) = _weights([mu], config)
+    (value,), (error,) = _weights([Kinematics.from_energy(energy, config.basis).mu], config)
     if error is not None:
         raise error
     return value

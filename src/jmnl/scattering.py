@@ -8,10 +8,10 @@ entry G[N-1, N-1] enters the scattering matrix
          / [c_{N-1} + i s_{N-1} + b_{N-1} G_c (c_N + i s_N)],
 
 a ratio of complex conjugates, so |S| = 1 identically and the phase shift is
-delta = arg(S)/2.  Three independent routes to the corner value are provided
-(direct solve, spectral sum over the eigenpairs of the symmetric operator,
-and a determinant ratio needing eigenvalues only); they must agree, which is
-the main internal consistency oracle of the package.
+delta = arg(S)/2.  Three routes to the corner value must agree, which is the
+main internal consistency oracle of the package: the scan kernel's own corner
+(the one S uses), a spectral sum over the eigenpairs of the symmetric
+operator, and a determinant ratio needing eigenvalues only.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import ModelConfig, _lambda_row_sums, _weights, lambda_matrix, omega_transform, weight
+from .nonlinear import ModelConfig, _lambda_row_sums, _weights, lambda_matrix, omega_transform
 from .reference import (
     BasisParams,
     Kinematics,
@@ -309,13 +309,14 @@ def _determinant_corners(h: np.ndarray, energies: np.ndarray, eigenvalues: np.nd
     return values.tolist(), errors
 
 
-def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
+def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
     """S of each config at each energy, as columns.
 
-    The scan kernel; ``result[k]`` is ``(s, delta, amplitude, errors)`` of
-    ``configs[k]``: three arrays over ``energies``, and a list with, per
-    energy, ``None`` or the ArithmeticError that stops S there (its three
-    values are then nan).  The configs must share basis and size: the free
+    The scan kernel; ``result[k]`` is ``(s, delta, amplitude, errors,
+    corner)`` of ``configs[k]``: arrays over ``energies`` (``corner`` is the
+    G_c that S used, which :func:`validate` checks), and a list with, per
+    energy, ``None`` or the ArithmeticError that stops S there (its values
+    are then nan).  The configs must share basis and size: the free
     side (kinematics, tail terms c_n - i s_n at n = N-1, N) is evaluated once
     per energy, and a tail error surfaces after weight, pole guard and solve,
     as for the energy alone.  Per config, the weights and couplings of all
@@ -377,7 +378,9 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
             for j in tail_failed:
                 if errors[j] is None:
                     errors[j] = tail_errors[j]
-            columns.append(_assemble(energies, terms, b_tail * corner, errors))
+            s, delta, amplitude, errors = _assemble(energies, terms, b_tail * corner, errors)
+            corner[[j for j, error in enumerate(errors) if error is not None]] = np.nan
+            columns.append((s, delta, amplitude, errors, corner))
     return columns
 
 
@@ -493,7 +496,7 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _wave_stack(h0: np.ndarray, couplings, entries: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Operators H0 + c_i Lambda - diag(shifts_i) as a (B, N, N) stack; ``shifts`` is (B, 1) or (B, N)."""
+    """Operators H0 + c_i Lambda - diag(shifts_i) as a (B, N, N) stack; ``shifts`` is (B, 1), (B, N) or a scalar."""
     stack = np.multiply.outer(couplings, entries)
     stack += h0
     _diagonal(stack)[...] -= shifts
@@ -574,7 +577,7 @@ def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
     at this energy (:class:`PoleError`, :class:`RecurrenceOverflowError`,
     :class:`DegenerateEnergyError`, ...).
     """
-    ((s, delta, amplitude, (error,)),) = _scatter([energy], [config])
+    ((s, delta, amplitude, (error,), _),) = _scatter([energy], [config])
     if error is not None:
         raise error
     return ScatterPoint(energy, s.tolist()[0], delta.tolist()[0], amplitude.tolist()[0])
@@ -658,7 +661,7 @@ def run_scan(request: ScanRequest) -> ScanColumns:
     grid = request.energy_grid()
     energies = grid.tolist()
     configs = [request.config_for(nu) for nu in request.nu_list]
-    s_value, delta, amplitude, errors = zip(*_scatter(energies, configs))
+    s_value, delta, amplitude, errors, _ = zip(*_scatter(energies, configs))
     status = [["ok" if error is None else _status(error) for error in row] for row in errors]
     k, j = _row_order(request.nu_list, grid)
     return ScanColumns(
@@ -773,34 +776,32 @@ def _three_route_tolerance(eigenvalues: np.ndarray, energies: np.ndarray) -> np.
     return np.maximum(1e-8, 1024.0 * _EPS * radius / gap)
 
 
-def _green_routes(config: ModelConfig, energies: list) -> tuple[tuple[list, list, list], np.ndarray, list]:
-    """The direct, spectral and determinant corners at each energy, each route run once on one stack.
+def _green_routes(config: ModelConfig, energies: list, corners: list) -> tuple[tuple[list, list, list], np.ndarray, list]:
+    """The kernel's, spectral and determinant corners at each energy; each other route is one stacked call.
 
-    The wave operators M_i come as one (B, N, N) stack from the scan kernel's
-    builder, and H_i = M_i + E_i.  Each route is one stacked call: a checked
-    solve of M (:func:`green_corner_direct`), eigh of H
-    (:func:`green_corner_spectral`) and eigvalsh of H and of its trimmed
-    blocks (:func:`green_corner_determinant`), so every corner is bit for bit
-    the public route's at that energy alone.  The spectrum of H from eigvalsh,
-    never eigh's, also serves the tolerance, so the routes stay independent.
+    ``corners`` are the scan kernel's corners at ``energies``, the ones S
+    used (pivot or checked solve).  The couplings are one pass of
+    :func:`_weights`, and H_i = H0 + c_i Lambda one (B, N, N) stack from the
+    kernel's builder: eigh of H (:func:`green_corner_spectral`) and eigvalsh
+    of H and of its trimmed blocks (:func:`green_corner_determinant`) are bit
+    for bit the public routes at each energy alone.  The spectrum of H from
+    eigvalsh, never eigh's, also serves the tolerance, so the routes stay
+    independent.
 
     Returns the three routes' corners, the (B, N) eigenvalues of H, and per
-    energy ``None`` or its first error in the order direct, spectral guard,
+    energy ``None`` or its first error in the order spectral guard,
     determinant guard.
     """
     h0, _, _ = _free_block(config.basis, config.size)
-    e = np.array(energies)[:, None]
-    couplings = [config.g * w * w for w in (weight(energy, config) for energy in energies)]
-    matrix = _wave_stack(h0, couplings, lambda_matrix(config).entries, e)
-    solution, direct_errors = _checked_solve(matrix, _last_units(len(e), config.size), energies)
-    # the direct route is done with M: it becomes H in place
-    hamiltonian = matrix
-    _diagonal(hamiltonian)[...] += e
+    e = np.array(energies)
+    weights, _ = _weights([Kinematics.from_energy(energy, config.basis).mu for energy in energies], config)
+    w = np.array(weights)
+    hamiltonian = _wave_stack(h0, config.g * w * w, lambda_matrix(config).entries, 0.0)
     eigenvalues = np.linalg.eigvalsh(hamiltonian)
-    spectral, spectral_errors = _spectral_corners(hamiltonian, e[:, 0])
-    determinant, determinant_errors = _determinant_corners(hamiltonian, e[:, 0], eigenvalues)
-    errors = [a or b or c for a, b, c in zip(direct_errors, spectral_errors, determinant_errors)]
-    return (solution[:, -1, 0].tolist(), spectral, determinant), eigenvalues, errors
+    spectral, spectral_errors = _spectral_corners(hamiltonian, e)
+    determinant, determinant_errors = _determinant_corners(hamiltonian, e, eigenvalues)
+    errors = [a or b for a, b in zip(spectral_errors, determinant_errors)]
+    return (corners, spectral, determinant), eigenvalues, errors
 
 
 #: largest relative Casoratian defect validate accepts: above the free spectrum the
@@ -833,8 +834,8 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
 
     An energy where S or the free sequences cannot be evaluated is skipped and
     counted by its row status; a check that could check no energy fails.  The
-    Green's routes run once each on the stack of the energies S accepted
-    (:func:`_green_routes`).
+    corners S used are checked against two other Green's routes, each run
+    once on the stack of the energies S accepted (:func:`_green_routes`).
     """
     report = ValidationReport()
     if energies is None:
@@ -854,23 +855,20 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         report.add("omega-identity", False, str(exc))
 
     worst_route = 0.0
-    worst_unit = 0.0
     # S first, in one kernel call: its pole guard skips an energy on a spectral point
-    ((s_values, _, _, errors),) = _scatter(energies, [config])
+    ((_, _, _, errors, corners),) = _scatter(energies, [config])
     skipped = [_status(error) for error in errors if error is not None]
     live = [j for j, error in enumerate(errors) if error is None]
     if live:
         at = [energies[j] for j in live]
-        routes, eigenvalues, route_errors = _green_routes(config, at)
+        routes, eigenvalues, route_errors = _green_routes(config, at, corners[live].tolist())
         skipped += [_status(error) for error in route_errors if error is not None]
         agreed = [m for m, error in enumerate(route_errors) if error is None]
         tolerances = _three_route_tolerance(eigenvalues[agreed], np.array(at)[agreed]).tolist()
-        s_list = s_values.tolist()
         for m, tol in zip(agreed, tolerances):
-            direct, spectral, det_route = (route[m] for route in routes)
-            spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
-            worst_route = max(worst_route, spread / abs(direct) / tol)
-            worst_unit = max(worst_unit, abs(abs(s_list[live[m]]) - 1.0))
+            kernel, spectral, det_route = (route[m] for route in routes)
+            spread = max(abs(kernel - spectral), abs(kernel - det_route), abs(spectral - det_route))
+            worst_route = max(worst_route, spread / abs(kernel) / tol)
     checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",
@@ -878,7 +876,6 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         f"worst spread {worst_route:.3f} of the conditioning-aware tolerance "
         f"({checked} checked, {status_summary(skipped, 'skipped')})",
     )
-    report.add("unitarity", worst_unit < 1e-10, f"worst ||S|-1| = {worst_unit:.3e}")
 
     h0, b_tail, _ = _free_block(config.basis, config.size)
     b = np.append(np.diag(h0, 1), b_tail)

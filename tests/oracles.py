@@ -10,7 +10,7 @@ acceptance gate need them, the scan does not.  The per-point scattering
 routes at the end evaluate one energy at a time through the public per-point
 functions and numpy's Cholesky factorisation; the batched scan kernel is
 compared with them, and the stacked ``validate`` with the per-energy
-``validate_point``.
+``validate_point``, which takes each energy's corner from the kernel alone.
 """
 
 import math
@@ -22,7 +22,7 @@ from scipy.special import eval_genlaguerre, roots_genlaguerre, spherical_jn
 
 from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform, wave_operator, weight
 from jmnl.orthopoly import laguerre_orthonormal_sequence, linearization_table
-from jmnl.reference import BasisParams, Kinematics, cosine_coefficients, h0_element, sine_coefficients
+from jmnl.reference import BasisParams, Kinematics, cosine_coefficients, h0_element, h0_matrix, sine_coefficients
 from jmnl.scattering import (
     _CASORATIAN_LIMIT,
     _EPS,
@@ -223,7 +223,11 @@ def _pivot_corner(matrix: np.ndarray, margin: float) -> float | None:
 
 
 def _corner_and_tail(energy: float, config: ModelConfig):
-    matrix = wave_operator(energy, config)
+    # a coupling g omega^2 Lambda beyond the double range leaves inf or nan entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = wave_operator(energy, config)
+    if not np.isfinite(matrix).all():
+        raise OverflowError(f"wave operator is not finite at E={energy}")
     eigenvalues = np.linalg.eigvalsh(matrix) + energy
     gap = float(np.min(np.abs(eigenvalues - energy)))
     if gap <= POLE_MARGIN * max(1.0, abs(energy)):
@@ -293,12 +297,24 @@ def _casoratian_point(energy: float, config: ModelConfig) -> tuple[float, float]
     return defect, 5.0 * count * _EPS * scale
 
 
+def kernel_corner(energy: float, config: ModelConfig):
+    """The scan kernel's corner at one energy alone, or the ArithmeticError that stops S there."""
+    ((_, _, _, (error,), (corner,)),) = _scatter([energy], [config])
+    return corner if error is None else error
+
+
+def hamiltonian(energy: float, config: ModelConfig) -> np.ndarray:
+    """H = H0 + g omega^2 Lambda at one energy, built as the stacked routes build it."""
+    w = weight(energy, config)
+    return h0_matrix(config.basis, config.size) + (config.g * w * w) * lambda_matrix(config).entries
+
+
 def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
     """The validate report with the Green's routes run one energy at a time.
 
-    Each energy S accepts gets its own wave operator and one call of each
-    public route; an error skips it in the order direct, spectral,
-    determinant.
+    Each energy gets its own kernel call for the corner S uses; an energy S
+    accepts gets its own H and one call of each public route, and an error
+    skips it in the order kernel, spectral, determinant.
     """
     report = ValidationReport()
     if energies is None:
@@ -316,30 +332,25 @@ def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
         report.add("omega-identity", False, str(exc))
 
     worst_route = 0.0
-    worst_unit = 0.0
     skipped = []
-    ((s_values, _, _, errors),) = _scatter(energies, [config])
-    for energy, s_value, error in zip(energies, s_values.tolist(), errors):
-        if error is not None:
-            skipped.append(_status(error))
+    for energy in energies:
+        corner = kernel_corner(energy, config)
+        if isinstance(corner, ArithmeticError):
+            skipped.append(_status(corner))
             continue
         try:
-            matrix = wave_operator(energy, config)
-            hamiltonian = matrix + energy * np.eye(config.size)
-            direct = green_corner_direct(matrix, energy)
-            spectral = green_corner_spectral(hamiltonian, energy)
-            det_route = green_corner_determinant(hamiltonian, energy)
+            h = hamiltonian(energy, config)
+            spectral = green_corner_spectral(h, energy)
+            det_route = green_corner_determinant(h, energy)
         except ArithmeticError as exc:
             skipped.append(_status(exc))
             continue
-        eigenvalues = np.linalg.eigvalsh(hamiltonian)
+        eigenvalues = np.linalg.eigvalsh(h)
         gap = float(np.min(np.abs(eigenvalues - energy)))
         radius = float(np.max(np.abs(eigenvalues)))
         tol = max(1e-8, 1024.0 * _EPS * radius / gap)
-        scale = abs(direct)
-        spread = max(abs(direct - spectral), abs(direct - det_route), abs(spectral - det_route))
-        worst_route = max(worst_route, spread / scale / tol)
-        worst_unit = max(worst_unit, abs(abs(s_value) - 1.0))
+        spread = max(abs(corner - spectral), abs(corner - det_route), abs(spectral - det_route))
+        worst_route = max(worst_route, spread / abs(corner) / tol)
     checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",
@@ -347,7 +358,6 @@ def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
         f"worst spread {worst_route:.3f} of the conditioning-aware tolerance "
         f"({checked} checked, {status_summary(skipped, 'skipped')})",
     )
-    report.add("unitarity", worst_unit < 1e-10, f"worst ||S|-1| = {worst_unit:.3e}")
 
     worst_defect = 0.0
     worst_ratio = 0.0

@@ -155,7 +155,7 @@ def stable_sorted_rows(request):
     grid = request.energy_grid().tolist()
     configs = [request.config_for(nu) for nu in request.nu_list]
     rows = []
-    for nu, (s, delta, amplitude, errors) in zip(request.nu_list, scattering._scatter(grid, configs)):
+    for nu, (s, delta, amplitude, errors, _) in zip(request.nu_list, scattering._scatter(grid, configs)):
         statuses = ["ok" if error is None else ORACLE_STATUS[type(error)] for error in errors]
         rows += zip([nu] * len(grid), grid, s.tolist(), delta.tolist(), amplitude.tolist(), statuses)
     return sorted(rows, key=lambda row: (row[0], row[1]))
@@ -491,17 +491,56 @@ class TestValidate:
         assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_routes_run_on_numpy_linear_algebra(self, monkeypatch, factored):
-        # each route runs once on the stack of the 8 energies: one solve (direct route), one
-        # eigh (spectral route) and two eigvalsh (the spectrum of H, shared by the tolerance
-        # and the determinant route, and its trimmed blocks); the two cholesky are the
-        # kernel's pole guard (the block's Loewner sandwich) and pivot corners (the 8 M)
+        # the kernel's corners are the first route, so validate solves nothing; the other two
+        # run once each on the stack of the 8 energies: one eigh (spectral route) and two
+        # eigvalsh (the spectrum of H, shared by the tolerance and the determinant route, and
+        # its trimmed blocks); the two cholesky are the kernel's pole guard (the block's
+        # Loewner sandwich) and pivot corners (the 8 M)
         linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh", "solve"))
         generalized = count_calls(monkeypatch, scipy.linalg, ("eigh",))
         report = validate(PAPER_REQUEST.config_for(1.0))
         assert report.passed
-        assert linalg == {"cholesky": 2, "eigh": 1, "eigvalsh": 2, "solve": 1}
+        assert linalg == {"cholesky": 2, "eigh": 1, "eigvalsh": 2}
         assert factored == [1, 8]
         assert not generalized
+
+    @pytest.mark.parametrize("nu", [4.0, 7.0])
+    def test_planted_pivot_corner_fails(self, monkeypatch, nu):
+        # the corner S uses is the route the other two check: 1.5x it in the kernel's
+        # pivot corners and green-three-route fails
+        config = PAPER_REQUEST.config_for(nu)
+        assert validate(config).passed
+        pivot_corners = scattering._pivot_corners
+
+        def planted(stack):
+            corners, failed = pivot_corners(stack)
+            return 1.5 * corners, failed
+
+        monkeypatch.setattr(scattering, "_pivot_corners", planted)
+        report = validate(config)
+        assert [c.name for c in report.checks if not c.passed] == ["green-three-route"]
+
+    def test_planted_solve_corner_fails(self, monkeypatch):
+        # g = 0: M is indefinite at the 4 default energies above the lowest free eigenvalue,
+        # so the kernel takes its checked solve there; 1.5x in that solve alone fails the check
+        config = dataclasses.replace(PAPER_REQUEST.config_for(1.0), g=0.0)
+        assert validate(config).passed
+        checked_solve, block_corners, solved = scattering._checked_solve, scattering._block_corners, []
+
+        def planted_solve(matrix, rhs, energies):
+            solved.extend(energies)
+            solution, errors = checked_solve(matrix, rhs, energies)
+            return 1.5 * solution, errors
+
+        def kernel_blocks(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(scattering, "_checked_solve", planted_solve)
+                return block_corners(*args)
+
+        monkeypatch.setattr(scattering, "_block_corners", kernel_blocks)
+        report = validate(config)
+        assert len(solved) == 4
+        assert [c.name for c in report.checks if not c.passed] == ["green-three-route"]
 
     def test_lambda_bound_fails_on_halved_eigenvalue(self, monkeypatch):
         # one term: Lambda = I / Gamma(nu+1), so lambda_min Gamma(nu+1) = 1 sits on the bound
@@ -531,7 +570,6 @@ class TestValidate:
             "lambda-positive",
             "omega-identity",
             "green-three-route",
-            "unitarity",
             "casoratian",
         ]
 
