@@ -12,9 +12,10 @@ sum_{i<K} Lt_i(x)^2 (14 at K = 8): a confining term, not a short-range one.
 Lambda is a sum of squares of symmetric matrices, hence positive definite for
 any nu > -1.  Its entries are extremely graded (the high-index corner grows
 factorially, reaching ~1e17 at nu = 1, K = 8, N = 20), so the positivity
-certificate and the whitening transform are computed from the stacked factor
-rather than from an eigendecomposition of the assembled entries, which is the
-only way to resolve the small end of the spectrum in double precision.
+certificate and the whitening transform both read one thin SVD of the stacked
+factor F (Lambda = F^T F), taken when Lambda is built, rather than an
+eigendecomposition of the assembled entries, which is the only way to
+resolve the small end of the spectrum in double precision.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ _EPS = float(np.finfo(float).eps)
 class PositivityCertificateError(RuntimeError):
     """The coupling matrix failed its positive-definiteness certificate.
 
-    For nu > -1 this cannot happen mathematically; seeing it signals an
-    implementation bug, not a legitimate parameter regime.
+    Lambda is positive definite for nu > -1, but double precision cannot
+    always show it: from nu ~ 313.16 the factor's scale 1/sqrt(Gamma(nu+1))
+    underflows and Lambda is zero, and a factor graded beyond the floor
+    16 eps sigma_max (nu = 1, N = 40, K = 12) hides lambda_min >= 1/Gamma(nu+1).
     """
 
 
@@ -69,8 +72,8 @@ class ModelConfig:
         object.__setattr__(
             self, "weight_choice", _WEIGHT_ALIASES.get(self.weight_choice, self.weight_choice)
         )
-        if not self.nu > -1:
-            raise ValueError("ansatz parameter must satisfy nu > -1")
+        if not -1 < self.nu < math.inf:
+            raise ValueError("ansatz parameter must satisfy nu > -1 and be finite")
         if self.size < 2:
             raise ValueError("matrix size must be at least 2")
         if not 1 <= self.terms <= self.size:
@@ -124,17 +127,25 @@ def _weights(mus, config: ModelConfig) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class LambdaMatrix:
-    """Coupling matrix with its positivity certificate and stacked factor."""
+    """Lambda = F^T F with its certificate, its stacked factor F and F's thin SVD.
+
+    `singular` and `v_t` are F's singular values and right singular vectors;
+    `row_sums`, |F|^T |F| 1, bounds Lambda's absolute row sums and the
+    rounding of its stored entries row by row.
+    """
 
     entries: np.ndarray
     nu: float
     terms: int
     min_eigenvalue: float
     factor: np.ndarray
+    singular: np.ndarray
+    v_t: np.ndarray
+    row_sums: np.ndarray
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
-        self.factor.setflags(write=False)
+        for array in (self.entries, self.factor, self.singular, self.v_t, self.row_sums):
+            array.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -145,35 +156,21 @@ class LambdaMatrix:
 def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
     table, factor = linearization_table(terms, size, nu)
     entries = table.sum(axis=0)
-    entries = 0.5 * (entries + entries.T)
-    singular = np.linalg.svd(factor, compute_uv=False)
+    _, singular, v_t = np.linalg.svd(factor, full_matrices=False)
+    if not singular[0] > 0:
+        raise PositivityCertificateError(f"Lambda underflowed to zero at nu={nu}: 1/Gamma(nu+1) is below the double range")
     min_eig = float(singular[-1] ** 2)
     # noise floor of the factored certificate; the analytic lower bound
-    # 1/Gamma(nu+1) sits far above it for every admissible nu
+    # 1/Gamma(nu+1) sits above it unless the factor is strongly graded
     floor = 16.0 * _EPS * float(singular[0])
     if not singular[-1] > floor:
         raise PositivityCertificateError(
             f"min eigenvalue {min_eig:.3e} indistinguishable from zero "
             f"(floor {float(floor**2):.3e}) for nu={nu}, terms={terms}, size={size}"
         )
-    return LambdaMatrix(
-        entries=entries, nu=nu, terms=terms, min_eigenvalue=min_eig, factor=factor
-    )
-
-
-@lru_cache(maxsize=64)
-def _lambda_row_sums(nu: float, terms: int, size: int) -> np.ndarray:
-    """|F|^T |F| 1 for the stacked factor F of Lambda = F^T F, read-only.
-
-    Each entry bounds the absolute row sum of Lambda, and the rounding of its
-    stored entries row by row (they are Gram products of F); for the
-    Laguerre family, whose Gram products do not cancel, it equals the
-    absolute row sum.  Cached like the matrix itself.
-    """
-    factor = np.abs(_lambda_core(nu, terms, size).factor)
-    sums = factor.T @ factor.sum(axis=1)
-    sums.setflags(write=False)
-    return sums
+    magnitude = np.abs(factor)
+    row_sums = magnitude.T @ magnitude.sum(axis=1)
+    return LambdaMatrix(entries, nu, terms, min_eig, factor, singular, v_t, row_sums)
 
 
 def lambda_matrix(config: ModelConfig) -> LambdaMatrix:
@@ -210,11 +207,10 @@ class OmegaTransform:
 
 
 def omega_transform(lam: LambdaMatrix) -> OmegaTransform:
-    """Build the transform that maps the coupling matrix to the identity."""
+    """Build the transform that maps the coupling matrix to the identity from Lambda's own SVD."""
     entries = lam.entries
-    _, singular, v_t = np.linalg.svd(lam.factor, full_matrices=False)
-    u = v_t.T
-    sigma = singular**2
+    u = lam.v_t.T
+    sigma = lam.singular**2
     q = 1.0 / np.sqrt(sigma)
     omega = q[:, None] * u.T
     defect = omega @ entries @ omega.T - np.eye(entries.shape[0])

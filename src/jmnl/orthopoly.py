@@ -38,8 +38,8 @@ __all__ = [
 
 
 def _check_nu(nu: float) -> None:
-    if not nu > -1:
-        raise ValueError(f"weight parameter must satisfy nu > -1, got {nu!r}")
+    if not -1 < nu < math.inf:
+        raise ValueError(f"weight parameter must satisfy nu > -1 and be finite, got {nu!r}")
 
 
 def _normalization(n: int, nu: float) -> float:

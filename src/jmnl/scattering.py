@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import ModelConfig, _lambda_row_sums, _weights, lambda_matrix, omega_transform
+from .nonlinear import ModelConfig, _weights, lambda_matrix, omega_transform
 from .reference import (
     BasisParams,
     Kinematics,
@@ -397,12 +397,13 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelCo
 
     r bounds, by Gershgorin's theorem, the rounding that separates the float
     matrices from the exact sandwich, row by row.  With u = eps/2, C = max|c_i|,
-    s = fl(E_max + delta_max), rho_j from :func:`_lambda_row_sums` and
-    eta_j = sum_k |H0_jk|, each of these moves row j by at most:
+    s = fl(E_max + delta_max), rho_j the row sum |F|^T |F| 1 that Lambda
+    carries (``LambdaMatrix.row_sums``) and eta_j = sum_k |H0_jk|, each of
+    these moves row j by at most:
 
     - the stored Lambda, sums of rounded Gram products of the K blocks of
-      its factor (2K - 1 products each, two symmetrisations, K - 1 sums):
-      gamma_{3K} rho_j, times c_i - c_min <= 2C;
+      its factor (2K - 1 products each, one symmetrisation, K - 1 sums):
+      within gamma_{3K} rho_j, times c_i - c_min <= 2C;
     - fl(M_i), three roundings (c_i Lambda, + H0, - E_i on the diagonal):
       gamma_3 (C rho_j + eta_j + s);
     - fl(A), four (the diagonal shift s + r_j rounds before it is subtracted):
@@ -418,7 +419,7 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelCo
     live member is its own sandwich and is left to the per-member guard.
     """
     h0, _, h0_sums = _free_block(config.basis, config.size)
-    lambda_sums = _lambda_row_sums(config.nu, config.terms, config.size)
+    lam = lambda_matrix(config)
     starts = np.arange(0, len(couplings), _BLOCK)
     # fmin and fmax pass over the nan of a failed weight
     live = np.add.reduceat(~np.isnan(couplings), starts, dtype=np.intp)
@@ -426,12 +427,12 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelCo
     size = np.fmax.reduceat(np.abs(couplings), starts)
     top = np.maximum.reduceat(energies, starts)
     shift = top + POLE_MARGIN * np.maximum(1.0, top)
-    slack = (3 * config.terms + 8) * _EPS * (np.multiply.outer(size, lambda_sums) + h0_sums + shift[:, None])
+    slack = (3 * config.terms + 8) * _EPS * (np.multiply.outer(size, lam.row_sums) + h0_sums + shift[:, None])
     diagonal = shift[:, None] + slack
     candidates = ((live > 1) & np.isfinite(diagonal).all(axis=1)).nonzero()[0]
     cleared = np.zeros(len(starts), dtype=bool)
     if len(candidates):
-        lower = _wave_stack(h0, low[candidates], lambda_matrix(config).entries, diagonal[candidates])
+        lower = _wave_stack(h0, low[candidates], lam.entries, diagonal[candidates])
         cleared[candidates] = np.isfinite(_factors(lower)).all(axis=(1, 2))
     return cleared.tolist()
 

@@ -614,6 +614,18 @@ class TestMainEntry:
         assert main(["scan", "--config", config]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_infinite_nu_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu_list = 1, inf"))
+        assert main(["scan", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and "be finite" in captured.err
+        assert captured.out == ""
+
+    def test_underflowing_lambda_is_a_numerical_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu = 400"))
+        assert main(["scan", "--config", config]) == 3
+        assert "numerical error: Lambda underflowed to zero" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["scan", "--config", "/nonexistent.cfg"]) == 1
         assert "i/o error" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 from jmnl.nonlinear import (
     LambdaMatrix,
     ModelConfig,
-    _lambda_row_sums,
+    PositivityCertificateError,
+    _lambda_core,
     _weights,
     lambda_matrix,
     omega_transform,
@@ -14,6 +15,7 @@ from jmnl.nonlinear import (
     weight,
 )
 from jmnl.reference import BasisParams, h0_matrix, sine_coefficients
+from jmnl.scattering import validate
 
 from oracles import ansatz_coefficients
 
@@ -35,6 +37,11 @@ class TestConfig:
     def test_rejects_nu_at_boundary(self):
         with pytest.raises(ValueError):
             make_config(nu=-1.0)
+
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_rejects_nu_not_finite(self, nu):
+        with pytest.raises(ValueError, match="nu > -1 and be finite"):
+            make_config(nu=nu)
 
     def test_rejects_terms_above_size(self):
         with pytest.raises(ValueError):
@@ -148,6 +155,19 @@ class TestLambdaMatrix:
             size = int(rng.integers(max(2, terms), 25))
             lam = lambda_matrix(make_config(nu=nu, terms=terms, size=size))
             assert lam.min_eigenvalue > 0
+            # each table slice is exactly symmetric, so their sum needs no symmetrisation
+            assert np.array_equal(lam.entries, lam.entries.T)
+
+    def test_underflow_to_zero_is_named(self):
+        # 1/sqrt(Gamma(401)) underflows: every entry of the factor, hence Lambda, is zero
+        with pytest.raises(PositivityCertificateError, match="underflowed to zero at nu=400.0"):
+            lambda_matrix(make_config(nu=400.0))
+
+    def test_one_svd_per_fresh_config(self, monkeypatch):
+        calls = count_svd(monkeypatch)
+        _lambda_core.cache_clear()
+        validate(make_config(nu=1.25, size=12, terms=4))
+        assert len(calls) == 1
 
     def test_factor_reproduces_entries(self):
         lam = lambda_matrix(make_config(nu=2.5, terms=4, size=9))
@@ -159,10 +179,9 @@ class TestLambdaMatrix:
     def test_row_sums_from_factor(self, nu, terms, size):
         # |F|^T |F| 1 bounds Lambda's absolute row sums; the Gram products of the Laguerre family
         # do not cancel, so the two agree to rounding
-        sums = _lambda_row_sums(nu, terms, size)
-        absolute = np.abs(lambda_matrix(make_config(nu=nu, terms=terms, size=size)).entries).sum(axis=1)
-        assert not sums.flags.writeable
-        assert np.allclose(sums, absolute, rtol=1e-13, atol=0.0)
+        lam = lambda_matrix(make_config(nu=nu, terms=terms, size=size))
+        assert not lam.row_sums.flags.writeable
+        assert np.allclose(lam.row_sums, np.abs(lam.entries).sum(axis=1), rtol=1e-13, atol=0.0)
 
     def test_shared_instance_is_cached(self):
         a = lambda_matrix(make_config())
@@ -170,19 +189,51 @@ class TestLambdaMatrix:
         assert a is b
 
 
+def hand_built(factor):
+    # a LambdaMatrix with the fields _lambda_core derives from its factor
+    _, singular, v_t = np.linalg.svd(factor, full_matrices=False)
+    return LambdaMatrix(
+        entries=factor.T @ factor,
+        nu=0.0,
+        terms=1,
+        min_eigenvalue=float(singular[-1] ** 2),
+        factor=factor,
+        singular=singular,
+        v_t=v_t,
+        row_sums=np.abs(factor).T @ np.abs(factor).sum(axis=1),
+    )
+
+
+def count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 class TestOmegaTransform:
     def test_identity_input(self):
-        lam = LambdaMatrix(entries=np.eye(4), nu=0.0, terms=1, min_eigenvalue=1.0, factor=np.eye(4))
+        lam = hand_built(np.eye(4))
         transform = omega_transform(lam)
         assert np.abs(transform.omega @ transform.omega.T - np.eye(4)).max() < 1e-12
 
     def test_diagonal_input(self):
-        entries = np.diag([4.0, 1.0])
-        lam = LambdaMatrix(
-            entries=entries, nu=0.0, terms=1, min_eigenvalue=1.0, factor=np.diag([2.0, 1.0])
-        )
+        lam = hand_built(np.diag([2.0, 1.0]))
+        assert np.array_equal(lam.entries, np.diag([4.0, 1.0]))
         transform = omega_transform(lam)
-        assert np.abs(transform.omega @ entries @ transform.omega.T - np.eye(2)).max() < 1e-12
+        assert np.abs(transform.omega @ lam.entries @ transform.omega.T - np.eye(2)).max() < 1e-12
+
+    def test_reads_the_build_svd(self, monkeypatch):
+        lam = lambda_matrix(make_config(nu=2.0))
+        calls = count_svd(monkeypatch)
+        transform = omega_transform(lam)
+        assert calls == []
+        assert np.array_equal(transform.q, 1.0 / np.sqrt(lam.singular**2))
 
     def test_wellconditioned_config_meets_strict_identity(self):
         lam = lambda_matrix(make_config(nu=1.5, terms=4, size=10))

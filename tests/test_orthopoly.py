@@ -251,6 +251,11 @@ class TestLinearizationTable:
         gram = factor.T @ factor
         assert np.allclose(gram, entries.sum(axis=0), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("nu", [-1.0, math.inf, math.nan])
+    def test_rejects_nu_outside_domain(self, nu):
+        with pytest.raises(ValueError, match="nu > -1 and be finite"):
+            linearization_table(2, 4, nu)
+
     def test_read_only(self):
         for array in linearization_table(2, 4, 0.5):
             with pytest.raises(ValueError):
