@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -208,13 +209,17 @@ def _pole_errors(eigenvalues: np.ndarray, energies: np.ndarray) -> tuple[np.ndar
     return shifted, [_pole_error(gap, energy) for gap, energy in zip(gaps, energies.tolist())]
 
 
-@lru_cache(maxsize=256)
-def _last_units(count: int, size: int) -> np.ndarray:
-    # read-only (count, size, 1) stack of the last unit column
-    unit = np.zeros((count, size, 1))
-    unit[:, -1] = 1.0
+@lru_cache(maxsize=64)
+def _last_unit(size: int) -> np.ndarray:
+    unit = np.zeros((size, 1))
+    unit[-1] = 1.0
     unit.setflags(write=False)
     return unit
+
+
+def _last_units(count: int, size: int) -> np.ndarray:
+    # read-only (count, size, 1) view of the one cached last unit column of its size
+    return np.broadcast_to(_last_unit(size), (count, size, 1))
 
 
 @lru_cache(maxsize=64)
@@ -753,18 +758,23 @@ def _lambda_bound(lam, nu: float) -> tuple[bool, str]:
     """Whether lambda_min Gamma(nu+1) >= (1 - slack)^2, and the detail line.
 
     Lambda's i = 0 term is I / Gamma(nu+1), so lambda_min >= 1/Gamma(nu+1); the
-    certificate's sqrt(lambda_min) is off by at most 16 eps ||factor||_F, which
-    times sqrt(Gamma(nu+1)) is `slack` (capped at 1).  Gamma(nu+1) overflows for
-    large nu, so it enters through lgamma; the product is at most
+    certificate's sqrt(lambda_min), the factor's smallest singular value, is
+    off by at most 16 eps ||factor||_F, which times sqrt(Gamma(nu+1)) is
+    `slack` (capped at 1).  For large nu Gamma(nu+1) overflows and
+    lambda_min underflows, so both enter as logarithms, lambda_min as twice
+    the log of the singular value; the product is at most
     Gamma(nu+1) Lambda[0, 0] = terms.
     """
-    if not lam.min_eigenvalue > 0:
-        return False, f"min eigenvalue {lam.min_eigenvalue:.6e}"
+    sigma = float(lam.singular[-1])  # positive: the build certified it above its noise floor
     half_log_gamma = 0.5 * math.lgamma(nu + 1.0)
-    slack = math.exp(min(0.0, math.log(16.0 * _EPS * float(np.linalg.norm(lam.factor))) + half_log_gamma))
-    scaled = math.exp(math.log(lam.min_eigenvalue) + 2.0 * half_log_gamma)
+    # ||factor||_F from the singular values, in logs: neither their squares nor the bound may underflow
+    log_error = math.log(16.0 * _EPS) + math.log(math.hypot(*lam.singular.tolist()))
+    slack = math.exp(min(0.0, log_error + half_log_gamma))
+    scaled = math.exp(2.0 * math.log(sigma) + 2.0 * half_log_gamma)
+    # below the normal range the stored square has lost digits or is 0: print the exact one
+    shown = lam.min_eigenvalue if lam.min_eigenvalue >= np.finfo(float).tiny else Decimal(sigma) ** 2
     return scaled >= (1.0 - slack) ** 2, (
-        f"min eigenvalue {lam.min_eigenvalue:.6e}, "
+        f"min eigenvalue {shown:.6e}, "
         f"times Gamma(nu+1) {scaled:.6g} (bound (1 - {slack:.1e})^2)"
     )
 

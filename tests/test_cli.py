@@ -548,8 +548,13 @@ class TestValidate:
         energies = np.linspace(0.6, 3.9, 3)
         assert validate(config, energies).passed
         lam = lambda_matrix(config)
-        planted = dataclasses.replace(lam, min_eigenvalue=0.5 * lam.min_eigenvalue)
+        # the bound reads the certificate's singular value; the whitening keeps the true one
+        singular = lam.singular.copy()
+        singular[-1] *= math.sqrt(0.5)
+        planted = dataclasses.replace(lam, min_eigenvalue=0.5 * lam.min_eigenvalue, singular=singular)
+        transform = scattering.omega_transform(lam)
         monkeypatch.setattr(scattering, "lambda_matrix", lambda _: planted)
+        monkeypatch.setattr(scattering, "omega_transform", lambda _: transform)
         report = validate(config, energies)
         assert [c.name for c in report.checks if not c.passed] == ["lambda-positive"]
 
@@ -560,6 +565,18 @@ class TestValidate:
             math.gamma(config.nu + 1.0)
         check = validate(config, np.linspace(0.6, 3.9, 3)).checks[0]
         assert check.name == "lambda-positive" and check.passed, check.detail
+
+    @pytest.mark.parametrize("nu", [200.0, 310.0])
+    def test_large_nu_certifies_lambda_and_names_whitening_overflow(self, nu):
+        # lambda_min = sigma_min^2 underflows to 0 from nu ~ 177 while sigma_min still certifies
+        # Lambda; the whitening's 1/sqrt(sigma^2) is then inf and its residual nan
+        config = ModelConfig(basis=BasisParams(lam=5.0, ell=1), g=2.0, nu=nu, size=20, terms=8)
+        assert lambda_matrix(config).min_eigenvalue == 0.0
+        positive, identity = validate(config).checks[:2]
+        assert positive.name == "lambda-positive" and positive.passed, positive.detail
+        assert not positive.detail.startswith("min eigenvalue 0.0")
+        assert identity.name == "omega-identity" and not identity.passed
+        assert identity.detail == "whitening failed: residual nan or its floor nan is not finite"
 
     def test_check_names(self):
         config = ModelConfig(
@@ -625,6 +642,18 @@ class TestMainEntry:
         config = write_config(tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu = 400"))
         assert main(["scan", "--config", config]) == 3
         assert "numerical error: Lambda underflowed to zero" in capsys.readouterr().err
+
+    def test_validate_at_large_nu_fails_only_the_whitening(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu_list = 200, 310").replace("N = 12\nK = 4", "N = 20\nK = 8")
+        )
+        assert main(["validate", "--config", config]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            f"[FAIL] nu={nu} omega-identity: whitening failed: residual nan or its floor nan is not finite"
+            for nu in (200, 310)
+        ]
+        assert sum(line.startswith("[ok ]") and "lambda-positive" in line for line in lines) == 2
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["scan", "--config", "/nonexistent.cfg"]) == 1

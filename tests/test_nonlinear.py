@@ -15,7 +15,7 @@ from jmnl.nonlinear import (
     weight,
 )
 from jmnl.reference import BasisParams, h0_matrix, sine_coefficients
-from jmnl.scattering import validate
+from jmnl.scattering import ScanRequest, run_scan, s_matrix, validate
 
 from oracles import ansatz_coefficients
 
@@ -187,6 +187,56 @@ class TestLambdaMatrix:
         a = lambda_matrix(make_config())
         b = lambda_matrix(make_config(g=0.0))
         assert a is b
+
+
+PAPER_NUS = tuple(float(nu) for nu in range(1, 8))
+PAPER_BASIS = BasisParams(lam=5.0, ell=1)
+
+
+def lambda_traffic(action, monkeypatch):
+    """Lambda cache hits, Lambda builds and SVD calls while ``action()`` runs."""
+    calls = count_svd(monkeypatch)
+    before = _lambda_core.cache_info()
+    action()
+    after = _lambda_core.cache_info()
+    monkeypatch.undo()
+    return after.hits - before.hits, after.misses - before.misses, len(calls)
+
+
+class TestLambdaCache:
+    """The cache serves repeated nu and gives a fresh config one short-lived entry."""
+
+    def test_repeated_paper_scan_builds_nothing(self, monkeypatch):
+        request = ScanRequest(
+            basis=PAPER_BASIS, g=2.0, size=20, terms=8, weight_choice="resonance",
+            nu_list=PAPER_NUS, e_min=0.5, e_max=6.0, steps=551,
+        )
+        run_scan(request)
+        # two lookups per config, one after the other
+        assert lambda_traffic(lambda: run_scan(request), monkeypatch) == (14, 0, 0)
+
+    def test_fresh_validates_hold_at_most_16_entries(self, monkeypatch):
+        rng = np.random.default_rng(2117)
+        pairs = ((16, 4), (20, 8), (24, 10), (32, 8), (40, 8), (48, 8))
+        for index in range(40):
+            size, terms = pairs[index % len(pairs)]
+            config = make_config(nu=float(rng.uniform(0.0, 8.0)), size=size, terms=terms)
+            # four lookups back to back: one build, then three hits
+            assert lambda_traffic(lambda: validate(config), monkeypatch) == (3, 1, 1)
+            assert _lambda_core.cache_info().currsize <= 16
+
+    def test_point_queries_on_the_paper_nu_build_nothing(self, monkeypatch):
+        configs = [make_config(nu=nu) for nu in PAPER_NUS]
+        for config in configs:
+            lambda_matrix(config)
+
+        def queries():
+            for energy in (0.7, 2.9, 5.3):
+                for config in configs:
+                    s_matrix(energy, config)
+
+        # one lookup per query
+        assert lambda_traffic(queries, monkeypatch) == (21, 0, 0)
 
 
 def hand_built(factor):

@@ -87,6 +87,16 @@ class TestGreenDirect:
         assert residual < 1e-9
         assert green_corner_direct(matrix, energy=1.0) == solution[0, -1, 0]
 
+    def test_unit_columns_view_one_array_per_size(self):
+        # a checked-solve stack of any count reads the one cached column of its size
+        units = [_last_units(count, 20) for count in range(1, 65)]
+        assert all(np.shares_memory(unit, units[0]) and not unit.flags.writeable for unit in units)
+        dense = np.zeros((64, 20, 1))
+        dense[:, -1] = 1.0
+        assert np.array_equal(units[-1], dense)
+        stack = np.stack([wave_operator(energy, make_config()) for energy in np.linspace(0.6, 5.9, 64)])
+        assert np.array_equal(np.linalg.solve(stack, units[-1]), np.linalg.solve(stack, dense))
+
     @pytest.mark.parametrize("route", [green_corner_direct])
     def test_singular_raises_pole(self, route):
         with pytest.raises(PoleError):
