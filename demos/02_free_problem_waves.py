@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.special import jv, yv
 
-from jmnl import BasisParams, basis_function, cosine_coefficients, h0_element, sine_coefficients
+from jmnl import BasisParams, basis_function, cosine_coefficients, h0_matrix, sine_coefficients
 
 basis = BasisParams(lam=1.0, ell=1)
 energy = 0.8
@@ -29,7 +29,8 @@ def resummed(coefficients: np.ndarray, r: float) -> float:
 
 
 print("== tridiagonal free Hamiltonian (ell=1, lam=1)")
-print("   a_0 =", h0_element(0, 0, basis), "  b_0 =", h0_element(0, 1, basis))
+h0 = h0_matrix(basis, 2)
+print("   a_0 =", h0[0, 0], "  b_0 =", h0[0, 1])
 
 s = sine_coefficients(energy, basis, 12)
 c = cosine_coefficients(energy, basis, 12)

@@ -21,11 +21,9 @@ from .nonlinear import (
 from .orthopoly import gauss_laguerre_rule, jacobi_matrix, linearization_table
 from .reference import (
     BasisParams,
-    Kinematics,
     RecurrenceOverflowError,
     basis_function,
     cosine_coefficients,
-    h0_element,
     h0_matrix,
     sine_coefficients,
 )
@@ -34,7 +32,6 @@ from .scattering import (
     PoleError,
     ScatterPoint,
     green_corner_determinant,
-    green_corner_direct,
     green_corner_spectral,
     s_matrix,
 )
@@ -43,7 +40,6 @@ __all__ = [
     "__version__",
     "BasisParams",
     "DegenerateEnergyError",
-    "Kinematics",
     "LambdaMatrix",
     "ModelConfig",
     "OmegaTransform",
@@ -55,9 +51,7 @@ __all__ = [
     "cosine_coefficients",
     "gauss_laguerre_rule",
     "green_corner_determinant",
-    "green_corner_direct",
     "green_corner_spectral",
-    "h0_element",
     "h0_matrix",
     "jacobi_matrix",
     "lambda_matrix",

@@ -13,9 +13,10 @@ Two subcommands:
 Config files are flat ``key = value`` text with ``#`` comments.  Keys:
 ell, g, lambda, nu (or nu_list), N, K, weight, e_min, e_max, steps, out.
 
-Exit codes: 0 success, 1 validation or check failure, a config error or an
-i/o error, 2 usage error, 3 numerical failure (an uncaught numerical error,
-or a scan in which no row is ``ok``).
+Exit codes: 0 success, 1 validation or check failure, a config error (a
+file that is not UTF-8 text among them) or an i/o error, 2 usage error, 3
+numerical failure (an uncaught numerical error, or a scan in which no row is
+``ok``), 4 out of memory (a grid or a matrix size too large to allocate).
 """
 
 from __future__ import annotations
@@ -93,8 +94,13 @@ def _convert(pairs, key, caster, kind):
 
 def load_scan_request(path: str, output_override: str | None = None) -> ScanRequest:
     """Parse and validate a scan config file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        pairs = _parse_pairs(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from exc
+    pairs = _parse_pairs(text)
     missing = sorted(_REQUIRED - pairs.keys())
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
@@ -211,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError, PositivityCertificateError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orthopoly import linearization_table
-from .reference import BasisParams, Kinematics, h0_matrix
+from .reference import BasisParams, _momentum, h0_matrix
 
 __all__ = [
     "WEIGHT_CHOICES",
@@ -88,7 +88,7 @@ class ModelConfig:
 
 def weight(energy: float, config: ModelConfig) -> float:
     """Energy-dependent weight of the ansatz coefficients; OverflowError where it is not finite."""
-    (value,), (error,) = _weights([Kinematics.from_energy(energy, config.basis).mu], config)
+    (value,), (error,) = _weights([_momentum(energy, config.basis)], config)
     if error is not None:
         raise error
     return value
@@ -195,35 +195,31 @@ def lambda_matrix(config: ModelConfig) -> LambdaMatrix:
 class OmegaTransform:
     """Whitening transform with Omega @ Lambda @ Omega.T = identity.
 
-    `u` holds orthonormal eigenvectors of the coupling matrix, `q` the
-    inverse square roots of its eigenvalues (the diagonal of Q), and
-    omega = Q @ u.T.  `residual` is the measured max-norm defect of the
-    identity and `floor` the double-precision evaluation limit of that
-    product; for well-conditioned matrices the residual is below 1e-10,
-    for strongly graded ones it can only be certified down to the floor.
+    omega = Q @ u.T, with u the orthonormal eigenvectors of the coupling
+    matrix (``LambdaMatrix.v_t.T``) and Q the inverse square roots of its
+    eigenvalues (``1 / LambdaMatrix.singular``).  `residual` is the measured
+    max-norm defect of the identity and `floor` the double-precision
+    evaluation limit of that product; for well-conditioned matrices the
+    residual is below 1e-10, for strongly graded ones it can only be
+    certified down to the floor.
     """
 
     omega: np.ndarray
-    u: np.ndarray
-    q: np.ndarray
     residual: float
     floor: float
 
     def __post_init__(self):
         self.omega.setflags(write=False)
-        self.u.setflags(write=False)
-        self.q.setflags(write=False)
 
 
 def omega_transform(lam: LambdaMatrix) -> OmegaTransform:
     """Build the transform that maps the coupling matrix to the identity from Lambda's own SVD."""
     entries = lam.entries
-    u = lam.v_t.T
     sigma = lam.singular**2
     # sigma underflows to 0 from nu ~ 177: q is then inf and the check below rejects it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = 1.0 / np.sqrt(sigma)
-        omega = q[:, None] * u.T
+        omega = q[:, None] * lam.v_t
         defect = omega @ entries @ omega.T - np.eye(entries.shape[0])
         residual = float(np.abs(defect).max())
         abs_product = np.abs(omega) @ np.abs(entries) @ np.abs(omega.T)
@@ -237,12 +233,24 @@ def omega_transform(lam: LambdaMatrix) -> OmegaTransform:
             f"whitening failed: residual {residual:.3e} above tolerance "
             f"max(1e-10, {floor:.3e})"
         )
-    return OmegaTransform(omega=omega, u=u, q=q, residual=residual, floor=floor)
+    return OmegaTransform(omega=omega, residual=residual, floor=floor)
 
 
 def wave_operator(energy: float, config: ModelConfig) -> np.ndarray:
-    """N x N wave-operator matrix H0 + g omega^2 Lambda - E."""
-    h0 = h0_matrix(config.basis, config.size)
+    """N x N wave-operator matrix H0 + g omega^2 Lambda - E; a batch of one through :func:`_wave_stack`."""
     w = weight(energy, config)
-    lam = lambda_matrix(config)
-    return h0 + (config.g * w * w) * lam.entries - energy * np.eye(config.size)
+    h0 = h0_matrix(config.basis, config.size)
+    return _wave_stack(h0, [config.g * w * w], lambda_matrix(config).entries, energy)[0]
+
+
+def _wave_stack(h0: np.ndarray, couplings, entries: np.ndarray, shifts) -> np.ndarray:
+    """Operators H0 + c_i Lambda - diag(shifts_i) as a (B, N, N) stack; ``shifts`` is (B, 1), (B, N) or a scalar."""
+    stack = np.multiply.outer(couplings, entries)
+    stack += h0
+    _diagonal(stack)[...] -= shifts
+    return stack
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    # writable (B, N) view of the diagonals of a contiguous (B, N, N) stack
+    return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]

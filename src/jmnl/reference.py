@@ -32,9 +32,7 @@ from .orthopoly import laguerre_orthonormal_sequence
 
 __all__ = [
     "BasisParams",
-    "Kinematics",
     "RecurrenceOverflowError",
-    "h0_element",
     "h0_matrix",
     "sine_coefficients",
     "cosine_coefficients",
@@ -64,47 +62,32 @@ class BasisParams:
         return self.ell + 0.5
 
 
-@dataclass(frozen=True)
-class Kinematics:
-    """Energy, wavenumber and dimensionless momentum, mutually consistent."""
-
-    energy: float
-    wavenumber: float
-    mu: float
-
-    @classmethod
-    def from_energy(cls, energy: float, basis: BasisParams) -> "Kinematics":
-        if not energy > 0:
-            raise ValueError("energy must be positive")
-        k = math.sqrt(2.0 * energy)
-        return cls(energy=energy, wavenumber=k, mu=k / basis.lam)
-
-
-def h0_element(n: int, m: int, basis: BasisParams) -> float:
-    """Tridiagonal matrix element of the free Hamiltonian.
-
-    Diagonal (lam^2/2)(2n + ell + 3/2); first off-diagonal
-    (lam^2/2) sqrt((n+1)(n + ell + 3/2)); zero beyond.
-    """
-    scale = 0.5 * basis.lam**2
-    if n == m:
-        return scale * (2 * n + basis.ell + 1.5)
-    lo = min(n, m)
-    if abs(n - m) == 1:
-        return scale * math.sqrt((lo + 1) * (lo + basis.ell + 1.5))
-    return 0.0
+def _momentum(energy: float, basis: BasisParams) -> float:
+    # dimensionless momentum mu = k / lam of the wavenumber k = sqrt(2E)
+    if not energy > 0:
+        raise ValueError("energy must be positive")
+    return math.sqrt(2.0 * energy) / basis.lam
 
 
 def h0_matrix(basis: BasisParams, size: int) -> np.ndarray:
-    """Dense size x size block of the free Hamiltonian."""
+    """Dense size x size block of the free Hamiltonian.
+
+    Diagonal (lam^2/2)(2n + ell + 3/2); first off-diagonals, the couplings
+    b_n, (lam^2/2) sqrt((n+1)(n + ell + 3/2)); zero beyond.
+    """
     n = np.arange(size, dtype=float)
     diag = 0.5 * basis.lam**2 * (2 * n + basis.ell + 1.5)
     off = 0.5 * basis.lam**2 * np.sqrt((n[:-1] + 1) * (n[:-1] + basis.ell + 1.5))
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _sine_prefactor(kin: Kinematics, basis: BasisParams) -> float:
-    return (2.0 / math.sqrt(basis.lam)) * kin.mu ** (basis.ell + 1) * math.exp(-kin.mu**2 / 2.0)
+def _sine_prefactor(mu: float, basis: BasisParams) -> float:
+    return (2.0 / math.sqrt(basis.lam)) * mu ** (basis.ell + 1) * math.exp(-mu**2 / 2.0)
+
+
+def _lt_0(basis: BasisParams) -> float:
+    # Lt_0 = 1 / sqrt(Gamma(nu + 1)), nu = ell + 1/2: the n = 0 normalisation of both sequences
+    return math.exp(-0.5 * math.lgamma(basis.nu_basis + 1.0))
 
 
 @lru_cache(maxsize=64)
@@ -137,18 +120,18 @@ def _read_only(values: list[float]) -> np.ndarray:
     return array
 
 
-def _sine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[float]:
+def _sine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
-    z = kin.mu**2
-    prefactor = _sine_prefactor(kin, basis)
-    lt_0 = math.exp(-0.5 * math.lgamma(basis.nu_basis + 1.0))
+    z = mu**2
+    prefactor = _sine_prefactor(mu, basis)
+    lt_0 = _lt_0(basis)
     if count == 1:
         values = [prefactor * lt_0]
     else:
         minus_lt_1 = (z - (basis.ell + 1.5)) * lt_0 / math.sqrt(basis.ell + 1.5)
         values = [prefactor * v for v in _free_recursion(lt_0, minus_lt_1, z, basis.ell, count)]
     if not all(map(math.isfinite, values)):
-        raise RecurrenceOverflowError(f"sine coefficients overflowed for mu={kin.mu:.3g}")
+        raise RecurrenceOverflowError(f"sine coefficients overflowed for mu={mu:.3g}")
     return values
 
 
@@ -161,7 +144,7 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarr
     :class:`RecurrenceOverflowError` where e^{-mu^2/2} underflows as Lt_n overflows,
     so the returned read-only array is finite.
     """
-    return _read_only(_sine_sequence(Kinematics.from_energy(energy, basis), basis, count))
+    return _read_only(_sine_sequence(_momentum(energy, basis), basis, count))
 
 
 def _kummer(basis: BasisParams, z):
@@ -170,27 +153,25 @@ def _kummer(basis: BasisParams, z):
     return hyp1f1(-nu, 1.0 - nu, z)
 
 
-def _cosine_seed(kin: Kinematics, basis: BasisParams, kummer: float) -> float:
+def _cosine_seed(mu: float, basis: BasisParams, kummer: float) -> float:
     # closed-form c_0 from kummer = M(-nu, 1-nu, mu^2), nu = ell + 1/2
-    nu = basis.nu_basis
-    a0 = math.exp(-0.5 * math.lgamma(nu + 1.0))
     return (
         (2.0 / math.sqrt(basis.lam))
-        * (math.exp(math.lgamma(nu)) / math.pi)
-        * kin.mu ** (-basis.ell)
-        * math.exp(-kin.mu**2 / 2.0)
-        * a0
+        * (math.exp(math.lgamma(basis.nu_basis)) / math.pi)
+        * mu ** (-basis.ell)
+        * math.exp(-mu**2 / 2.0)
+        * _lt_0(basis)
         * kummer
     )
 
 
-def _seed_drive(kin: Kinematics, basis: BasisParams) -> float:
+def _seed_drive(mu: float, basis: BasisParams) -> float:
     # inhomogeneity of the n = 0 relation, in mu^2-scaled (dimensionless) form
     return (
         -(2.0 / math.pi)
         * math.sqrt(math.exp(math.lgamma(basis.ell + 1.5)) / basis.lam)
-        * kin.mu ** (-basis.ell)
-        * math.exp(kin.mu**2 / 2.0)
+        * mu ** (-basis.ell)
+        * math.exp(mu**2 / 2.0)
     )
 
 
@@ -201,27 +182,27 @@ def _seed_in_range(drive: float) -> bool:
     return math.isfinite(drive)
 
 
-def _seed_overflow(kin: Kinematics) -> RecurrenceOverflowError:
+def _seed_overflow(mu: float) -> RecurrenceOverflowError:
     return RecurrenceOverflowError(
-        f"cosine seed overflowed for mu={kin.mu:.3g}; the requested "
+        f"cosine seed overflowed for mu={mu:.3g}; the requested "
         "momentum is outside the double-precision range of the seed"
     )
 
 
-def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[float]:
+def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     """c_0 .. c_{count-1} in Python floats; see :func:`cosine_coefficients`."""
     ell = basis.ell
-    z = kin.mu**2
+    z = mu**2
     try:
-        drive = _seed_drive(kin, basis)
-        c0 = _cosine_seed(kin, basis, float(_kummer(basis, z))) if _seed_in_range(drive) else math.nan
+        drive = _seed_drive(mu, basis)
+        c0 = _cosine_seed(mu, basis, float(_kummer(basis, z))) if _seed_in_range(drive) else math.nan
     except OverflowError as exc:
-        raise _seed_overflow(kin) from exc
+        raise _seed_overflow(mu) from exc
     if count == 1 and math.isfinite(c0):
         return [c0]  # a non-finite c_0 reaches the seed check below
     c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
     if not (math.isfinite(c0) and math.isfinite(c1)):
-        raise _seed_overflow(kin)
+        raise _seed_overflow(mu)
     values = _free_recursion(c0, c1, z, ell, count)
     guard = 1e8 * max(abs(c0), abs(c1), 1e-300)
     # from finite c_0, c_1 the recursion reaches nan only through inf
@@ -231,7 +212,7 @@ def _cosine_sequence(kin: Kinematics, basis: BasisParams, count: int) -> list[fl
             n for n, value in enumerate(values) if not math.isfinite(value) or abs(value) > guard
         )
         raise RecurrenceOverflowError(
-            f"cosine recursion unstable at n={n} for mu={kin.mu:.3g} "
+            f"cosine recursion unstable at n={n} for mu={mu:.3g} "
             f"(|c_n| exceeded {guard:.2e}); reduce count"
         )
     return values
@@ -246,18 +227,18 @@ _NAN_TERMS = (complex(math.nan, math.nan),) * 2
 _STACKED_FROM = 16
 
 
-def _float_tails(kin: Kinematics, basis: BasisParams, count: int):
+def _float_tails(mu: float, basis: BasisParams, count: int):
     # the tail terms of one energy from the float sequences, or its error
     try:
-        s0, s1 = _sine_sequence(kin, basis, count)[-2:]
-        c0, c1 = _cosine_sequence(kin, basis, count)[-2:]
+        s0, s1 = _sine_sequence(mu, basis, count)[-2:]
+        c0, c1 = _cosine_sequence(mu, basis, count)[-2:]
     except ArithmeticError as exc:
         return _NAN_TERMS, exc
     return (c0 - 1j * s0, c1 - 1j * s1), None
 
 
-def _free_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
-    """Tail terms c_n - i s_n at n = count-2, count-1 (count >= 2) of each energy.
+def _free_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
+    """Tail terms c_n - i s_n at n = count-2, count-1 (count >= 2) of each energy's momentum mu.
 
     Returns a (B, 2) complex array and, per energy, ``None`` or the
     ArithmeticError that :func:`_sine_sequence`, then :func:`_cosine_sequence`
@@ -265,13 +246,13 @@ def _free_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tuple
     energies run those float sequences one by one, more
     :func:`_stacked_tails`, which gives the same bits and errors.
     """
-    if len(kins) < _STACKED_FROM:
-        pairs = [_float_tails(kin, basis, count) for kin in kins]
+    if len(mus) < _STACKED_FROM:
+        pairs = [_float_tails(mu, basis, count) for mu in mus]
         return np.array([terms for terms, _ in pairs], dtype=complex).reshape(-1, 2), [e for _, e in pairs]
-    return _stacked_tails(kins, basis, count)
+    return _stacked_tails(mus, basis, count)
 
 
-def _stacked_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
+def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
     """:func:`_free_tails` as one stacked (2, B) recursion of the unscaled sine and the cosine.
 
     The recursion runs through :func:`_free_recursion`, with the seeds computed
@@ -280,11 +261,11 @@ def _stacked_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tu
     test takes the float sequences, which raise its error.
     """
     ell = basis.ell
-    lt_0 = math.exp(-0.5 * math.lgamma(basis.nu_basis + 1.0))
+    lt_0 = _lt_0(basis)
     regular, irregular, seeds = [], [], []
-    for j, kin in enumerate(kins):
+    for j, mu in enumerate(mus):
         try:
-            seed = (kin.mu**2, _sine_prefactor(kin, basis), _seed_drive(kin, basis))
+            seed = (mu**2, _sine_prefactor(mu, basis), _seed_drive(mu, basis))
         except ArithmeticError:
             seed = None
         if seed is not None and _seed_in_range(seed[2]):
@@ -294,7 +275,7 @@ def _stacked_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tu
             irregular.append(j)
     z, prefactor, drive = np.array(seeds).reshape(-1, 3).T
     # no factor of c_0 raises where the drive did not
-    c0 = np.array([_cosine_seed(kins[j], basis, m) for j, m in zip(regular, _kummer(basis, z).tolist())])
+    c0 = np.array([_cosine_seed(mus[j], basis, m) for j, m in zip(regular, _kummer(basis, z).tolist())])
     with np.errstate(over="ignore", invalid="ignore"):
         # a failing energy leaves inf or nan in its own column
         c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
@@ -308,11 +289,11 @@ def _stacked_tails(kins: list[Kinematics], basis: BasisParams, count: int) -> tu
         peak = np.fmax.reduce(np.abs(cosine))
         passed = np.isfinite(sine).all(axis=0) & np.isfinite(c0) & np.isfinite(c1)
         passed &= np.isfinite(peak) & (peak <= guard)
-    terms = np.empty((len(kins), 2), dtype=complex)
+    terms = np.empty((len(mus), 2), dtype=complex)
     terms[regular] = (cosine[-2:] - 1j * sine[-2:]).T
-    errors = [None] * len(kins)
+    errors = [None] * len(mus)
     for j in irregular + [regular[i] for i in np.flatnonzero(~passed).tolist()]:
-        terms[j], errors[j] = _float_tails(kins[j], basis, count)
+        terms[j], errors[j] = _float_tails(mus[j], basis, count)
     return terms, errors
 
 
@@ -326,7 +307,7 @@ def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> np.nda
     raises if the requested count leaves the stable range), so the returned
     read-only array is finite.
     """
-    return _read_only(_cosine_sequence(Kinematics.from_energy(energy, basis), basis, count))
+    return _read_only(_cosine_sequence(_momentum(energy, basis), basis, count))
 
 
 def basis_function(n: int, r: float, basis: BasisParams) -> float:

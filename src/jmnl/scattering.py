@@ -40,14 +40,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import ModelConfig, _weights, lambda_matrix, omega_transform
+from .nonlinear import ModelConfig, _diagonal, _wave_stack, _weights, lambda_matrix, omega_transform
 from .reference import (
     BasisParams,
-    Kinematics,
     RecurrenceOverflowError,
     _free_tails,
+    _momentum,
     cosine_coefficients,
-    h0_element,
     h0_matrix,
     sine_coefficients,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "PoleError",
     "DegenerateEnergyError",
     "POLE_MARGIN",
-    "green_corner_direct",
     "green_corner_spectral",
     "green_corner_determinant",
     "s_matrix",
@@ -80,6 +78,10 @@ POLE_MARGIN = 1e-6
 
 #: energies per stacked block of the scan kernel; bounds its (B, N, N) arrays
 _BLOCK = 64
+
+#: most rows a scan holds: numpy indexes at most intp.max bytes in one array, and
+#: the widest column of a scan, S, takes 16 bytes (complex128) per row
+_MAX_ROWS = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 
 class PoleError(ArithmeticError):
@@ -188,8 +190,9 @@ def _gamma(n: int) -> float:
     return n * 0.5 * _EPS / (1.0 - n * 0.5 * _EPS)
 
 
-def _margin(e_hat: float) -> float:
-    return POLE_MARGIN * max(1.0, abs(e_hat))
+def _margin(energies):
+    # the pole margin delta(E) = POLE_MARGIN max(1, |E|) of an energy, or elementwise of an array
+    return POLE_MARGIN * np.maximum(1.0, np.abs(energies))
 
 
 def _pole_error(gap: float, e_hat: float) -> PoleError | None:
@@ -223,29 +226,20 @@ def _last_units(count: int, size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Free Hamiltonian block, its tail coupling b_{N-1} and its absolute row sums, shared by every energy.
+def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free Hamiltonian block H0, its couplings b_0 .. b_{N-1} and its absolute row sums, shared by every energy.
 
-    Cached so that a batch of one (:func:`s_matrix`) does not rebuild it.
+    H0 and the couplings, b_{N-1} among them, come from one (N + 1) x (N + 1)
+    block; all three are read-only.  Cached so that a batch of one
+    (:func:`s_matrix`) does not rebuild them.
     """
-    h0 = h0_matrix(basis, size)
-    h0.setflags(write=False)
+    full = h0_matrix(basis, size + 1)
+    h0 = np.ascontiguousarray(full[:-1, :-1])
+    couplings = np.diag(full, 1).copy()
     sums = np.abs(h0).sum(axis=1)
-    sums.setflags(write=False)
-    return h0, h0_element(size - 1, size, basis), sums
-
-
-def green_corner_direct(wave_op: np.ndarray, energy: float | None = None) -> float:
-    """Corner Green's value from one checked solve for the last column.
-
-    Raises :class:`PoleError` when the matrix is singular or the residual
-    cannot be brought under max(1e-9, double-precision floor).
-    """
-    matrix = np.asarray(wave_op, dtype=float)
-    solution, (error,) = _checked_solve(matrix[None], _last_units(1, matrix.shape[0]), [energy])
-    if error is not None:
-        raise error
-    return float(solution[0, -1, 0])
+    for array in (h0, couplings, sums):
+        array.setflags(write=False)
+    return h0, couplings, sums
 
 
 def _symmetric(h: np.ndarray) -> np.ndarray:
@@ -322,7 +316,7 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     G_c that S used, which :func:`validate` checks), and a list with, per
     energy, ``None`` or the ArithmeticError that stops S there (its values
     are then nan).  The configs must share basis and size: the free
-    side (kinematics, tail terms c_n - i s_n at n = N-1, N) is evaluated once
+    side (momentum, tail terms c_n - i s_n at n = N-1, N) is evaluated once
     per energy, and a tail error surfaces after weight, pole guard and solve,
     as for the energy alone.  Per config, the weights and couplings of all
     energies are one pass each, and each block of up to ``_BLOCK`` energies
@@ -357,10 +351,10 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     ArithmeticError (a non-positive energy, a failed eigensolver) propagate.
     """
     basis, size = configs[0].basis, configs[0].size
-    h0, b_tail, _ = _free_block(basis, size)
-    kins = [Kinematics.from_energy(energy, basis) for energy in energies]
-    mus = [kin.mu for kin in kins]
-    terms, tail_errors = _free_tails(kins, basis, size + 1)
+    h0, b, _ = _free_block(basis, size)
+    b_tail = b[-1]
+    mus = [_momentum(energy, basis) for energy in energies]
+    terms, tail_errors = _free_tails(mus, basis, size + 1)
     tail_failed = [j for j, error in enumerate(tail_errors) if error is not None]
     columns = []
     # a failing member leaves inf or nan in its own entries (an overflowing coupling,
@@ -431,7 +425,7 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelCo
     low = np.fmin.reduceat(couplings, starts)
     size = np.fmax.reduceat(np.abs(couplings), starts)
     top = np.maximum.reduceat(energies, starts)
-    shift = top + POLE_MARGIN * np.maximum(1.0, top)
+    shift = top + _margin(top)
     slack = (3 * config.terms + 8) * _EPS * (np.multiply.outer(size, lam.row_sums) + h0_sums + shift[:, None])
     diagonal = shift[:, None] + slack
     candidates = ((live > 1) & np.isfinite(diagonal).all(axis=1)).nonzero()[0]
@@ -440,11 +434,6 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelCo
         lower = _wave_stack(h0, low[candidates], lam.entries, diagonal[candidates])
         cleared[candidates] = np.isfinite(_factors(lower)).all(axis=(1, 2))
     return cleared.tolist()
-
-
-def _diagonal(stack: np.ndarray) -> np.ndarray:
-    # writable (B, N) view of the diagonals of a contiguous (B, N, N) stack
-    return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
 def _factors(stack: np.ndarray) -> np.ndarray:
@@ -465,7 +454,7 @@ def _factors(stack: np.ndarray) -> np.ndarray:
 def _uncertified(stack: np.ndarray, margins: np.ndarray) -> list[int]:
     """Members i for which a Cholesky factorisation cannot certify M_i - delta_i I positive definite.
 
-    ``margins`` holds delta_i, the (B, 1) margins of :func:`_pole_error`, so a
+    ``margins`` holds delta_i, the (B, 1) margins of :func:`_margin`, so a
     certified member has every eigenvalue of M_i above it and no pole flag.
     """
     shifted = stack.copy()
@@ -501,14 +490,6 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return corner, (~passed).nonzero()[0].tolist()
 
 
-def _wave_stack(h0: np.ndarray, couplings, entries: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Operators H0 + c_i Lambda - diag(shifts_i) as a (B, N, N) stack; ``shifts`` is (B, 1), (B, N) or a scalar."""
-    stack = np.multiply.outer(couplings, entries)
-    stack += h0
-    _diagonal(stack)[...] -= shifts
-    return stack
-
-
 def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, entries: np.ndarray, cleared: bool):
     """Corner G_c at each energy of one block, nan where a weight, pole guard or solve fails.
 
@@ -529,7 +510,7 @@ def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, e
     e = np.array(at)[:, None]
     # an overflowing coupling leaves inf or nan entries: the pole guard reports them
     stack = _wave_stack(h0, couplings if len(live) == len(block) else couplings[live], entries, e)
-    doubtful = [] if cleared else _uncertified(stack, POLE_MARGIN * np.maximum(1.0, np.abs(e)))
+    doubtful = [] if cleared else _uncertified(stack, _margin(e))
     certified, solve = list(range(len(live))), []
     if doubtful:
         finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
@@ -611,6 +592,10 @@ class ScanRequest:
             raise ValueError("steps must be at least 2")
         if not self.nu_list:
             raise ValueError("at least one nu value is required")
+        if self.steps * len(self.nu_list) > _MAX_ROWS:
+            raise ValueError(
+                f"steps x nu values must be at most {_MAX_ROWS} rows, the largest complex column numpy can index"
+            )
 
     def config_for(self, nu: float) -> ModelConfig:
         return ModelConfig(
@@ -805,7 +790,7 @@ def _green_routes(config: ModelConfig, energies: list, corners: list) -> tuple[t
     """
     h0, _, _ = _free_block(config.basis, config.size)
     e = np.array(energies)
-    weights, _ = _weights([Kinematics.from_energy(energy, config.basis).mu for energy in energies], config)
+    weights, _ = _weights([_momentum(energy, config.basis) for energy in energies], config)
     w = np.array(weights)
     hamiltonian = _wave_stack(h0, config.g * w * w, lambda_matrix(config).entries, 0.0)
     eigenvalues = np.linalg.eigvalsh(hamiltonian)
@@ -888,8 +873,7 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         f"({checked} checked, {status_summary(skipped, 'skipped')})",
     )
 
-    h0, b_tail, _ = _free_block(config.basis, config.size)
-    b = np.append(np.diag(h0, 1), b_tail)
+    _, b, _ = _free_block(config.basis, config.size)
     worst_defect = 0.0
     worst_ratio = 0.0
     skipped = []

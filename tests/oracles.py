@@ -8,7 +8,9 @@ residuals in the middle (product linearization, the regular free wave) and
 the ansatz coefficients combine the package's own pieces; the tests and the
 acceptance gate need them, the scan does not.  The per-point scattering
 routes at the end evaluate one energy at a time through the public per-point
-functions and numpy's Cholesky factorisation; the batched scan kernel is
+functions, numpy's Cholesky factorisation and, where that cannot certify the
+energy, the kernel's checked solve for one matrix (:func:`checked_corner`);
+the batched scan kernel is
 compared with them, and the stacked ``validate`` with the per-energy
 ``validate_point``, which takes each energy's corner from the kernel alone.
 """
@@ -22,7 +24,7 @@ from scipy.special import eval_genlaguerre, roots_genlaguerre, spherical_jn
 
 from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform, wave_operator, weight
 from jmnl.orthopoly import laguerre_orthonormal_sequence, linearization_table
-from jmnl.reference import BasisParams, Kinematics, cosine_coefficients, h0_element, h0_matrix, sine_coefficients
+from jmnl.reference import BasisParams, _momentum, cosine_coefficients, h0_matrix, sine_coefficients
 from jmnl.scattering import (
     _CASORATIAN_LIMIT,
     _EPS,
@@ -31,11 +33,11 @@ from jmnl.scattering import (
     PoleError,
     ScatterPoint,
     ValidationReport,
+    _checked_solve,
     _lambda_bound,
     _scatter,
     _status,
     green_corner_determinant,
-    green_corner_direct,
     green_corner_spectral,
     status_summary,
 )
@@ -128,7 +130,7 @@ def linearization_identity_residual(i: int, n: int, nu: float, z: float) -> floa
 
 def ansatz_coefficients(energy: float, config: ModelConfig, count: int) -> np.ndarray:
     """Weighted orthonormal-Laguerre ansatz f_n(E) = omega(E) Lt_n(mu^2), n < count."""
-    mu = Kinematics.from_energy(energy, config.basis).mu
+    mu = _momentum(energy, config.basis)
     return weight(energy, config) * laguerre_orthonormal_sequence(count - 1, config.nu, mu**2)
 
 
@@ -206,8 +208,23 @@ def _kinematic_tail(energy: float, config: ModelConfig):
     count = config.size + 1
     s = sine_coefficients(energy, config.basis, count)
     c = cosine_coefficients(energy, config.basis, count)
-    b_tail = h0_element(config.size - 1, config.size, config.basis)
+    b_tail = free_couplings(config)[-1]
     return s, c, b_tail
+
+
+def free_couplings(config: ModelConfig) -> np.ndarray:
+    """The free couplings b_0 .. b_{N-1}: the first off-diagonal of the (N + 1) x (N + 1) block of H0."""
+    return np.diag(h0_matrix(config.basis, config.size + 1), 1)
+
+
+def checked_corner(matrix: np.ndarray, energy: float | None = None) -> float:
+    """Corner of the inverse of one matrix from the kernel's checked solve; raises its PoleError."""
+    unit = np.zeros((1, len(matrix), 1))
+    unit[0, -1] = 1.0
+    solution, (error,) = _checked_solve(np.asarray(matrix, dtype=float)[None], unit, [energy])
+    if error is not None:
+        raise error
+    return float(solution[0, -1, 0])
 
 
 def _pivot_corner(matrix: np.ndarray, margin: float) -> float | None:
@@ -237,7 +254,7 @@ def _corner_and_tail(energy: float, config: ModelConfig):
         )
     corner = _pivot_corner(matrix, POLE_MARGIN * max(1.0, abs(energy)))
     if corner is None:
-        corner = green_corner_direct(matrix, energy)
+        corner = checked_corner(matrix, energy)
     s, c, b_tail = _kinematic_tail(energy, config)
     return corner, s, c, b_tail
 
@@ -285,11 +302,11 @@ def s_matrix_tr_form(energy: float, config: ModelConfig) -> ScatterPoint:
 
 
 def _casoratian_point(energy: float, config: ModelConfig) -> tuple[float, float]:
-    """Relative Casoratian defect over n < N and its rounding bound, b_n one h0_element each."""
+    """Relative Casoratian defect over n < N and its rounding bound, b_n from h0_matrix."""
     basis, count = config.basis, config.size + 1
     sine = sine_coefficients(energy, basis, count)
     cosine = cosine_coefficients(energy, basis, count)
-    b = np.array([h0_element(n, n + 1, basis) for n in range(config.size)])
+    b = free_couplings(config)
     wronskian = 2.0 * math.sqrt(2.0 * energy) / math.pi
     first, second = b * sine[:-1] * cosine[1:], b * sine[1:] * cosine[:-1]
     defect = float(np.max(np.abs(first - second - wronskian))) / wronskian

@@ -16,14 +16,13 @@ import pytest
 
 from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform
 from jmnl.orthopoly import linearization_table
-from jmnl.reference import BasisParams, cosine_coefficients, h0_element, sine_coefficients
+from jmnl.reference import BasisParams, cosine_coefficients, h0_matrix, sine_coefficients
 from jmnl.scattering import (
     DegenerateEnergyError,
     PoleError,
     ScanRequest,
     _scatter,
     green_corner_determinant,
-    green_corner_direct,
     green_corner_spectral,
     run_scan,
     s_matrix,
@@ -31,6 +30,7 @@ from jmnl.scattering import (
 from jmnl.nonlinear import wave_operator
 
 from oracles import (
+    checked_corner,
     free_hamiltonian_residual,
     linearization_identity_residual,
     regular_solution_residual,
@@ -164,7 +164,7 @@ def test_criterion_4_three_route_green_agreement():
         eigenvalues = np.linalg.eigvalsh(hamiltonian)
         if np.min(np.abs(eigenvalues - energy)) < 1e-3:
             continue
-        direct = green_corner_direct(matrix, energy=float(energy))
+        direct = checked_corner(matrix, energy=float(energy))
         spectral = green_corner_spectral(hamiltonian, float(energy))
         determinant = green_corner_determinant(hamiltonian, float(energy))
         spread = max(
@@ -292,7 +292,7 @@ def wall_limit(nu: float, g: float = 2.0):
         cosine = cosine_coefficients(energy, SCAN_BASIS, size + 1)
         tails.append((cosine[size - 1] - 1j * sine[size - 1], cosine[size] - 1j * sine[size]))
     lower, upper = np.array(tails).T
-    wu = np.abs(h0_element(size - 1, size, SCAN_BASIS) * corners * upper)
+    wu = np.abs(h0_matrix(SCAN_BASIS, size + 1)[size - 1, size] * corners * upper)
     bound = 2.0 * wu / (np.abs(lower) - wu)
     ok = np.array([error is None for error in errors])
     return s_values, np.abs(s_values - lower / lower.conj()), bound, wu / np.abs(lower), ok

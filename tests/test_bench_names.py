@@ -22,7 +22,6 @@ PUBLIC_API = [
     "__version__",
     "BasisParams",
     "DegenerateEnergyError",
-    "Kinematics",
     "LambdaMatrix",
     "ModelConfig",
     "OmegaTransform",
@@ -34,9 +33,7 @@ PUBLIC_API = [
     "cosine_coefficients",
     "gauss_laguerre_rule",
     "green_corner_determinant",
-    "green_corner_direct",
     "green_corner_spectral",
-    "h0_element",
     "h0_matrix",
     "jacobi_matrix",
     "lambda_matrix",

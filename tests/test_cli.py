@@ -18,6 +18,7 @@ from jmnl.cli import ConfigError, load_scan_request, main
 from jmnl.nonlinear import ModelConfig, lambda_matrix
 from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
 from jmnl.scattering import (
+    _MAX_ROWS,
     DegenerateEnergyError,
     PoleError,
     ScanColumns,
@@ -261,6 +262,16 @@ class TestConfigParsing:
         text = GOOD_CONFIG.replace("e_max = 4.0", "e_max = 0.2")
         with pytest.raises(ConfigError, match="e_min < e_max"):
             load_scan_request(write_config(tmp_path, text))
+
+
+    def test_grid_size_bound(self):
+        # the most rows numpy can index as one complex128 column are accepted, one more is not
+        assert _MAX_ROWS * 16 <= np.iinfo(np.intp).max < (_MAX_ROWS + 1) * 16
+        fields = dict(basis=BasisParams(lam=5.0, ell=1), g=2.0, size=12, terms=4, weight_choice="resonance")
+        ScanRequest(nu_list=(1.0,), e_min=0.5, e_max=4.0, steps=_MAX_ROWS, **fields)
+        for nu_list, steps in (((1.0,), _MAX_ROWS + 1), ((1.0, 2.0), _MAX_ROWS // 2 + 1)):
+            with pytest.raises(ValueError, match="steps x nu values must be at most"):
+                ScanRequest(nu_list=nu_list, e_min=0.5, e_max=4.0, steps=steps, **fields)
 
 
 class TestRunScan:
@@ -596,7 +607,7 @@ class TestValidate:
         energies = np.linspace(0.6, 3.9, 5)
         assert validate(config, energies).passed
         drive = reference._seed_drive
-        monkeypatch.setattr(reference, "_seed_drive", lambda kin, basis: drive(kin, basis) * (1.0 + 1e-8))
+        monkeypatch.setattr(reference, "_seed_drive", lambda mu, basis: drive(mu, basis) * (1.0 + 1e-8))
         report = validate(config, energies)
         assert [c.name for c in report.checks if not c.passed] == ["casoratian"]
         assert "worst relative defect 1.0" in report.checks[-1].detail
@@ -773,6 +784,49 @@ class TestMainEntry:
         config = write_config(tmp_path, GOOD_CONFIG.replace(line, bad_line))
         assert main([command, "--config", config]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["scan", "validate"])
+    @pytest.mark.parametrize("padding", [0, 10_000], ids=["first-line", "past-read-chunk"])
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys, command, padding):
+        # a Latin-1 e-acute; the offset counts bytes of the file, also past the first read chunk
+        prefix = "#" * padding + "\n" + GOOD_CONFIG.replace("nu_list = 1, 3", "nu_list = 1, 3 # caf")
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(prefix.encode() + b"\xe9\n")
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {path} is not UTF-8 text: byte 0xe9 at offset {len(prefix)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["scan", "validate"])
+    @pytest.mark.parametrize("steps", [2**60, 2**63], ids=["2**60", "2**63"])
+    def test_grid_beyond_numpy_indexing_is_a_config_error(self, tmp_path, capsys, monkeypatch, command, steps):
+        # rejected while the config is read: neither command reaches the library, so nothing is allocated
+        for name in ("run_scan", "validate"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("reached the library"))
+        config = write_config(tmp_path, GOOD_CONFIG.replace("steps = 8", f"steps = {steps}"))
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: steps x nu values must be at most {_MAX_ROWS} rows, "
+            "the largest complex column numpy can index\n"
+        )
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"),
+             "out of memory: Unable to allocate 72.8 TiB for an array with shape (10000000000000,)\n"),
+            (MemoryError(), "out of memory: an allocation failed\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, error, line):
+        def exhausted(request):
+            raise error
+
+        monkeypatch.setattr(cli, "run_scan", exhausted)
+        assert main(["scan", "--config", write_config(tmp_path, GOOD_CONFIG)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
 
     @pytest.mark.parametrize("command", ["scan", "validate"])
     def test_certificate_failure_is_numerical_error(self, tmp_path, capsys, command):

@@ -8,13 +8,14 @@ from jmnl.nonlinear import (
     ModelConfig,
     PositivityCertificateError,
     _lambda_core,
+    _wave_stack,
     _weights,
     lambda_matrix,
     omega_transform,
     wave_operator,
     weight,
 )
-from jmnl.reference import BasisParams, h0_matrix, sine_coefficients
+from jmnl.reference import BasisParams, _momentum, h0_matrix, sine_coefficients
 from jmnl.scattering import ScanRequest, run_scan, s_matrix, validate
 
 from oracles import ansatz_coefficients
@@ -283,7 +284,7 @@ class TestOmegaTransform:
         calls = count_svd(monkeypatch)
         transform = omega_transform(lam)
         assert calls == []
-        assert np.array_equal(transform.q, 1.0 / np.sqrt(lam.singular**2))
+        assert np.array_equal(transform.omega, (1.0 / np.sqrt(lam.singular**2))[:, None] * lam.v_t)
 
     def test_wellconditioned_config_meets_strict_identity(self):
         lam = lambda_matrix(make_config(nu=1.5, terms=4, size=10))
@@ -299,7 +300,9 @@ class TestOmegaTransform:
     def test_q_matches_certificate(self):
         lam = lambda_matrix(make_config(nu=1.0, terms=3, size=8))
         transform = omega_transform(lam)
-        assert transform.q.max() == pytest.approx(1.0 / math.sqrt(lam.min_eigenvalue), rel=1e-8)
+        # omega's rows are the unit eigenvectors scaled by 1 / singular: the largest norm is 1 / sqrt(lambda_min)
+        rows = np.linalg.norm(transform.omega, axis=1)
+        assert rows.max() == pytest.approx(1.0 / math.sqrt(lam.min_eigenvalue), rel=1e-8)
 
 
 class TestWaveOperator:
@@ -308,6 +311,26 @@ class TestWaveOperator:
         energy = 1.3
         expected = h0_matrix(config.basis, config.size) - energy * np.eye(config.size)
         assert np.array_equal(wave_operator(energy, config), expected)
+
+    @pytest.mark.parametrize("nu, g, lam", [(1.0, 2.0, 5.0), (3.7, -2.0, 5.0), (0.5, 1e3, 1.0), (7.0, 1e-3, 2.5)])
+    def test_equals_the_closed_form(self, nu, g, lam):
+        # H0 + c Lambda - E I written out, bit for bit
+        config = make_config(nu=nu, g=g, basis=BasisParams(lam=lam, ell=1))
+        h0, entries = h0_matrix(config.basis, config.size), lambda_matrix(config).entries
+        for energy in (0.6, 2.2, 5.9):
+            w = weight(energy, config)
+            expected = h0 + (config.g * w * w) * entries - energy * np.eye(config.size)
+            assert np.array_equal(wave_operator(energy, config), expected), energy
+
+    def test_member_of_the_kernel_stack(self):
+        # each energy's operator is bit for bit its member of the stack the scan kernel builds
+        config = make_config(nu=2.0)
+        energies = np.linspace(0.6, 5.9, 8)
+        w = np.array(_weights([_momentum(energy, config.basis) for energy in energies], config)[0])
+        h0 = h0_matrix(config.basis, config.size)
+        stack = _wave_stack(h0, config.g * w * w, lambda_matrix(config).entries, energies[:, None])
+        for energy, member in zip(energies.tolist(), stack):
+            assert np.array_equal(wave_operator(energy, config), member), energy
 
     def test_exact_symmetry(self):
         matrix = wave_operator(2.2, make_config())

@@ -5,11 +5,10 @@ import pytest
 
 from jmnl.reference import (
     BasisParams,
-    Kinematics,
     RecurrenceOverflowError,
+    _momentum,
     basis_function,
     cosine_coefficients,
-    h0_element,
     h0_matrix,
     sine_coefficients,
 )
@@ -43,27 +42,43 @@ class TestParams:
             BasisParams(lam=1.0, ell=-1)
 
     def test_kinematics_consistency(self):
+        # mu = k / lam with the wavenumber k = sqrt(2E), so E = lam^2 mu^2 / 2
         basis = BasisParams(lam=5.0, ell=1)
-        kin = Kinematics.from_energy(3.0, basis)
-        assert kin.wavenumber == pytest.approx(math.sqrt(6.0), rel=1e-15)
-        assert 0.5 * basis.lam**2 * kin.mu**2 == pytest.approx(kin.energy, rel=1e-14)
+        mu = _momentum(3.0, basis)
+        assert mu * basis.lam == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        assert 0.5 * basis.lam**2 * mu**2 == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
+    def test_momentum_rejects_non_positive_energy(self, energy):
+        with pytest.raises(ValueError, match="energy must be positive"):
+            _momentum(energy, BasisParams(lam=5.0, ell=1))
 
 
 class TestH0:
     def test_diagonal_sample(self):
         basis = BasisParams(lam=5.0, ell=1)
-        assert h0_element(0, 0, basis) == pytest.approx(31.25, rel=1e-15)
+        assert h0_matrix(basis, 1)[0, 0] == pytest.approx(31.25, rel=1e-15)
 
     def test_tridiagonality(self):
         basis = BasisParams(lam=1.0, ell=0)
-        assert h0_element(0, 2, basis) == 0.0
-        assert h0_element(5, 2, basis) == 0.0
+        dense = h0_matrix(basis, 6)
+        assert dense[0, 2] == 0.0
+        assert dense[5, 2] == 0.0
+        assert np.array_equal(dense, np.triu(np.tril(dense, 1), -1))
 
     def test_symmetry(self):
         basis = BasisParams(lam=2.0, ell=2)
-        assert h0_element(3, 4, basis) == h0_element(4, 3, basis)
         dense = h0_matrix(basis, 9)
+        assert dense[3, 4] == dense[4, 3]
         assert np.array_equal(dense, dense.T)
+
+    def test_couplings_closed_form(self):
+        # b_n = (lam^2/2) sqrt((n+1)(n + ell + 3/2)), and a leading block does not depend on the size
+        basis = BasisParams(lam=2.0, ell=2)
+        dense = h0_matrix(basis, 9)
+        for n in range(8):
+            assert dense[n, n + 1] == 0.5 * basis.lam**2 * math.sqrt((n + 1) * (n + basis.ell + 1.5))
+        assert np.array_equal(h0_matrix(basis, 5), dense[:5, :5])
 
     def test_sine_solves_free_problem(self):
         basis = BasisParams(lam=1.5, ell=1)
@@ -106,15 +121,15 @@ class TestCosineCoefficients:
     def test_seed_matches_series_oracle(self):
         basis = BasisParams(lam=2.0, ell=1)
         energy = 1.3
-        kin = Kinematics.from_energy(energy, basis)
+        mu = _momentum(energy, basis)
         nu = basis.nu_basis
-        z = kin.mu**2
+        z = mu**2
         expected = (
             2.0
             / math.sqrt(basis.lam)
             * math.gamma(nu)
             / math.pi
-            * kin.mu ** (-basis.ell)
+            * mu ** (-basis.ell)
             * math.exp(-z / 2)
             / math.sqrt(math.gamma(nu + 1))
             * kummer_series(-nu, 1 - nu, z)

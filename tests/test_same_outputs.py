@@ -1,0 +1,62 @@
+"""tools/same_outputs.py, the output-identity gate, on one grid and a few configs."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from jmnl.reference import BasisParams
+from jmnl.scattering import ScanRequest, format_csv, run_scan
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_corpus_covers_the_grids_and_the_sweep():
+    assert len(same_outputs.GRIDS) == 15
+    groups = [group for group, _, _ in same_outputs.validate_corpus()]
+    assert len(groups) >= 2112
+    assert sum(group.startswith("sweep-") for group in groups) >= 2100
+    assert {group for group in groups if group.startswith("sweep-")} == {
+        f"sweep-N{size}-K{terms}" for size, terms in same_outputs.SWEEP_PAIRS
+    }
+
+
+def test_scan_digest_is_of_the_csv_bytes():
+    paper = ScanRequest(
+        basis=BasisParams(lam=5.0, ell=1),
+        g=2.0,
+        size=20,
+        terms=8,
+        weight_choice="resonance",
+        nu_list=tuple(float(nu) for nu in range(1, 8)),
+        e_min=0.5,
+        e_max=6.0,
+        steps=551,
+    )
+    csv = format_csv(run_scan(paper)).encode()
+    assert same_outputs.scan_output(same_outputs.scan_text({})) == csv
+    (line,) = same_outputs.digests({"paper": {}}, [], [])[:1]
+    assert line == same_outputs._line("scan:paper", [csv])
+
+
+def test_reports_and_messages_digest_their_text():
+    corpus = same_outputs.validate_corpus()[::500]
+    lines = same_outputs.digests({}, corpus, same_outputs.MESSAGE_POINTS[:2])
+    # one line per group in corpus order, with its count of reports
+    assert [line.split()[:2] for line in lines] == [
+        *([f"validate:{group}", "1"] for group, _, _ in corpus),
+        ["messages", "2"],
+    ]
+    assert len(lines) == 6
+    assert same_outputs.message_text(*same_outputs.MESSAGE_POINTS[0]) == "ValueError: energy must be positive\n"
+    _, config, _ = corpus[0]
+    assert same_outputs.report_text(config, np.array([0.0])) == "ValueError: energy must be positive\n"
+    assert same_outputs.report_text(config, None).startswith("lambda-positive True min eigenvalue")
+
+
+def test_digest_separates_parts():
+    line = same_outputs._line
+    assert line("x", [b"ab"]) != line("x", [b"a", b"b"]) != line("x", [b"b", b"a"])

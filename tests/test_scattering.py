@@ -7,14 +7,14 @@ import pytest
 import scipy.linalg
 
 from jmnl import reference, scattering
-from jmnl.nonlinear import ModelConfig, _weights, lambda_matrix, wave_operator, weight
+from jmnl.nonlinear import ModelConfig, _diagonal, _wave_stack, _weights, lambda_matrix, wave_operator, weight
 from jmnl.reference import (
     BasisParams,
-    Kinematics,
     RecurrenceOverflowError,
     _cosine_sequence,
     _STACKED_FROM,
     _free_tails,
+    _momentum,
     _sine_sequence,
     _stacked_tails,
     h0_matrix,
@@ -28,25 +28,23 @@ from jmnl.scattering import (
     _block_corners,
     _checked_solve,
     _cleared_blocks,
-    _diagonal,
     _floor,
     _free_block,
     _gamma,
     _green_routes,
     _last_units,
+    _margin,
     _pivot_corners,
     _scatter,
     _uncertified,
-    _wave_stack,
     green_corner_determinant,
-    green_corner_direct,
     green_corner_spectral,
     s_matrix,
     validate,
 )
 
 from conftest import count_calls
-from oracles import hamiltonian, kernel_corner, s_matrix_point, s_matrix_tr_form, validate_point
+from oracles import checked_corner, hamiltonian, kernel_corner, s_matrix_point, s_matrix_tr_form, validate_point
 
 
 def make_config(**overrides):
@@ -75,7 +73,7 @@ class TestScatterPoint:
 
 class TestGreenDirect:
     def test_diagonal_example(self):
-        assert green_corner_direct(np.diag([2.0, 4.0])) == 0.25
+        assert checked_corner(np.diag([2.0, 4.0])) == 0.25
 
     def test_residual_on_scan_config(self):
         matrix = wave_operator(1.0, make_config())
@@ -85,7 +83,7 @@ class TestGreenDirect:
         assert error is None
         residual = np.abs(matrix @ solution[0] - unit[0]).max()
         assert residual < 1e-9
-        assert green_corner_direct(matrix, energy=1.0) == solution[0, -1, 0]
+        assert checked_corner(matrix, energy=1.0) == solution[0, -1, 0]
 
     def test_unit_columns_view_one_array_per_size(self):
         # a checked-solve stack of any count reads the one cached column of its size
@@ -97,15 +95,13 @@ class TestGreenDirect:
         stack = np.stack([wave_operator(energy, make_config()) for energy in np.linspace(0.6, 5.9, 64)])
         assert np.array_equal(np.linalg.solve(stack, units[-1]), np.linalg.solve(stack, dense))
 
-    @pytest.mark.parametrize("route", [green_corner_direct])
-    def test_singular_raises_pole(self, route):
+    def test_singular_raises_pole(self):
         with pytest.raises(PoleError):
-            route(np.diag([1.0, 0.0]), energy=3.5)
+            checked_corner(np.diag([1.0, 0.0]), energy=3.5)
 
-    @pytest.mark.parametrize("route", [green_corner_direct])
-    def test_pole_error_carries_energy(self, route):
+    def test_pole_error_carries_energy(self):
         try:
-            route(np.zeros((2, 2)), energy=2.25)
+            checked_corner(np.zeros((2, 2)), energy=2.25)
         except PoleError as err:
             assert err.energy == 2.25
         else:
@@ -128,12 +124,33 @@ class TestGreenDirect:
         with np.errstate(invalid="ignore"):
             solution, errors = _checked_solve(stack, unit, [1.0, 2.0, 3.0])
             with pytest.raises(PoleError) as alone:
-                green_corner_direct(member, energy=2.0)
+                checked_corner(member, energy=2.0)
         assert errors[0] is None and errors[2] is None
         assert solution[[0, 2], -1, 0].tolist() == [0.25, 0.125]
         assert isinstance(errors[1], PoleError) and errors[1].energy == 2.0
         assert str(errors[1]).startswith(message)
         assert str(errors[1]) == str(alone.value)
+
+
+class TestFreeBlock:
+    def test_one_h0_matrix_call_per_miss(self, monkeypatch):
+        _free_block.cache_clear()
+        calls = count_calls(monkeypatch, scattering, ("h0_matrix",))
+        basis = BasisParams(lam=3.7, ell=2)
+        first = _free_block(basis, 13)
+        assert _free_block(basis, 13) is first
+        assert calls == {"h0_matrix": 1}
+
+    def test_block_couplings_and_row_sums(self):
+        # H0 and b_0 .. b_{N-1} from one (N + 1) block: b_{N-1} couples the block to the free tail
+        basis = BasisParams(lam=5.0, ell=1)
+        h0, couplings, sums = _free_block(basis, 20)
+        assert np.array_equal(h0, h0_matrix(basis, 20))
+        assert np.array_equal(couplings, np.diag(h0_matrix(basis, 21), 1))
+        assert couplings[-1] == 0.5 * basis.lam**2 * math.sqrt(20 * (19 + basis.ell + 1.5))
+        assert np.array_equal(sums, np.abs(h0).sum(axis=1))
+        assert h0.flags.c_contiguous
+        assert not any(array.flags.writeable for array in (h0, couplings, sums))
 
 
 class TestSolveFloor:
@@ -201,6 +218,13 @@ class TestGreenCornerRoutes:
         h = random_symmetric(rng, size=4)
         assert abs(green_corner_spectral(h, 1e9)) < 1e-6
         assert abs(green_corner_spectral(h, -1e9)) < 1e-6
+
+    def test_margin_is_elementwise(self):
+        # delta(E) = POLE_MARGIN max(1, |E|), of one energy or of each entry of an array
+        energies = [0.25, 1.0, 3.5, 1e300]
+        expected = [POLE_MARGIN * max(1.0, abs(energy)) for energy in energies]
+        assert _margin(np.array(energies)).tolist() == expected
+        assert [_margin(energy) for energy in energies] == expected
 
     def test_pole_margin(self):
         h = np.diag([1.0, 2.0])
@@ -333,10 +357,10 @@ def kernel_outcomes(energies, configs):
 
 def float_tails(energy, basis, count):
     """c_n - i s_n at n = count-2, count-1 from the float sequences, or their error."""
-    kin = Kinematics.from_energy(energy, basis)
+    mu = _momentum(energy, basis)
     try:
-        s = _sine_sequence(kin, basis, count)
-        c = _cosine_sequence(kin, basis, count)
+        s = _sine_sequence(mu, basis, count)
+        c = _cosine_sequence(mu, basis, count)
     except ArithmeticError as exc:
         return exc
     return [c[-2] - 1j * s[-2], c[-1] - 1j * s[-1]]
@@ -383,7 +407,7 @@ class TestFreeTails:
     def test_array_tails_equal_float_sequences(self, name):
         # bit for bit, and the same error class and message where the float sequences raise
         basis, grid = TAIL_GRIDS[name]
-        terms, errors = _stacked_tails([Kinematics.from_energy(e, basis) for e in grid], basis, 21)
+        terms, errors = _stacked_tails([_momentum(e, basis) for e in grid], basis, 21)
         assert terms.shape == (len(grid), 2) and len(errors) == len(grid)
         for energy, row, error in zip(grid, terms, errors):
             expected = float_tails(energy, basis, 21)
@@ -418,7 +442,7 @@ class TestFreeTails:
 
         monkeypatch.setattr(reference, "_free_recursion", recorded)
         basis = BasisParams(lam=5.0, ell=1)
-        _free_tails([Kinematics.from_energy(2.5, basis)] * count, basis, 21)
+        _free_tails([_momentum(2.5, basis)] * count, basis, 21)
         assert set(operands) == {kind}
 
 
@@ -697,7 +721,7 @@ class TestLoewnerSandwich:
 
 def block_couplings(grid, config):
     """The couplings g w^2 of the grid's energies, nan where the weight fails, and those failures."""
-    w, errors = _weights([Kinematics.from_energy(energy, config.basis).mu for energy in grid], config)
+    w, errors = _weights([_momentum(energy, config.basis) for energy in grid], config)
     return config.g * np.array(w) * np.array(w), errors
 
 
@@ -821,7 +845,7 @@ class TestPivotCorner:
         solves = recorded_sizes(monkeypatch, "_checked_solve")
         corners, errors = block_corners(grid, config)
         assert calls == [1, 10] and solves == [1] and errors == [None] * 10
-        assert corners[4] == green_corner_direct(wave_operator(grid[4], config), grid[4])
+        assert corners[4] == checked_corner(wave_operator(grid[4], config), grid[4])
         others = [m for m in range(10) if m != 4]
         assert corners[others].tolist() == clean[others].tolist()
 

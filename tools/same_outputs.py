@@ -1,0 +1,168 @@
+"""SHA-256 digests of the outputs of the jmnl on ``sys.path``.
+
+A change that is meant to keep every output bit for bit is checked by
+running this script on the tree before and on the tree after it, and
+comparing the two listings line by line:
+
+    PYTHONPATH=src python tools/same_outputs.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/same_outputs.py > before.txt
+    diff before.txt after.txt
+
+One line per digest, ``name count sha256``:
+
+* ``scan:<grid>``: the CSV bytes of each of 15 scan grids (the paper grid,
+  extreme couplings, ``lambda = 1`` above and across the free spectrum, an
+  unsorted repeated nu list, the sine weight, ``N = 48``, ``ell = 0`` and a
+  wide energy range), parsed from config text as ``jmnl scan`` parses it; a
+  grid that raises digests its error's type and message instead;
+* ``validate:<group>``: the text of each ``validate`` report of a seeded
+  corpus: the 7 paper nu, 350 draws of nu in [0, 8) for each of the six
+  ``(N, K)`` pairs of the benchmark's validate sweep, and ``lambda = 1``
+  configs with g from 0 to +-1e300 on two energy lists;
+* ``messages``: the text of the error ``s_matrix`` raises at energies that
+  are not positive, on a pole, or beyond the free sequences' range.
+
+It reads only public names, so one copy of this script digests any tree.
+The full corpus takes about 12 s.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from jmnl.cli import load_scan_request
+from jmnl.nonlinear import ModelConfig
+from jmnl.reference import BasisParams, h0_matrix
+from jmnl.scattering import format_csv, run_scan, s_matrix, validate
+
+PAPER_SCAN = {
+    "ell": "1",
+    "g": "2",
+    "lambda": "5",
+    "nu_list": "1, 2, 3, 4, 5, 6, 7",
+    "N": "20",
+    "K": "8",
+    "weight": "resonance",
+    "e_min": "0.5",
+    "e_max": "6.0",
+    "steps": "551",
+}
+
+#: each grid's keys that differ from the paper scan
+GRIDS = {
+    "paper": {},
+    "g=0": {"g": "0"},
+    "g=-2": {"g": "-2"},
+    "g=2e-3": {"g": "2e-3"},
+    "g=3e292": {"g": "3e292"},
+    "g=1e300": {"g": "1e300"},
+    "g=1e308": {"g": "1e308"},
+    "g=-1e300": {"g": "-1e300"},
+    "lambda=1,E=40-90": {"lambda": "1", "e_min": "40", "e_max": "90"},
+    "lambda=1,g=0,E=0.5-90": {"lambda": "1", "g": "0", "e_max": "90"},
+    "nu_list=3,1,3": {"nu_list": "3, 1, 3"},
+    "weight=sine": {"weight": "sine"},
+    "N=48": {"nu_list": "1.3941544542304376", "N": "48"},
+    "ell=0": {"ell": "0"},
+    "e_max=1e6": {"e_max": "1e6"},
+}
+
+PAPER_BASIS = BasisParams(lam=5.0, ell=1)
+LAMBDA_ONE = BasisParams(lam=1.0, ell=1)
+SWEEP_PAIRS = ((16, 4), (20, 8), (24, 10), (32, 8), (40, 8), (48, 8))
+SWEEP_DRAWS = 350
+#: below, across and above the free spectrum at lambda = 1, with an energy whose sequences overflow
+LAMBDA_ONE_ENERGIES = (20.0, 30.0, 40.0, 42.5, 50.0, 60.0, 1e300)
+COUPLINGS = (0.0, *(sign * g for g in (1e-3, 2.0, 1e3, 1e30, 1e100, 1e300) for sign in (1.0, -1.0)))
+#: (basis, g, nu, energy) of s_matrix calls, most of which raise: not positive, on a
+#: free eigenvalue (g = 0), a vanishing denominator, overflowing free sequences
+MESSAGE_POINTS = (
+    [(PAPER_BASIS, 2.0, 1.0, energy) for energy in (0.0, -1.0)]
+    + [(LAMBDA_ONE, 0.0, 1.0, energy) for energy in np.linalg.eigvalsh(h0_matrix(LAMBDA_ONE, 20))[:4].tolist()]
+    + [(LAMBDA_ONE, 2.0, 1.0, energy) for energy in (*LAMBDA_ONE_ENERGIES, 350.0, 360.0, 1e15, 1e17)]
+)
+
+
+def scan_text(changes: dict[str, str]) -> str:
+    """Config text of the paper scan with ``changes`` applied."""
+    return "".join(f"{key} = {value}\n" for key, value in {**PAPER_SCAN, **changes}.items())
+
+
+def scan_output(text: str) -> bytes:
+    """CSV bytes of one scan config, or its error's type and message."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "scan.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        try:
+            return format_csv(run_scan(load_scan_request(path))).encode()
+        except Exception as exc:  # noqa: BLE001 - the error is the output
+            return f"{type(exc).__name__}: {exc}".encode()
+
+
+def validate_corpus() -> list[tuple[str, ModelConfig, tuple | None]]:
+    """(group, config, energies) of every validate report digested; ``None`` is validate's default grid."""
+    corpus = [("paper", ModelConfig(PAPER_BASIS, 2.0, float(nu), 20, 8), None) for nu in range(1, 8)]
+    for seed, (size, terms) in enumerate(SWEEP_PAIRS):
+        for nu in np.random.default_rng(seed).uniform(0.0, 8.0, SWEEP_DRAWS).tolist():
+            corpus.append((f"sweep-N{size}-K{terms}", ModelConfig(PAPER_BASIS, 2.0, nu, size, terms), None))
+    nus = np.random.default_rng(len(SWEEP_PAIRS)).uniform(0.0, 8.0, len(COUPLINGS)).tolist()
+    for g, nu in zip(COUPLINGS, nus):
+        for energies in (None, LAMBDA_ONE_ENERGIES):
+            corpus.append(("lambda1-g", ModelConfig(LAMBDA_ONE, g, nu, 20, 8), energies))
+    return corpus
+
+
+def report_text(config: ModelConfig, energies) -> str:
+    """Every check of one validate report, one line each, or the error it raised."""
+    try:
+        report = validate(config, None if energies is None else np.array(energies))
+    except Exception as exc:  # noqa: BLE001 - the error is the output
+        return f"{type(exc).__name__}: {exc}\n"
+    return "".join(f"{c.name} {c.passed} {c.detail}\n" for c in report.checks)
+
+
+def message_text(basis: BasisParams, g: float, nu: float, energy: float) -> str:
+    """The outcome of one s_matrix call: its error's type and message, or its values."""
+    try:
+        point = s_matrix(energy, ModelConfig(basis, g, nu, 20, 8))
+    except Exception as exc:  # noqa: BLE001 - the error is the output
+        return f"{type(exc).__name__}: {exc}\n"
+    return f"{point.s_value!r} {point.delta!r} {point.amplitude!r}\n"
+
+
+def _line(name: str, parts: list[bytes]) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return f"{name} {len(parts)} {digest.hexdigest()}"
+
+
+def digests(grids: dict | None = None, corpus: list | None = None, points: list | None = None) -> list[str]:
+    """The digest lines of the given grids, validate corpus and message points (default: all)."""
+    grids = GRIDS if grids is None else grids
+    corpus = validate_corpus() if corpus is None else corpus
+    points = MESSAGE_POINTS if points is None else points
+    lines = [_line(f"scan:{name}", [scan_output(scan_text(changes))]) for name, changes in grids.items()]
+    groups: dict[str, list[bytes]] = {}
+    for group, config, energies in corpus:
+        groups.setdefault(group, []).append(report_text(config, energies).encode())
+    lines += [_line(f"validate:{group}", parts) for group, parts in groups.items()]
+    lines.append(_line("messages", [message_text(*point).encode() for point in points]))
+    return lines
+
+
+def main() -> int:
+    for line in digests():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
