@@ -46,6 +46,12 @@ _WEIGHT_ALIASES = {"fig1": "resonance"}
 
 _EPS = float(np.finfo(float).eps)
 
+#: energies per stacked block of the scan kernel; bounds its (B, N, N) wave stacks
+_BLOCK = 64
+
+#: most float64 entries numpy indexes in one array (intp.max bytes)
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 class PositivityCertificateError(RuntimeError):
     """The coupling matrix failed its positive-definiteness certificate.
@@ -78,6 +84,12 @@ class ModelConfig:
             raise ValueError("matrix size must be at least 2")
         if not 1 <= self.terms <= self.size:
             raise ValueError("need 1 <= terms <= size")
+        # the largest arrays of a config: the (K, N, N) linearization table and the (64, N, N) wave stack
+        if max(int(self.terms), _BLOCK) * int(self.size) ** 2 > _MAX_ENTRIES:
+            raise ValueError(
+                f"max(K, {_BLOCK}) x N^2 must be at most {_MAX_ENTRIES} entries, "
+                "the largest float64 array numpy can index"
+            )
         if self.weight_choice not in WEIGHT_CHOICES:
             raise ValueError(
                 f"weight_choice must be one of {WEIGHT_CHOICES} (got {self.weight_choice!r})"

@@ -11,7 +11,9 @@ problem are encoded by coefficient sequences s_n(E) (regular, "sine-like")
 and c_n(E) (irregular, "cosine-like") obeying one three-term recursion.
 The sine coefficients have a closed form; the cosine sequence is seeded by a
 confluent-hypergeometric closed form at n = 0, its n = 1 value follows from
-the inhomogeneous seed relation, and the rest by forward recursion.
+the inhomogeneous seed relation, and the rest by forward recursion.  The one
+special function, the Kummer function M(-nu, 1-nu, z) of the seed, is summed
+from its power series (DLMF 13.2.2), so the module needs numpy alone.
 
 Conventions used throughout (the tests resum both series against scipy's
 Bessel functions): positive off-diagonal couplings b_n, alternating signs
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .orthopoly import laguerre_orthonormal_sequence
 
@@ -147,10 +148,58 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarr
     return _read_only(_sine_sequence(_momentum(energy, basis), basis, count))
 
 
-def _kummer(basis: BasisParams, z):
-    # M(-nu, 1-nu, z), nu = ell + 1/2, of a float or elementwise of an array (same bits)
-    nu = basis.nu_basis
-    return hyp1f1(-nu, 1.0 - nu, z)
+#: terms of the Kummer series that the seed can need.  It is summed only where the
+#: drive e^{z/2} is finite, z < 1420; its sum overflows from z ~ 715, and it stops
+#: by k = 1420 then and by k ~ 950 before
+_KUMMER_TERMS = 1536
+
+
+@lru_cache(maxsize=64)
+def _kummer_ratios(ell: int) -> tuple[float, ...]:
+    # t_k / (z t_{k-1}) = (nu-k+1) / ((nu-k) k), k >= 1, of the terms t_k = nu/(nu-k) z^k/k!, nu = ell + 1/2
+    nu = ell + 0.5
+    return tuple((nu - k + 1) / ((nu - k) * k) for k in range(1, _KUMMER_TERMS + 1))
+
+
+def _kummer(ell: int, z: float) -> float:
+    """M(-nu, 1-nu, z) = sum_k nu/(nu-k) z^k/k! with nu = ell + 1/2 (DLMF 13.2.2), in Python floats.
+
+    The sum stops once k > z, where the terms shrink, and the next term no
+    longer changes it, so its time grows with z.  Each addition's rounding
+    error is carried exactly (Knuth's TwoSum) and added at the end, which
+    keeps M within about one ulp where it does not cancel.  The result is nan
+    where the sum overflows or has not stopped within ``_KUMMER_TERMS``.
+    """
+    total = term = 1.0
+    error = 0.0
+    for k, ratio in enumerate(_kummer_ratios(ell), 1):
+        term *= ratio * z
+        sums = total + term
+        if k > z and sums == total:
+            return total + error
+        rounded = sums - total
+        error += (total - (sums - rounded)) + (term - rounded)
+        total = sums
+    return math.nan
+
+
+def _stacked_kummer(ell: int, z: np.ndarray) -> np.ndarray:
+    """:func:`_kummer` elementwise: the same float operations, and each element stops at its own term."""
+    total, term, error = np.ones_like(z), np.ones_like(z), np.zeros_like(z)
+    live = np.ones(z.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a stopped element's term and sums run on unread
+        for k, ratio in enumerate(_kummer_ratios(ell), 1):
+            term *= ratio * z
+            sums = total + term
+            live &= (k <= z) | (sums != total)
+            if not live.any():
+                return total + error
+            rounded = sums - total
+            np.copyto(error, error + ((total - (sums - rounded)) + (term - rounded)), where=live)
+            np.copyto(total, sums, where=live)
+        total[live] = math.nan
+        return total + error
 
 
 def _cosine_seed(mu: float, basis: BasisParams, kummer: float) -> float:
@@ -177,8 +226,8 @@ def _seed_drive(mu: float, basis: BasisParams) -> float:
 
 def _seed_in_range(drive: float) -> bool:
     # The drive overflows (or is inf at mu = inf) from mu^2 ~ 1420, where c_0 is no
-    # longer finite either, so it is checked before hyp1f1, whose time grows with
-    # its argument: seconds at mu^2 = 1e12, and no end at inf.
+    # longer finite either, so it is checked before the Kummer series, whose time
+    # grows with its argument.
     return math.isfinite(drive)
 
 
@@ -195,7 +244,7 @@ def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     z = mu**2
     try:
         drive = _seed_drive(mu, basis)
-        c0 = _cosine_seed(mu, basis, float(_kummer(basis, z))) if _seed_in_range(drive) else math.nan
+        c0 = _cosine_seed(mu, basis, _kummer(ell, z)) if _seed_in_range(drive) else math.nan
     except OverflowError as exc:
         raise _seed_overflow(mu) from exc
     if count == 1 and math.isfinite(c0):
@@ -275,7 +324,7 @@ def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np
             irregular.append(j)
     z, prefactor, drive = np.array(seeds).reshape(-1, 3).T
     # no factor of c_0 raises where the drive did not
-    c0 = np.array([_cosine_seed(mus[j], basis, m) for j, m in zip(regular, _kummer(basis, z).tolist())])
+    c0 = np.array([_cosine_seed(mus[j], basis, m) for j, m in zip(regular, _stacked_kummer(ell, z).tolist())])
     with np.errstate(over="ignore", invalid="ignore"):
         # a failing energy leaves inf or nan in its own column
         c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import ModelConfig, _diagonal, _wave_stack, _weights, lambda_matrix, omega_transform
+from .nonlinear import _BLOCK, ModelConfig, _diagonal, _wave_stack, _weights, lambda_matrix, omega_transform
 from .reference import (
     BasisParams,
     RecurrenceOverflowError,
@@ -75,9 +75,6 @@ _EPS = float(np.finfo(float).eps)
 #: relative distance to the nearest spectral point below which an energy is
 #: treated as sitting on a pole of the finite Green's function
 POLE_MARGIN = 1e-6
-
-#: energies per stacked block of the scan kernel; bounds its (B, N, N) arrays
-_BLOCK = 64
 
 #: most rows a scan holds: numpy indexes at most intp.max bytes in one array, and
 #: the widest column of a scan, S, takes 16 bytes (complex128) per row

@@ -82,6 +82,20 @@ steps = 3
 # above the first energy 2E overflows, so the weight is inf * e^{-inf}
 WEIGHT_OVERFLOW_CONFIG = SINE_OVERFLOW_CONFIG.replace("1e300", "1.7e308")
 
+# the paper's scan as a config file
+PAPER_CONFIG = """\
+ell = 1
+g = 2
+lambda = 5
+nu_list = 1, 2, 3, 4, 5, 6, 7
+N = 20
+K = 8
+weight = resonance
+e_min = 0.5
+e_max = 6.0
+steps = 551
+"""
+
 # the paper's scan: 7 nu x 551 E
 PAPER_REQUEST = ScanRequest(
     basis=BasisParams(lam=5.0, ell=1),
@@ -129,7 +143,7 @@ REPEATED_GRID_REQUEST = dataclasses.replace(
 )
 
 # the drive of the cosine seed overflows (mu^2 ~ 1420) long before these energies;
-# hyp1f1 takes seconds at such arguments
+# the Kummer series' time grows with its argument
 HUGE_ENERGY_CONFIG = """\
 ell = 1
 g = 2.0
@@ -175,6 +189,12 @@ def per_row_csv(rows):
                 % (nu, energy, s_value.real, s_value.imag, point.delta, point.amplitude)
             )
     return "\n".join(lines) + "\n"
+
+
+def child_env():
+    """Environment of a child interpreter that finds jmnl where this process did, also without PYTHONPATH set."""
+    src = os.path.dirname(os.path.dirname(jmnl.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def write_config(tmp_path, text, name="scan.cfg"):
@@ -426,14 +446,18 @@ class TestRunScan:
         ]
         assert format_csv(run_scan(PAPER_REQUEST)) == per_row_csv(rows)
 
-    def test_huge_energies_never_reach_hyp1f1(self, tmp_path, capsys, monkeypatch):
-        original = reference.hyp1f1
+    def test_huge_energies_never_reach_the_series(self, tmp_path, capsys, monkeypatch):
+        # 2 energies run the float series, 16 the stacked one
+        for name in ("_kummer", "_stacked_kummer"):
+            original = getattr(reference, name)
 
-        def bounded(a, b, z):
-            assert np.all(np.asarray(z) <= 1e4), "hyp1f1 called at a huge argument"
-            return original(a, b, z)
+            def bounded(ell, z, original=original):
+                assert np.all(np.asarray(z) <= 1e4), "Kummer series summed at a huge argument"
+                return original(ell, z)
 
-        monkeypatch.setattr(reference, "hyp1f1", bounded)
+            monkeypatch.setattr(reference, name, bounded)
+        stacked = write_config(tmp_path, HUGE_ENERGY_CONFIG.replace("steps = 2", "steps = 16"), "stacked.cfg")
+        assert list(run_scan(load_scan_request(stacked)).status) == ["overflow"] * 16
         config = write_config(tmp_path, HUGE_ENERGY_CONFIG)
         assert list(run_scan(load_scan_request(config)).status) == ["overflow"] * 2
         assert main(["scan", "--config", config]) == 3
@@ -715,17 +739,29 @@ class TestMainEntry:
         assert exc.value.code == 0
 
     def test_console_help(self):
-        # the child finds jmnl where this process did, also without PYTHONPATH set
-        src = os.path.dirname(os.path.dirname(jmnl.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "jmnl.cli", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = subprocess.run([sys.executable, "-m", "jmnl.cli", "--help"], capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "scan" in proc.stdout and "validate" in proc.stdout
+
+    def test_runs_without_scipy(self, tmp_path):
+        # the test process imports scipy, so a child blocks it before any import
+        config = write_config(tmp_path, PAPER_CONFIG)
+        script = "\n".join(
+            [
+                "import os, sys",
+                "sys.modules['scipy'] = None",
+                "import jmnl.cli",
+                "def loaded():",
+                "    return sorted(n for n, m in sys.modules.items() if n.split('.')[0] == 'scipy' and m is not None)",
+                "assert not loaded(), loaded()",
+                f"assert jmnl.cli.main(['scan', '--config', {config!r}, '--out', os.devnull]) == 0",
+                f"assert jmnl.cli.main(['validate', '--config', {config!r}]) == 0",
+                "assert not loaded(), loaded()",
+            ]
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout and proc.stdout.count("[ok ]") == 7 * 4
 
     def test_pole_saturated_scan_exit_code(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, POLE_CONFIG)
@@ -808,6 +844,19 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             f"config error: steps x nu values must be at most {_MAX_ROWS} rows, "
             "the largest complex column numpy can index\n"
+        )
+
+    @pytest.mark.parametrize("command", ["scan", "validate"])
+    @pytest.mark.parametrize("size", [2**60, 2**32], ids=["2**60", "2**32"])
+    def test_block_beyond_numpy_indexing_is_a_config_error(self, tmp_path, capsys, monkeypatch, command, size):
+        # max(K, 64) N^2 float64 entries: rejected while the config is read, before anything is allocated
+        for name in ("run_scan", "validate"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("reached the library"))
+        config = write_config(tmp_path, GOOD_CONFIG.replace("N = 12", f"N = {size}"))
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: max(K, 64) x N^2 must be at most {np.iinfo(np.intp).max // 8} entries, "
+            "the largest float64 array numpy can index\n"
         )
 
     @pytest.mark.parametrize(

@@ -48,6 +48,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(size=4, terms=5)
 
+    def test_block_size_bound_is_numpy_indexing(self):
+        # max(K, 64) N^2 float64 entries: the (K, N, N) table and the (64, N, N) wave stack
+        entries = np.iinfo(np.intp).max // 8
+        largest = math.isqrt(entries // 64)
+        assert make_config(size=largest).size == largest
+        with pytest.raises(ValueError, match="the largest float64 array numpy can index"):
+            make_config(size=largest + 1)
+        # K = N above 64: N^3 entries, 2^60 at N = 2^20, one more than a 64-bit numpy indexes
+        assert make_config(size=2**20 - 1, terms=2**20 - 1).terms == 2**20 - 1
+        with pytest.raises(ValueError, match="max\\(K, 64\\) x N\\^2"):
+            make_config(size=2**20, terms=2**20)
+
     def test_rejects_unknown_weight(self):
         with pytest.raises(ValueError):
             make_config(weight_choice="gauss")

@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from jmnl.reference import (
     BasisParams,
     RecurrenceOverflowError,
+    _kummer,
     _momentum,
+    _stacked_kummer,
     basis_function,
     cosine_coefficients,
     h0_matrix,
@@ -162,7 +165,7 @@ class TestCosineCoefficients:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_non_finite_seed_raises(self, count):
-        # e^{-mu^2/2} underflows to 0 while M(-nu, 1-nu, mu^2) overflows: c_0 is nan
+        # M(-nu, 1-nu, mu^2) overflows at mu^2 = 800, so c_0 is not finite
         with pytest.raises(RecurrenceOverflowError, match="cosine seed overflowed"):
             cosine_coefficients(400.0, BasisParams(lam=1.0, ell=0), count)
 
@@ -184,6 +187,81 @@ class TestCosineCoefficients:
             total = float(np.dot(c * taper, phi))
             expected = -math.sqrt(2 * k * r) * yv(basis.ell + 0.5, k * r)
             assert total == pytest.approx(expected, rel=2e-3)
+
+
+#: the positive zero of M(-nu, 1-nu, z) for ell = 0, 1, 2, where its relative error has no bound
+KUMMER_ZEROS = {0: 0.8540326565981970, 1: 1.8436509001332536, 2: 2.8401478578895488}
+#: k and log k! of the series' terms up to k = 2047
+SERIES_K = np.arange(2048)
+LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in SERIES_K.tolist()])
+
+
+def kummer_bound(ell: int, z: float) -> float:
+    """Rounding bound on the float series M(-nu, 1-nu, z) = sum_k t_k, t_k = nu/(nu-k) z^k/k!.
+
+    Term k is the product of k factors, each with 3 roundings (the cached
+    ratio, its product with z, the running product), so it carries at most
+    3k u |t_k| with u = eps/2; the compensated sum adds one rounding of M and
+    a dropped tail below a few u |M|.  With m terms (the exact terms' count
+    up to the first k > z below u times their partial sum, plus 4 for the
+    float stop) that is at most (4m + 8) u sum_{k<=m} |t_k|.
+    """
+    nu = ell + 0.5
+    u = 0.5 * np.finfo(float).eps
+    terms = nu / (nu - SERIES_K) * np.exp(SERIES_K * math.log(z) - LOG_FACTORIALS)
+    partial = np.cumsum(terms)
+    small = (SERIES_K[1:] > z) & (np.abs(terms[1:]) <= u * np.abs(partial[:-1]))
+    m = int(np.argmax(small)) + 1 + 4
+    return (4 * m + 8) * u * float(np.abs(terms[: m + 1]).sum())
+
+
+class TestKummerSeries:
+    # 751 z in [0.02, 713], where the series is finite, and the zeros
+    SERIES_Z = sorted(np.geomspace(0.02, 713.0, 751).tolist() + list(KUMMER_ZEROS.values()))
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_within_rounding_bound_of_mpmath(self, ell):
+        nu = mpmath.mpf(ell) + mpmath.mpf(1) / 2
+        worst = 0.0
+        with mpmath.workdps(40):
+            for z in self.SERIES_Z:
+                error = abs(_kummer(ell, z) - mpmath.hyp1f1(-nu, 1 - nu, z))
+                worst = max(worst, float(error) / kummer_bound(ell, z))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("ell", sorted(KUMMER_ZEROS))
+    def test_zero_is_an_absolute_not_relative_match(self, ell):
+        z = KUMMER_ZEROS[ell]
+        nu = mpmath.mpf(ell) + mpmath.mpf(1) / 2
+        with mpmath.workdps(40):
+            exact = mpmath.hyp1f1(-nu, 1 - nu, z)
+        # M changes sign within an ulp or so of the float nearest the zero
+        assert abs(exact) < 1e-14 and abs(_kummer(ell, z) - exact) <= kummer_bound(ell, z)
+
+    def test_overflow_point_is_where_m_leaves_the_double_range(self):
+        # nan from the overflowing sum; M itself exceeds the double range from about z = 715-717
+        for ell in range(4):
+            nu = mpmath.mpf(ell) + mpmath.mpf(1) / 2
+            z = 717.5
+            assert math.isnan(_kummer(ell, z)) and abs(mpmath.hyp1f1(-nu, 1 - nu, z)) > np.finfo(float).max
+            assert math.isfinite(_kummer(ell, 715.0))
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 5])
+    def test_stacked_equals_float_series(self, ell):
+        # the same bits per element, through the overflow point near z = 714-717 and past the drive's range
+        rng = np.random.default_rng(ell)
+        z = np.concatenate(
+            [rng.uniform(0.0, 714.0, 1500), rng.uniform(713.0, 718.0, 200), [0.0, 1e-300, 1400.0], list(KUMMER_ZEROS.values())]
+        )
+        stacked = _stacked_kummer(ell, z)
+        expected = np.array([_kummer(ell, value) for value in z.tolist()])
+        assert (np.isnan(stacked) == np.isnan(expected)).all()
+        finite = ~np.isnan(expected)
+        assert stacked[finite].view(np.int64).tolist() == expected[finite].view(np.int64).tolist()
+        assert not finite.all() and finite[:1500].all()
+
+    def test_stacked_on_no_energies(self):
+        assert _stacked_kummer(1, np.empty(0)).shape == (0,)
 
 
 class TestBasisFunction:

@@ -387,13 +387,18 @@ FREE_EIGENVALUE = FREE_EIGENVALUES[3]
 POLE_ENERGY = 1.3829290143012876
 # lambda = 1 with g = 0: the wave operator is singular here, a pole for both guards
 OVERFLOW_BASIS_POLE = float(np.linalg.eigvalsh(h0_matrix(OVERFLOW_BASIS, 20))[0])
+# lambda = 1, nu = 1 with g = 0 and g = 2, above the free block's spectrum (top eigenvalue 34.65),
+# where the tails have no digits left: S's denominator rounds to exactly 0 at the first, and the
+# cosine recursion outgrows its guard at the second (found on a 0.0025 grid over E = 40-90)
+DEGENERATE_ENERGY = 42.48
+UNSTABLE_ENERGY = 77.0
 
 
 TAIL_GRIDS = {
     "paper": (BasisParams(lam=5.0, ell=1), np.linspace(0.5, 6.0, 551).tolist()),
     "mixed-errors": (
         OVERFLOW_BASIS,
-        np.linspace(40.0, 90.0, 2 * _BLOCK + 2).tolist() + [42.50583527842615, 77.17805935311771, 710.0],
+        np.linspace(40.0, 90.0, 2 * _BLOCK + 2).tolist() + [DEGENERATE_ENERGY, UNSTABLE_ENERGY, 710.0],
     ),
     "overflow": (BasisParams(lam=5.0, ell=1), [0.5, 1e300, 8.5e307, 1.7e308, 3.25]),
     "huge": (OVERFLOW_BASIS, [4e14, 30.0, 5e14]),
@@ -469,10 +474,10 @@ class TestScanKernel:
 
     def test_every_status_in_one_block(self):
         # S is assembled as arrays over the solved members; degenerate and tail-error members sit among them.
-        # E = 42.5 lies above part of the spectrum, so its member takes eigvalsh, as the oracle does.
+        # DEGENERATE_ENERGY lies above part of the spectrum, so its member takes eigvalsh, as the oracle does.
         # With g = 0 the coupling changes no wave operator above E = 10 (it is below rounding there)
         config = make_config(basis=OVERFLOW_BASIS, nu=1.0, g=0.0)
-        grid = [10.0, 42.50583527842615, OVERFLOW_BASIS_POLE, 50.0, 55.0, 77.17805935311771, 30.0, 710.0]
+        grid = [10.0, DEGENERATE_ENERGY, OVERFLOW_BASIS_POLE, 50.0, 55.0, UNSTABLE_ENERGY, 30.0, 710.0]
         outcomes = kernel_outcomes(grid, [config])[0]
         assert [type(outcome) for outcome in outcomes] == [
             ScatterPoint,
@@ -518,8 +523,8 @@ class TestScanKernel:
         [
             (make_config(g=0.0), FREE_EIGENVALUE, PoleError),
             (make_config(basis=OVERFLOW_BASIS, nu=1.0), 710.0, RecurrenceOverflowError),
-            (make_config(basis=OVERFLOW_BASIS, nu=1.0), 77.17805935311771, RecurrenceOverflowError),
-            (make_config(basis=OVERFLOW_BASIS, nu=1.0), 42.50583527842615, DegenerateEnergyError),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), UNSTABLE_ENERGY, RecurrenceOverflowError),
+            (make_config(basis=OVERFLOW_BASIS, nu=1.0), DEGENERATE_ENERGY, DegenerateEnergyError),
             (make_config(basis=BasisParams(lam=1e-160, ell=1)), 2.0, OverflowError),
             (make_config(nu=1.0), 1e300, RecurrenceOverflowError),
             (make_config(nu=1.0), 1.7e308, OverflowError),
