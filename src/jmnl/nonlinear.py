@@ -12,15 +12,25 @@ sum_{i<K} Lt_i(x)^2 (14 at K = 8): a confining term, not a short-range one.
 Lambda is a sum of squares of symmetric matrices, hence positive definite for
 any nu > -1.  Its entries are extremely graded (the high-index corner grows
 factorially, reaching ~1e17 at nu = 1, K = 8, N = 20), so the positivity
-certificate and the whitening transform both read one thin SVD of the stacked
-factor F (Lambda = F^T F), taken when Lambda is built, rather than an
-eigendecomposition of the assembled entries, which is the only way to
-resolve the small end of the spectrum in double precision.
+certificate and the whitening transform both read one SVD of a factor of
+Lambda, taken when Lambda is built, rather than an eigendecomposition of the
+assembled entries, which is the only way to resolve the small end of the
+spectrum in double precision.
+
+The build stacks the K(N + 2K + 4) x N factor F (Lambda = F^T F), takes the
+N x N triangular R of F = Q R (so Lambda = R^T R) and the SVD of R: Chan's
+R-SVD (ACM TOMS 8(1), 1982), which gives F's singular values and right
+singular vectors without forming F's left ones.  LAPACK's SVD of a tall F
+runs the same QR first, so the two agree bit for bit.  F is scaled by an
+exact power of two before its QR: from nu ~ 300 its entries are subnormal,
+where an unscaled QR rounds coarsely (sigma off by 6 % at nu = 312) while
+LAPACK's SVD scales such a matrix itself.  Only R is kept.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +88,8 @@ class ModelConfig:
         object.__setattr__(
             self, "weight_choice", _WEIGHT_ALIASES.get(self.weight_choice, self.weight_choice)
         )
+        for field, name in (("size", "matrix size N"), ("terms", "term count K")):
+            object.__setattr__(self, field, _integer(getattr(self, field), name))
         if not -1 < self.nu < math.inf:
             raise ValueError("ansatz parameter must satisfy nu > -1 and be finite")
         if self.size < 2:
@@ -85,7 +97,7 @@ class ModelConfig:
         if not 1 <= self.terms <= self.size:
             raise ValueError("need 1 <= terms <= size")
         # the largest arrays of a config: the (K, N, N) linearization table and the (64, N, N) wave stack
-        if max(int(self.terms), _BLOCK) * int(self.size) ** 2 > _MAX_ENTRIES:
+        if max(self.terms, _BLOCK) * self.size**2 > _MAX_ENTRIES:
             raise ValueError(
                 f"max(K, {_BLOCK}) x N^2 must be at most {_MAX_ENTRIES} entries, "
                 "the largest float64 array numpy can index"
@@ -96,6 +108,16 @@ class ModelConfig:
             )
         if not math.isfinite(self.g):
             raise ValueError("coupling g must be finite")
+
+
+def _integer(value, name: str) -> int:
+    # operator.index takes Python and numpy integers, and no float, however integral
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool (got {value!r})")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer (got {value!r})") from None
 
 
 def weight(energy: float, config: ModelConfig) -> float:
@@ -139,11 +161,12 @@ def _weights(mus, config: ModelConfig) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class LambdaMatrix:
-    """Lambda = F^T F with its certificate, its stacked factor F and F's thin SVD.
+    """Lambda = R^T R with its certificate, its triangular factor R and R's SVD.
 
-    `singular` and `v_t` are F's singular values and right singular vectors;
-    `row_sums`, |F|^T |F| 1, bounds Lambda's absolute row sums and the
-    rounding of its stored entries row by row.  `min_eigenvalue` is
+    `factor` is the N x N upper-triangular R of the stacked factor F = Q R;
+    `singular` and `v_t` are R's singular values and right singular vectors,
+    which are F's; `row_sums`, |F|^T |F| 1, bounds Lambda's absolute row sums
+    and the rounding of its stored entries row by row.  `min_eigenvalue` is
     singular[-1]**2, which underflows to 0 from nu ~ 177 while `singular`
     still certifies Lambda: read the singular value where that matters.
     """
@@ -168,9 +191,16 @@ class LambdaMatrix:
 
 @lru_cache(maxsize=16)
 def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
-    table, factor = linearization_table(terms, size, nu)
+    table, stacked = linearization_table(terms, size, nu)
     entries = table.sum(axis=0)
-    _, singular, v_t = np.linalg.svd(factor, full_matrices=False)
+    magnitude = np.abs(stacked)
+    row_sums = magnitude.T @ magnitude.sum(axis=1)
+    # the exact scale 2^-exponent takes the largest entry into [1/2, 1): the QR of a
+    # subnormal F (nu near 312) then does not round in the subnormal range
+    exponent = math.frexp(float(magnitude.max()))[1]
+    scaled_r = np.linalg.qr(np.ldexp(stacked, -exponent), mode="r")
+    _, singular, v_t = np.linalg.svd(scaled_r)
+    singular, factor = np.ldexp(singular, exponent), np.ldexp(scaled_r, exponent)
     if not singular[0] > 0:
         raise PositivityCertificateError(f"Lambda underflowed to zero at nu={nu}: 1/Gamma(nu+1) is below the double range")
     min_eig = float(singular[-1] ** 2)
@@ -182,8 +212,6 @@ def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
             f"min eigenvalue {min_eig:.3e} indistinguishable from zero "
             f"(floor {float(floor**2):.3e}) for nu={nu}, terms={terms}, size={size}"
         )
-    magnitude = np.abs(factor)
-    row_sums = magnitude.T @ magnitude.sum(axis=1)
     return LambdaMatrix(entries, nu, terms, min_eig, factor, singular, v_t, row_sums)
 
 
@@ -196,9 +224,11 @@ def lambda_matrix(config: ModelConfig) -> LambdaMatrix:
     back (`validate` 4 times, a scan twice per config), and across calls
     only a repeated scan or point-query loop reuses an entry, over its
     distinct nu (7 on the paper grid).  A fresh config is built once and
-    never read again, and each entry holds its stacked factor (18-241 KiB at
-    the benchmark's sweep sizes).  A repeated loop over more than 16
-    distinct (nu, terms, size) rebuilds Lambda on every pass.
+    never read again.  An entry holds N x N and length-N arrays only (Lambda,
+    R, V^T, the singular values and the row sums; 6.25-54.8 KiB at the
+    benchmark's sweep sizes): the stacked factor F is dropped once R is
+    taken.  A repeated loop over more than 16 distinct (nu, terms, size)
+    rebuilds Lambda on every pass.
     """
     return _lambda_core(config.nu, config.terms, config.size)
 

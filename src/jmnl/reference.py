@@ -55,6 +55,9 @@ class BasisParams:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValueError("scale parameter lam must be positive and finite")
+        # H0 scales as lam^2 and the momentum as 1/lam: both must be doubles
+        if not (math.isfinite(self.lam * self.lam) and math.isfinite(1.0 / self.lam)):
+            raise ValueError(f"scale parameter lam must have a finite square and reciprocal (got {self.lam!r})")
         if self.ell < 0 or int(self.ell) != self.ell:
             raise ValueError("angular momentum ell must be a non-negative integer")
 

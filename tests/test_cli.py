@@ -673,6 +673,14 @@ class TestMainEntry:
         assert captured.err.startswith("config error: ") and "be finite" in captured.err
         assert captured.out == ""
 
+    def test_scale_beyond_the_double_range_is_a_config_error(self, tmp_path, capsys):
+        # lambda^2 overflows: named as a config error, not Python's errno text from h0_matrix
+        config = write_config(tmp_path, GOOD_CONFIG.replace("lambda = 5.0", "lambda = 1e300"))
+        assert main(["scan", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: scale parameter lam must have a finite square and reciprocal (got 1e+300)\n"
+        assert captured.out == ""
+
     def test_underflowing_lambda_is_a_numerical_error(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu = 400"))
         assert main(["scan", "--config", config]) == 3

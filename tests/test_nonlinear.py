@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from jmnl.nonlinear import (
     wave_operator,
     weight,
 )
+from jmnl.orthopoly import linearization_table
 from jmnl.reference import BasisParams, _momentum, h0_matrix, sine_coefficients
 from jmnl.scattering import ScanRequest, run_scan, s_matrix, validate
 
@@ -59,6 +61,19 @@ class TestConfig:
         assert make_config(size=2**20 - 1, terms=2**20 - 1).terms == 2**20 - 1
         with pytest.raises(ValueError, match="max\\(K, 64\\) x N\\^2"):
             make_config(size=2**20, terms=2**20)
+
+    @pytest.mark.parametrize(
+        "size, terms, name",
+        [(20.5, 8, "matrix size N"), (20, 8.0, "term count K"), (True, 1, "matrix size N"), (20, True, "term count K")],
+    )
+    def test_rejects_size_and_terms_that_are_not_integers(self, size, terms, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_config(size=size, terms=terms)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = make_config(size=np.int64(20), terms=np.int32(8))
+        assert (type(config.size), type(config.terms)) == (int, int)
+        assert (config.size, config.terms) == (20, 8)
 
     def test_rejects_unknown_weight(self):
         with pytest.raises(ValueError):
@@ -183,8 +198,29 @@ class TestLambdaMatrix:
         assert len(calls) == 1
 
     def test_factor_reproduces_entries(self):
+        # the factor kept is the N x N triangular R of the stacked F = Q R: R^T R = F^T F = Lambda
         lam = lambda_matrix(make_config(nu=2.5, terms=4, size=9))
+        assert lam.factor.shape == (9, 9)
+        assert np.array_equal(np.triu(lam.factor), lam.factor)
         assert np.allclose(lam.factor.T @ lam.factor, lam.entries, rtol=1e-12, atol=1e-12)
+
+    def test_entry_holds_square_arrays_only(self):
+        # Lambda, R and V^T (N x N), the singular values and the row sums (N): no K(N + 2K + 4) x N factor
+        size = 48
+        lam = _lambda_core(1.0, 8, size)
+        arrays = [getattr(lam, field.name) for field in dataclasses.fields(lam)]
+        arrays = [array for array in arrays if isinstance(array, np.ndarray)]
+        assert all(array.base is None for array in arrays)
+        assert sum(array.nbytes for array in arrays) <= (3 * size**2 + 2 * size) * 8
+
+    @pytest.mark.parametrize("nu", [176.0, 250.0, 300.0, 312.0])
+    def test_singular_values_of_a_tiny_factor(self, nu):
+        # F is subnormal near nu = 312: the exactly scaled QR keeps sigma within the certificate's floor
+        lam = lambda_matrix(make_config(nu=nu))
+        _, stacked = linearization_table(8, 20, nu)
+        expected = np.linalg.svd(stacked, compute_uv=False)
+        assert expected[-1] > 0
+        assert np.abs(lam.singular - expected).max() <= 16 * np.finfo(float).eps * expected[0]
 
     @pytest.mark.parametrize(
         "nu, terms, size", [(1.0, 8, 20), (7.0, 8, 20), (0.0, 8, 48), (1.3941544542304376, 8, 48), (2.5, 4, 9)]

@@ -40,6 +40,16 @@ class TestParams:
         with pytest.raises(ValueError, match="positive and finite"):
             BasisParams(lam=lam, ell=0)
 
+    @pytest.mark.parametrize("lam", [1e300, 1.35e154, 5e-309, 5e-324])
+    def test_rejects_scale_beyond_its_square_or_reciprocal(self, lam):
+        # H0 scales as lam^2 and the momentum as 1/lam
+        with pytest.raises(ValueError, match="lam must have a finite square and reciprocal"):
+            BasisParams(lam=lam, ell=0)
+
+    @pytest.mark.parametrize("lam", [1.34e154, 5.6e-309])
+    def test_accepts_scale_at_the_edges(self, lam):
+        assert BasisParams(lam=lam, ell=0).lam == lam
+
     def test_rejects_bad_ell(self):
         with pytest.raises(ValueError):
             BasisParams(lam=1.0, ell=-1)

@@ -60,3 +60,11 @@ def test_reports_and_messages_digest_their_text():
 def test_digest_separates_parts():
     line = same_outputs._line
     assert line("x", [b"ab"]) != line("x", [b"a", b"b"]) != line("x", [b"b", b"a"])
+
+
+def test_header_names_the_blas_kernel(monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    assert same_outputs.header() == f"blas OPENBLAS_CORETYPE=unset {blas['name']} {blas['version']}"
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert same_outputs.header().startswith("blas OPENBLAS_CORETYPE=Haswell ")

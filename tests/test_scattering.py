@@ -171,9 +171,13 @@ class TestSolveFloor:
         assert _floor(a, x).tolist() == [np.inf]
 
     def test_infinite_floor_accepts_nothing(self, monkeypatch):
-        # g = 1e308, nu = 5, E = 0.61: one solve leaves a residual of 3.7e-9, above 1e-9;
-        # the floor (1.5e-5) accepts it, as an infinite one would, but an infinite one must not
+        # g = 1e308, nu = 5, E = 0.61: each solve is planted to leave a residual near 1e-7, on
+        # any BLAS kernel; the floor (1.5e-5) accepts it, as an infinite one would, but an
+        # infinite one must not
         matrix = wave_operator(0.61, make_config(g=1e308, nu=5.0))[None]
+        solve = np.linalg.solve
+        # the solution of a right-hand side 1e-7 off in every entry; a refinement step keeps the offset
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b + 1e-7))
         solves = count_calls(monkeypatch, np.linalg, ("solve",))
         _, (error,) = _checked_solve(matrix, _last_units(1, 20), [0.61])
         assert error is None and solves == {"solve": 1}

@@ -8,7 +8,16 @@ comparing the two listings line by line:
     PYTHONPATH=/path/to/other/checkout/src python tools/same_outputs.py > before.txt
     diff before.txt after.txt
 
-One line per digest, ``name count sha256``:
+The digests compare only the two trees on one machine with one BLAS
+kernel.  numpy's OpenBLAS picks its kernels by CPU, or by the
+``OPENBLAS_CORETYPE`` environment variable, and another kernel rounds the
+products differently: most scan rows and many digests change, with no
+status or check verdict moving.  So both listings must come from the same
+machine, numpy and ``OPENBLAS_CORETYPE``.  The first line names them,
+``blas OPENBLAS_CORETYPE=<value or unset> <BLAS name> <BLAS version>``, so a
+diff across kernels shows as such.
+
+Then one line per digest, ``name count sha256``:
 
 * ``scan:<grid>``: the CSV bytes of each of 15 scan grids (the paper grid,
   extreme couplings, ``lambda = 1`` above and across the free spectrum, an
@@ -158,7 +167,14 @@ def digests(grids: dict | None = None, corpus: list | None = None, points: list 
     return lines
 
 
+def header() -> str:
+    """The BLAS the digests depend on: OPENBLAS_CORETYPE and numpy's BLAS name and version."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"blas OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')} {blas['name']} {blas['version']}"
+
+
 def main() -> int:
+    print(header())
     for line in digests():
         print(line)
     return 0
