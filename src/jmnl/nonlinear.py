@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 WEIGHT_CHOICES = ("resonance", "sine")
-_WEIGHT_ALIASES = {"fig1": "resonance"}
 
 _EPS = float(np.finfo(float).eps)
 
@@ -85,9 +84,6 @@ class ModelConfig:
     weight_choice: str = "resonance"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weight_choice", _WEIGHT_ALIASES.get(self.weight_choice, self.weight_choice)
-        )
         for field, name in (("size", "matrix size N"), ("terms", "term count K")):
             object.__setattr__(self, field, _integer(getattr(self, field), name))
         if not -1 < self.nu < math.inf:
@@ -101,6 +97,13 @@ class ModelConfig:
             raise ValueError(
                 f"max(K, {_BLOCK}) x N^2 must be at most {_MAX_ENTRIES} entries, "
                 "the largest float64 array numpy can index"
+            )
+        # the largest entry of H0's (N + 1) block is (lam^2/2)(2N + ell + 3/2), at n = N; a row
+        # holds at most three entries, so each computed absolute row sum stays below 4 times it
+        if not math.isfinite(4.0 * (0.5 * self.basis.lam**2 * (2 * self.size + self.basis.ell + 1.5))):
+            raise ValueError(
+                f"scale parameter lam must keep H0's row sums finite at N = {self.size} and ell = {self.basis.ell}: "
+                f"4 (lam^2/2)(2N + ell + 3/2) overflows (got {self.basis.lam!r})"
             )
         if self.weight_choice not in WEIGHT_CHOICES:
             raise ValueError(
@@ -131,10 +134,12 @@ def weight(energy: float, config: ModelConfig) -> float:
 def _weights(mus, config: ModelConfig) -> tuple[list, list]:
     """The weight at each mu in one pass of Python float operations.
 
-    Returns the values and, per mu, ``None`` or the ArithmeticError that
-    stops the weight there (its value is then nan).  Every value is bit for
-    bit the weight of that mu alone.
+    Returns the values and, per mu, ``None`` or the OverflowError that
+    stops the weight there (its value is then nan): the weight is not
+    finite, or Python's float power or exp raised, which it then chains.
+    Every value is bit for bit the weight of that mu alone.
     """
+    cause = None
     try:
         if config.weight_choice == "resonance":
             power = 2.0 * config.nu
@@ -143,11 +148,12 @@ def _weights(mus, config: ModelConfig) -> tuple[list, list]:
             power = config.basis.ell + 1
             values = [2.0 * mu**power * math.exp(-mu**2 / 2.0) for mu in mus]
     except ArithmeticError as exc:
-        if len(mus) == 1:
-            return [math.nan], [exc]
-        # Python's float power and exp raise where the result overflows: settle each mu alone
-        parts = [_weights([mu], config) for mu in mus]
-        return [value for (value,), _ in parts], [error for _, (error,) in parts]
+        if len(mus) > 1:
+            # Python's float power and exp raise where the result overflows: settle each mu alone
+            parts = [_weights([mu], config) for mu in mus]
+            return [value for (value,), _ in parts], [error for _, (error,) in parts]
+        # a weight beyond the double range, as below, chained from Python's error
+        values, cause = [math.inf], exc
     errors = [None] * len(values)
     if all(map(math.isfinite, values)):
         return values, errors
@@ -155,6 +161,7 @@ def _weights(mus, config: ModelConfig) -> tuple[list, list]:
         if not math.isfinite(value):
             # mu = inf once 2E overflows, and inf * e^{-inf} is nan
             errors[j] = OverflowError(f"weight is not finite at mu={mus[j]:.3g}")
+            errors[j].__cause__ = cause
             values[j] = math.nan
     return values, errors
 
@@ -221,7 +228,7 @@ def lambda_matrix(config: ModelConfig) -> LambdaMatrix:
     Results are cached per (nu, terms, size); the returned object is
     immutable.  The cache keeps the 16 most recently used entries, sized by
     its traffic: within one call every reader looks its Lambda up back to
-    back (`validate` 4 times, a scan twice per config), and across calls
+    back (`validate` 3 times, a scan once per config), and across calls
     only a repeated scan or point-query loop reuses an entry, over its
     distinct nu (7 on the paper grid).  A fresh config is built once and
     never read again.  An entry holds N x N and length-N arrays only (Lambda,

@@ -15,8 +15,9 @@ operator, and a determinant ratio needing eigenvalues only.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
-batch of one.  Its pole guard works per block of energies: since Lambda is
-positive semi-definite, one Cholesky factorisation of a lower operator
+batch of one.  An energy whose weight or free tails fail has that error before
+any wave operator is built.  The pole guard works per block of energies: since
+Lambda is positive semi-definite, one Cholesky factorisation of a lower operator
 H0 + c_min Lambda - (E_max + delta_max) I, less a derived rounding slack,
 certifies every member of the block (a Loewner sandwich).  A block it cannot
 clear, or a block of one, takes one stacked Cholesky factorisation of
@@ -130,56 +131,53 @@ def _floor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         return floor * scales[0] * scales[1]
 
 
-def _checked_solve(matrix: np.ndarray, rhs: np.ndarray, energies) -> tuple[np.ndarray, list]:
-    """Solve matrix[i] @ x = rhs[i] for a (B, N, N) stack, with up to two refinement steps.
+def _checked_solve(matrix: np.ndarray, energies) -> tuple[np.ndarray, list]:
+    """Corner G_c of each matrix[i]^-1 of a (B, N, N) stack: a solve for e_N, with up to two refinement steps.
 
-    Returns the (B, N, K) solutions and, for each member, ``None`` or the
-    :class:`PoleError` that rejects it: the matrix is singular, or the
-    max-norm residual stays above max(1e-9, 16 eps ||M|| ||x||).  Double
-    precision cannot push it below ~eps ||M|| ||x||, and 1e-9 applies
-    whenever that is representable; a floor that is not finite accepts
-    nothing.  A failure marks only its own member.
+    Returns the (B,) corners, the last entries of the solutions x_i of
+    matrix[i] @ x_i = e_N, and, for each member, ``None`` or the
+    :class:`PoleError` that rejects it: the matrix is singular (its corner
+    is then nan), or the max-norm residual stays above max(1e-9, 16 eps ||M||
+    ||x||).  Double precision cannot push it below ~eps ||M|| ||x||, and 1e-9
+    applies whenever that is representable; a floor that is not finite
+    accepts nothing.  A failure marks only its own member.
     """
+    unit = np.zeros(matrix.shape[:-1] + (1,))
+    unit[:, -1] = 1.0
     try:
-        solution = np.linalg.solve(matrix, rhs)
+        solution = np.linalg.solve(matrix, unit)
     except np.linalg.LinAlgError as exc:
         if len(matrix) > 1:
             # LAPACK stops the whole stack at one singular member: settle each alone
-            parts = [
-                _checked_solve(matrix[i : i + 1], rhs[i : i + 1], energies[i : i + 1])
-                for i in range(len(matrix))
-            ]
+            parts = [_checked_solve(matrix[i : i + 1], energies[i : i + 1]) for i in range(len(matrix))]
             return np.concatenate([x for x, _ in parts]), [e for _, (e,) in parts]
         error = PoleError(f"wave operator is singular: {exc}", energy=energies[0])
         error.__cause__ = exc
-        return np.full(rhs.shape, np.nan), [error]
+        return np.full(1, np.nan), [error]
     errors = [None] * len(matrix)
-    rows = np.arange(len(matrix))
-    a, b, x = matrix, rhs, solution
+    rows, a, b, x = np.arange(len(matrix)), matrix, unit, solution
     for refinement in range(3):
         defect = b - a @ x
-        size = np.abs(defect)
-        if size.max() <= 1e-9:
-            return solution, errors
-        residual = size.max(axis=(1, 2))
+        residual = np.abs(defect).max(axis=(1, 2))
         # within 1e-9, or within the double-precision floor where that is finite
-        floor = _floor(a, x)
-        failed = ~((residual <= 1e-9) | ((residual <= floor) & np.isfinite(floor)))
+        failed = ~(residual <= 1e-9)
+        if failed.any():
+            floor = _floor(a, x)
+            failed &= ~((residual <= floor) & np.isfinite(floor))
         if not failed.any():
-            return solution, errors
-        rows, a, b, x, defect, residual = (
-            v[failed] for v in (rows, a, b, x, defect, residual)
-        )
+            break
+        rows, a, b, x, defect, residual = (v[failed] for v in (rows, a, b, x, defect, residual))
         if refinement < 2:
             x = x + np.linalg.solve(a, defect)
             solution[rows] = x
-    for row, value in zip(rows, residual):
-        errors[row] = PoleError(
-            f"solve residual {value:.3e} exceeds tolerance; "
-            "energy is too close to a spectral point",
-            energy=energies[row],
-        )
-    return solution, errors
+    else:
+        for row, value in zip(rows, residual):
+            errors[row] = PoleError(
+                f"solve residual {value:.3e} exceeds tolerance; "
+                "energy is too close to a spectral point",
+                energy=energies[row],
+            )
+    return solution[:, -1, 0], errors
 
 
 def _gamma(n: int) -> float:
@@ -207,19 +205,6 @@ def _pole_errors(eigenvalues: np.ndarray, energies: np.ndarray) -> tuple[np.ndar
     shifted = eigenvalues - energies[:, None]
     gaps = np.abs(shifted).min(axis=1).tolist()
     return shifted, [_pole_error(gap, energy) for gap, energy in zip(gaps, energies.tolist())]
-
-
-@lru_cache(maxsize=64)
-def _last_unit(size: int) -> np.ndarray:
-    unit = np.zeros((size, 1))
-    unit[-1] = 1.0
-    unit.setflags(write=False)
-    return unit
-
-
-def _last_units(count: int, size: int) -> np.ndarray:
-    # read-only (count, size, 1) view of the one cached last unit column of its size
-    return np.broadcast_to(_last_unit(size), (count, size, 1))
 
 
 @lru_cache(maxsize=64)
@@ -311,33 +296,38 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     The scan kernel; ``result[k]`` is ``(s, delta, amplitude, errors,
     corner)`` of ``configs[k]``: arrays over ``energies`` (``corner`` is the
     G_c that S used, which :func:`validate` checks), and a list with, per
-    energy, ``None`` or the ArithmeticError that stops S there (its values
-    are then nan).  The configs must share basis and size: the free
+    energy, ``None`` or the first ArithmeticError that stops S there (its
+    values are then nan).  The configs must share basis and size: the free
     side (momentum, tail terms c_n - i s_n at n = N-1, N) is evaluated once
-    per energy, and a tail error surfaces after weight, pole guard and solve,
-    as for the energy alone.  Per config, the weights and couplings of all
-    energies are one pass each, and each block of up to ``_BLOCK`` energies
-    is one (B, N, N) wave-operator stack whose certified members take their
-    corners from one stacked Cholesky factorisation of M
-    (:func:`_pivot_corners`); a member cleared only by eigvalsh, or whose
-    factor fails the pivot check, takes the checked solve.
+    per energy.
 
-    The pole guard of a block is first its Loewner sandwich
-    (:func:`_cleared_blocks`): one Cholesky factorisation of a lower operator
-    A with M_i - delta_i I >= A for every member, delta_i = POLE_MARGIN *
-    max(1, |E_i|).  If it succeeds, every member has all its eigenvalues
-    above delta_i and is clear.  Otherwise, and for a block of one, the guard
-    is one stacked Cholesky of M_i - delta_i I; LAPACK stops the whole stack
-    at the first member that is not positive definite, and then each member
-    is factored alone, so a row does not depend on its block.  A member that
-    Cholesky cannot certify (on a pole, or with E above part of its
-    spectrum) is an OverflowError if its wave operator is not finite (the
-    coupling overflowed); the rest take the eigvalsh gap and
-    :func:`_pole_error`, which alone give the gap the PoleError reports.  A
-    Cholesky factorisation succeeds only if its matrix is numerically
-    positive definite, the same floating-point evidence eigvalsh gives about
-    the smallest eigenvalue, so the guards can disagree only where a gap lies
-    within rounding of delta.
+    Each energy's error comes from one order: weight, free tails, pole guard,
+    solve, S.  Per config, the weights of all energies are one pass, and an
+    energy whose weight or tails fail has its error before any wave operator
+    is built: its coupling c = g w^2 is nan, and the Loewner sandwich
+    (:func:`_cleared_blocks`) and the blocks (:func:`_block_corners`) pass
+    over it, so it is never factored or solved.  Each block of up to
+    ``_BLOCK`` energies is one (B, N, N) wave-operator stack of its live
+    members, whose certified members take their corners from one stacked
+    Cholesky factorisation of M (:func:`_pivot_corners`); a member cleared
+    only by eigvalsh, or whose factor fails the pivot check, takes the
+    checked solve (:func:`_checked_solve`).
+
+    The pole guard of a block is first its Loewner sandwich: one Cholesky
+    factorisation of a lower operator A with M_i - delta_i I >= A for every
+    live member, delta_i = POLE_MARGIN * max(1, |E_i|).  If it succeeds,
+    every member has all its eigenvalues above delta_i and is clear.
+    Otherwise, and for a block of one, the guard is one stacked Cholesky of
+    M_i - delta_i I; LAPACK stops the whole stack at the first member that is
+    not positive definite, and then each member is factored alone, so a row
+    does not depend on its block.  A member that Cholesky cannot certify (on
+    a pole, or with E above part of its spectrum) is an OverflowError if its
+    wave operator is not finite (the coupling overflowed); the rest take the
+    eigvalsh gap and :func:`_pole_error`, which alone give the gap the
+    PoleError reports.  A Cholesky factorisation succeeds only if its matrix
+    is numerically positive definite, the same floating-point evidence
+    eigvalsh gives about the smallest eigenvalue, so the guards can disagree
+    only where a gap lies within rounding of delta.
 
     S is assembled per config as arrays: numerator l + w u with
     w = b_{N-1} G_c, denominator its exact conjugate, and one np.angle.  Each
@@ -348,54 +338,55 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     ArithmeticError (a non-positive energy, a failed eigensolver) propagate.
     """
     basis, size = configs[0].basis, configs[0].size
-    h0, b, _ = _free_block(basis, size)
+    h0, b, h0_sums = _free_block(basis, size)
     b_tail = b[-1]
     mus = [_momentum(energy, basis) for energy in energies]
     terms, tail_errors = _free_tails(mus, basis, size + 1)
-    tail_failed = [j for j, error in enumerate(tail_errors) if error is not None]
     columns = []
     # a failing member leaves inf or nan in its own entries (an overflowing coupling,
     # nan tail terms, a vanishing denominator); its error is reported instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for config in configs:
-            entries = lambda_matrix(config).entries
-            weights, errors = _weights(mus, config)
+            lam = lambda_matrix(config)
+            weights, weight_errors = _weights(mus, config)
+            errors = [weight_error or tail_error for weight_error, tail_error in zip(weight_errors, tail_errors)]
             w = np.array(weights)
             couplings = config.g * w * w
+            couplings[[j for j, error in enumerate(errors) if error is not None]] = np.nan
             cleared = [False]
             if len(energies) > 1:
-                cleared = _cleared_blocks(np.asarray(energies, dtype=float), couplings, config)
+                cleared = _cleared_blocks(np.asarray(energies, dtype=float), couplings, h0, h0_sums, lam)
             corner = np.empty(len(energies))
             for b, start in enumerate(range(0, len(energies), _BLOCK)):
                 block = slice(start, start + _BLOCK)
                 corner[block], errors[block] = _block_corners(
-                    energies[block], couplings[block], errors[block], h0, entries, cleared[b]
+                    energies[block], couplings[block], errors[block], h0, lam.entries, cleared[b]
                 )
-            for j in tail_failed:
-                if errors[j] is None:
-                    errors[j] = tail_errors[j]
             s, delta, amplitude, errors = _assemble(energies, terms, b_tail * corner, errors)
             corner[[j for j, error in enumerate(errors) if error is not None]] = np.nan
             columns.append((s, delta, amplitude, errors, corner))
     return columns
 
 
-def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelConfig) -> list[bool]:
+def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, h0: np.ndarray, h0_sums: np.ndarray, lam) -> list[bool]:
     """Per block of up to ``_BLOCK`` energies, whether its Loewner sandwich clears every member of poles.
 
-    ``couplings`` holds c_i = g w_i^2 of each energy, nan where the weight
-    failed.  Lambda >= 0, so every live member of a block has M_i - delta_i I
-    >= H0 + c_min Lambda - (E_max + delta_max) I with c_min the smallest
-    live coupling and E_max the largest energy of the block (energies are
-    positive, so E_max is also max|E|).  The block's lower operator is that
-    matrix minus diag(r), and one stacked Cholesky factorisation of all of
-    them answers for every block; a finite factor clears the block.
+    ``couplings`` holds c_i = g w_i^2 of each energy, nan where its weight or
+    tails failed: such a member is not live, and nothing here reads its
+    coupling or its energy.  ``h0_sums`` are H0's absolute row sums and
+    ``lam`` the config's :class:`LambdaMatrix`.  Lambda >= 0, so every live
+    member of a block has M_i - delta_i I >= H0 + c_min Lambda - (E_max +
+    delta_max) I with c_min the smallest live coupling and E_max the largest
+    live energy of the block (energies are positive, so E_max is also
+    max|E|).  The block's lower operator is that matrix minus diag(r), and
+    one stacked Cholesky factorisation of all of them answers for every
+    block; a finite factor clears the block.
 
     r bounds, by Gershgorin's theorem, the rounding that separates the float
-    matrices from the exact sandwich, row by row.  With u = eps/2, C = max|c_i|,
-    s = fl(E_max + delta_max), rho_j the row sum |F|^T |F| 1 that Lambda
-    carries (``LambdaMatrix.row_sums``) and eta_j = sum_k |H0_jk|, each of
-    these moves row j by at most:
+    matrices from the exact sandwich, row by row.  With u = eps/2, C = max|c_i|
+    over the live members, s = fl(E_max + delta_max), rho_j the row sum
+    |F|^T |F| 1 that Lambda carries (``LambdaMatrix.row_sums``) and eta_j =
+    sum_k |H0_jk|, each of these moves row j by at most:
 
     - the stored Lambda, sums of rounded Gram products of the K blocks of
       its factor (2K - 1 products each, one symmetrisation, K - 1 sums):
@@ -414,16 +405,15 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, config: ModelCo
     too, and that member must report overflow, not a pole.  A block of one
     live member is its own sandwich and is left to the per-member guard.
     """
-    h0, _, h0_sums = _free_block(config.basis, config.size)
-    lam = lambda_matrix(config)
     starts = np.arange(0, len(couplings), _BLOCK)
-    # fmin and fmax pass over the nan of a failed weight
-    live = np.add.reduceat(~np.isnan(couplings), starts, dtype=np.intp)
+    dead = np.isnan(couplings)
+    live = np.add.reduceat(~dead, starts, dtype=np.intp)
+    # fmin and fmax pass over the nan coupling of a member that is not live; energies are positive
     low = np.fmin.reduceat(couplings, starts)
     size = np.fmax.reduceat(np.abs(couplings), starts)
-    top = np.maximum.reduceat(energies, starts)
+    top = np.maximum.reduceat(np.where(dead, 0.0, energies), starts)
     shift = top + _margin(top)
-    slack = (3 * config.terms + 8) * _EPS * (np.multiply.outer(size, lam.row_sums) + h0_sums + shift[:, None])
+    slack = (3 * lam.terms + 8) * _EPS * (np.multiply.outer(size, lam.row_sums) + h0_sums + shift[:, None])
     diagonal = shift[:, None] + slack
     candidates = ((live > 1) & np.isfinite(diagonal).all(axis=1)).nonzero()[0]
     cleared = np.zeros(len(starts), dtype=bool)
@@ -488,10 +478,11 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, entries: np.ndarray, cleared: bool):
-    """Corner G_c at each energy of one block, nan where a weight, pole guard or solve fails.
+    """Corner G_c at each energy of one block, nan where a weight, tail, pole guard or solve fails.
 
     ``couplings`` holds c_i = g w_i^2 and ``errors``, per energy, ``None`` or
-    the failure of its weight.  Returns the corners and ``errors`` with the
+    the failure of its weight or its tails; only the energies with no error
+    are live and get a wave operator.  Returns the corners and ``errors`` with the
     pole guard's and the solve's failures added.  ``cleared`` says that the
     block's Loewner sandwich cleared every member (:func:`_cleared_blocks`);
     otherwise the members take the per-member Cholesky guard.  A certified
@@ -526,8 +517,8 @@ def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, e
         corner[[live[m] for m in certified]] = pivots
         solve += [certified[k] for k in failed]
     if solve:
-        solution, solve_errors = _checked_solve(stack[solve], _last_units(len(solve), len(h0)), [at[m] for m in solve])
-        for m, value, error in zip(solve, solution[:, -1, 0].tolist(), solve_errors):
+        corners, solve_errors = _checked_solve(stack[solve], [at[m] for m in solve])
+        for m, value, error in zip(solve, corners.tolist(), solve_errors):
             if error is None:
                 corner[live[m]] = value
             else:
@@ -557,9 +548,10 @@ def _assemble(energies, terms: np.ndarray, w: np.ndarray, errors: list):
 def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
     """Scattering matrix value e^{2 i delta} at one energy.
 
-    A batch of one through the scan kernel; raises the error that stops S
-    at this energy (:class:`PoleError`, :class:`RecurrenceOverflowError`,
-    :class:`DegenerateEnergyError`, ...).
+    A batch of one through the scan kernel; raises the first error that
+    stops S at this energy, in the order weight, free tails, pole guard,
+    solve, S (:class:`OverflowError`, :class:`RecurrenceOverflowError`,
+    :class:`PoleError`, :class:`DegenerateEnergyError`, ...).
     """
     ((s, delta, amplitude, (error,), _),) = _scatter([energy], [config])
     if error is not None:

@@ -3,6 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from jmnl.nonlinear import ModelConfig
+from jmnl.reference import BasisParams
+
 
 def count_calls(monkeypatch, module, names):
     """Counter of the calls made to the named functions of module while the test runs."""
@@ -16,6 +19,25 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def largest_scale(size, ell):
+    """The largest basis scale lam that ModelConfig accepts at this N and ell, by bisection over the doubles."""
+
+    def accepted(bits):
+        try:
+            ModelConfig(BasisParams(lam=float(np.int64(bits).view(float)), ell=ell), 2.0, 1.0, size, 2)
+        except ValueError:
+            return False
+        return True
+
+    # 1.34e154 has a finite square, but H0's entries, (lam^2/2)(2n + ell + 3/2), overflow there
+    low, high = (int(np.float64(x).view(np.int64)) for x in (1.0, 1.34e154))
+    assert accepted(low) and not accepted(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if accepted(middle) else (low, middle)
+    return float(np.int64(low).view(float))
 
 
 @pytest.fixture

@@ -219,12 +219,10 @@ def free_couplings(config: ModelConfig) -> np.ndarray:
 
 def checked_corner(matrix: np.ndarray, energy: float | None = None) -> float:
     """Corner of the inverse of one matrix from the kernel's checked solve; raises its PoleError."""
-    unit = np.zeros((1, len(matrix), 1))
-    unit[0, -1] = 1.0
-    solution, (error,) = _checked_solve(np.asarray(matrix, dtype=float)[None], unit, [energy])
+    (corner,), (error,) = _checked_solve(np.asarray(matrix, dtype=float)[None], [energy])
     if error is not None:
         raise error
-    return float(solution[0, -1, 0])
+    return float(corner)
 
 
 def _pivot_corner(matrix: np.ndarray, margin: float) -> float | None:
@@ -240,6 +238,9 @@ def _pivot_corner(matrix: np.ndarray, margin: float) -> float | None:
 
 
 def _corner_and_tail(energy: float, config: ModelConfig):
+    # the kernel's order: the weight's error, then the tails', then the pole guard's and the solve's
+    weight(energy, config)
+    s, c, b_tail = _kinematic_tail(energy, config)
     # a coupling g omega^2 Lambda beyond the double range leaves inf or nan entries
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = wave_operator(energy, config)
@@ -255,7 +256,6 @@ def _corner_and_tail(energy: float, config: ModelConfig):
     corner = _pivot_corner(matrix, POLE_MARGIN * max(1.0, abs(energy)))
     if corner is None:
         corner = checked_corner(matrix, energy)
-    s, c, b_tail = _kinematic_tail(energy, config)
     return corner, s, c, b_tail
 
 

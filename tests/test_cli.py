@@ -28,7 +28,7 @@ from jmnl.scattering import (
     validate,
 )
 
-from conftest import count_calls
+from conftest import count_calls, largest_scale
 from oracles import s_matrix_point
 
 ORACLE_STATUS = {
@@ -562,10 +562,10 @@ class TestValidate:
         assert validate(config).passed
         checked_solve, block_corners, solved = scattering._checked_solve, scattering._block_corners, []
 
-        def planted_solve(matrix, rhs, energies):
+        def planted_solve(matrix, energies):
             solved.extend(energies)
-            solution, errors = checked_solve(matrix, rhs, energies)
-            return 1.5 * solution, errors
+            corners, errors = checked_solve(matrix, energies)
+            return 1.5 * corners, errors
 
         def kernel_blocks(*args):
             with monkeypatch.context() as patch:
@@ -679,6 +679,41 @@ class TestMainEntry:
         assert main(["scan", "--config", config]) == 1
         captured = capsys.readouterr()
         assert captured.err == "config error: scale parameter lam must have a finite square and reciprocal (got 1e+300)\n"
+        assert captured.out == ""
+
+    def test_scale_that_overflows_the_free_block_is_a_config_error(self, tmp_path, capsys):
+        # lambda^2 is finite, but H0's entries (lambda^2/2)(2n + ell + 3/2) and their row sums at N = 12 are not
+        config = write_config(tmp_path, GOOD_CONFIG.replace("lambda = 5.0", "lambda = 1e154"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scan", "--config", config]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: scale parameter lam must keep H0's row sums finite at N = 12 and ell = 1: "
+            "4 (lam^2/2)(2N + ell + 3/2) overflows (got 1e+154)\n"
+        )
+        assert captured.out == ""
+
+    def test_largest_accepted_scale_scans_without_warning(self, tmp_path, capsys):
+        largest = largest_scale(12, 1)
+        config = write_config(tmp_path, GOOD_CONFIG.replace("lambda = 5.0", f"lambda = {largest!r}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scan", "--config", config]) == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("nu,E,")
+        following = float(np.nextafter(largest, math.inf))
+        config = write_config(tmp_path, GOOD_CONFIG.replace("lambda = 5.0", f"lambda = {following!r}"))
+        assert main(["scan", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("config error: scale parameter lam must keep H0's row sums finite")
+
+    def test_weight_outside_the_choices_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, GOOD_CONFIG + "weight = fig1\n")
+        assert main(["scan", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: weight_choice must be one of ('resonance', 'sine') (got 'fig1')\n"
         assert captured.out == ""
 
     def test_underflowing_lambda_is_a_numerical_error(self, tmp_path, capsys):

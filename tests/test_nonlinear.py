@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jmnl.nonlinear import (
+    WEIGHT_CHOICES,
     LambdaMatrix,
     ModelConfig,
     PositivityCertificateError,
@@ -20,6 +21,7 @@ from jmnl.orthopoly import linearization_table
 from jmnl.reference import BasisParams, _momentum, h0_matrix, sine_coefficients
 from jmnl.scattering import ScanRequest, run_scan, s_matrix, validate
 
+from conftest import largest_scale
 from oracles import ansatz_coefficients
 
 
@@ -79,8 +81,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(weight_choice="gauss")
 
-    def test_weight_alias(self):
-        assert make_config(weight_choice="fig1").weight_choice == "resonance"
+    def test_rejects_a_name_outside_the_choices(self):
+        # "fig1", once an alias of "resonance", is a name like any other
+        with pytest.raises(ValueError) as caught:
+            make_config(weight_choice="fig1")
+        assert str(caught.value) == f"weight_choice must be one of {WEIGHT_CHOICES} (got 'fig1')"
+
+    @pytest.mark.parametrize("size, ell", [(2, 0), (20, 1), (48, 5)])
+    def test_largest_scale_keeps_the_free_block_finite(self, size, ell):
+        # at the largest accepted lam, the (N + 1) block of H0 and the absolute row sums of its
+        # leading N x N block are finite, with no warning; the next double is rejected by name
+        largest = largest_scale(size, ell)
+        block = h0_matrix(BasisParams(lam=largest, ell=ell), size + 1)
+        with np.errstate(all="raise"):
+            assert np.isfinite(block).all() and np.isfinite(np.abs(block[:-1, :-1]).sum(axis=1)).all()
+        with pytest.raises(ValueError, match="scale parameter lam must keep H0's row sums finite"):
+            make_config(basis=BasisParams(lam=float(np.nextafter(largest, math.inf)), ell=ell), size=size, terms=2)
 
     def test_zero_coupling_allowed(self):
         assert make_config(g=0.0).g == 0.0
@@ -102,14 +118,15 @@ class TestWeight:
 
 
 def weight_alone(mu, config):
-    """The weight's float operations at one mu, or the ArithmeticError they raise."""
+    """The weight's float operations at one mu, or the OverflowError of a weight that is not finite."""
     try:
         if config.weight_choice == "resonance":
             value = mu ** (2.0 * config.nu) * math.exp(-mu**2)
         else:
             value = 2.0 * mu ** (config.basis.ell + 1) * math.exp(-mu**2 / 2.0)
-    except ArithmeticError as exc:
-        return exc
+    except ArithmeticError:
+        # Python's power or exp raised: the same error as a value that is not finite
+        value = math.inf
     return value if math.isfinite(value) else OverflowError(f"weight is not finite at mu={mu:.3g}")
 
 
@@ -131,6 +148,8 @@ class TestWeights:
             else:
                 assert error is None and value.hex() == expected.hex(), mu
         assert {type(error) for error in errors} > {type(None)}
+        # a power or exp that raised is chained, never reported as Python's errno text
+        assert any(isinstance(error.__cause__, OverflowError) for error in errors if error is not None)
 
 
 class TestAnsatz:
@@ -261,8 +280,8 @@ class TestLambdaCache:
             nu_list=PAPER_NUS, e_min=0.5, e_max=6.0, steps=551,
         )
         run_scan(request)
-        # two lookups per config, one after the other
-        assert lambda_traffic(lambda: run_scan(request), monkeypatch) == (14, 0, 0)
+        # one lookup per config: the kernel hands its Lambda to the sandwich
+        assert lambda_traffic(lambda: run_scan(request), monkeypatch) == (7, 0, 0)
 
     def test_fresh_validates_hold_at_most_16_entries(self, monkeypatch):
         rng = np.random.default_rng(2117)
@@ -270,8 +289,8 @@ class TestLambdaCache:
         for index in range(40):
             size, terms = pairs[index % len(pairs)]
             config = make_config(nu=float(rng.uniform(0.0, 8.0)), size=size, terms=terms)
-            # four lookups back to back: one build, then three hits
-            assert lambda_traffic(lambda: validate(config), monkeypatch) == (3, 1, 1)
+            # three lookups back to back: one build, then two hits
+            assert lambda_traffic(lambda: validate(config), monkeypatch) == (2, 1, 1)
             assert _lambda_core.cache_info().currsize <= 16
 
     def test_point_queries_on_the_paper_nu_build_nothing(self, monkeypatch):

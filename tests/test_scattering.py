@@ -32,7 +32,6 @@ from jmnl.scattering import (
     _free_block,
     _gamma,
     _green_routes,
-    _last_units,
     _margin,
     _pivot_corners,
     _scatter,
@@ -76,24 +75,17 @@ class TestGreenDirect:
         assert checked_corner(np.diag([2.0, 4.0])) == 0.25
 
     def test_residual_on_scan_config(self):
+        # the checked solve accepts LAPACK's solution for e_N, whose residual is below 1e-9, and returns its corner
         matrix = wave_operator(1.0, make_config())
-        unit = np.zeros((1, 20, 1))
-        unit[0, -1] = 1.0
-        solution, (error,) = _checked_solve(matrix[None], unit, [1.0])
+        unit = np.zeros((20, 1))
+        unit[-1] = 1.0
+        solution = np.linalg.solve(matrix, unit)
+        (corner,), (error,) = _checked_solve(matrix[None], [1.0])
         assert error is None
-        residual = np.abs(matrix @ solution[0] - unit[0]).max()
+        residual = np.abs(matrix @ solution - unit).max()
         assert residual < 1e-9
-        assert checked_corner(matrix, energy=1.0) == solution[0, -1, 0]
-
-    def test_unit_columns_view_one_array_per_size(self):
-        # a checked-solve stack of any count reads the one cached column of its size
-        units = [_last_units(count, 20) for count in range(1, 65)]
-        assert all(np.shares_memory(unit, units[0]) and not unit.flags.writeable for unit in units)
-        dense = np.zeros((64, 20, 1))
-        dense[:, -1] = 1.0
-        assert np.array_equal(units[-1], dense)
-        stack = np.stack([wave_operator(energy, make_config()) for energy in np.linspace(0.6, 5.9, 64)])
-        assert np.array_equal(np.linalg.solve(stack, units[-1]), np.linalg.solve(stack, dense))
+        assert corner == solution[-1, 0]
+        assert checked_corner(matrix, energy=1.0) == corner
 
     def test_singular_raises_pole(self):
         with pytest.raises(PoleError):
@@ -119,14 +111,12 @@ class TestGreenDirect:
         # LAPACK fails a whole stack at one singular member; an infinite
         # entry leaves a nan residual that refinement cannot lower
         stack = np.array([np.diag([2.0, 4.0]), member, np.diag([4.0, 8.0])])
-        unit = np.zeros((3, 2, 1))
-        unit[:, -1] = 1.0
         with np.errstate(invalid="ignore"):
-            solution, errors = _checked_solve(stack, unit, [1.0, 2.0, 3.0])
+            corners, errors = _checked_solve(stack, [1.0, 2.0, 3.0])
             with pytest.raises(PoleError) as alone:
                 checked_corner(member, energy=2.0)
         assert errors[0] is None and errors[2] is None
-        assert solution[[0, 2], -1, 0].tolist() == [0.25, 0.125]
+        assert corners[[0, 2]].tolist() == [0.25, 0.125]
         assert isinstance(errors[1], PoleError) and errors[1].energy == 2.0
         assert str(errors[1]).startswith(message)
         assert str(errors[1]) == str(alone.value)
@@ -179,10 +169,10 @@ class TestSolveFloor:
         # the solution of a right-hand side 1e-7 off in every entry; a refinement step keeps the offset
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b + 1e-7))
         solves = count_calls(monkeypatch, np.linalg, ("solve",))
-        _, (error,) = _checked_solve(matrix, _last_units(1, 20), [0.61])
+        _, (error,) = _checked_solve(matrix, [0.61])
         assert error is None and solves == {"solve": 1}
         monkeypatch.setattr(scattering, "_floor", lambda a, x: np.full(len(a), np.inf))
-        _, (error,) = _checked_solve(matrix, _last_units(1, 20), [0.61])
+        _, (error,) = _checked_solve(matrix, [0.61])
         assert isinstance(error, PoleError) and str(error).startswith("solve residual")
         assert solves == {"solve": 1 + 3}
 
@@ -293,6 +283,17 @@ class TestSMatrix:
         eigenvalue = float(np.linalg.eigvalsh(h0_matrix(config.basis, config.size))[0])
         with pytest.raises(PoleError):
             s_matrix(eigenvalue, config)
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-160])
+    def test_weight_overflow_is_named(self, lam):
+        # mu = sqrt(2E) / lam is huge and Python's mu**power raises: S reports the weight's own
+        # error, chained from Python's, and never Python's errno text
+        config = make_config(basis=BasisParams(lam=lam, ell=1))
+        with pytest.raises(OverflowError) as caught:
+            s_matrix(3.0, config)
+        assert str(caught.value) == f"weight is not finite at mu={_momentum(3.0, config.basis):.3g}"
+        assert type(caught.value.__cause__) is OverflowError
+        assert str(caught.value.__cause__) != str(caught.value)
 
     def test_two_forms_agree(self):
         rng = np.random.default_rng(20260811)
@@ -512,15 +513,54 @@ class TestScanKernel:
         ((s, delta, amplitude, errors, corner),) = _scatter([], [make_config()])
         assert (s.shape, delta.shape, amplitude.shape, errors, corner.shape) == ((0,), (0,), (0,), [], (0,))
 
-    def test_solve_error_before_tail_error(self, monkeypatch):
-        # as for the point oracle, a member whose solve fails reports that, not its tail error
-        def failing_solve(matrix, rhs, energies):
-            solution, _ = _checked_solve(matrix, rhs, energies)
-            return solution, [PoleError("forced", energy=energy) for energy in energies]
+    def test_tail_error_before_solve_error(self, monkeypatch):
+        # as for the point oracle, a member whose tails fail reports that, and is never solved
+        solved = []
+
+        def failing_solve(matrix, energies):
+            solved.extend(energies)
+            corners, _ = _checked_solve(matrix, energies)
+            return corners, [PoleError("forced", energy=energy) for energy in energies]
 
         monkeypatch.setattr(scattering, "_checked_solve", failing_solve)
-        outcomes = kernel_outcomes([30.0, 710.0], [make_config(basis=OVERFLOW_BASIS, nu=1.0)])[0]
-        assert [(type(outcome), str(outcome)) for outcome in outcomes] == [(PoleError, "forced")] * 2
+        config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
+        outcomes = kernel_outcomes([30.0, 710.0], [config])[0]
+        # E = 30 lies above part of the spectrum, so it takes the solve; the seed overflows at E = 710
+        assert solved == [30.0]
+        assert (type(outcomes[0]), str(outcomes[0])) == (PoleError, "forced")
+        assert type(outcomes[1]) is RecurrenceOverflowError
+        assert str(outcomes[1]).startswith("cosine seed overflowed")
+        assert same_outcome(outcomes[1], oracle_outcome(710.0, config))
+
+    def test_failed_energies_never_reach_lapack(self, monkeypatch):
+        # every matrix that Cholesky, eigvalsh or solve sees is a block's lower operator or the
+        # wave operator M_j (or M_j - delta_j I) of an energy whose weight and tails are fine
+        basis, grid = TAIL_GRIDS["mixed-errors"]
+        config = make_config(basis=basis, nu=1.0)
+        failed = failed_energies(grid, config)
+        assert 0 < len(failed) < len(grid)
+        couplings, _ = block_couplings(grid, config)
+        h0, _, _ = _free_block(config.basis, config.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            members = _wave_stack(h0, couplings, lambda_matrix(config).entries, np.array(grid)[:, None])
+        shifted = members.copy()
+        _diagonal(shifted)[...] -= _margin(np.array(grid))[:, None]
+        energy_of = {matrix.tobytes(): j for stack in (members, shifted) for j, matrix in enumerate(stack)}
+        seen = {name: set() for name in ("cholesky", "eigvalsh", "solve")}
+        for name in seen:
+
+            def recorded(a, *args, name=name, original=getattr(np.linalg, name)):
+                seen[name].update(energy_of.get(matrix.tobytes()) for matrix in np.reshape(a, (-1,) + a.shape[-2:]))
+                return original(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        outcomes = kernel_outcomes(grid, [config])[0]
+        for name, energies in seen.items():
+            assert not energies & failed, name
+            # the guard, the spectrum and the solve all run on this grid
+            assert energies - {None}, name
+        for j, outcome in enumerate(outcomes):
+            assert same_outcome(outcome, oracle_outcome(grid[j], config)), grid[j]
 
     @pytest.mark.parametrize(
         "config, energy, kind",
@@ -629,10 +669,12 @@ class TestScanKernel:
     )
     def test_clear_indefinite_block_takes_spectrum(self, linalg_calls, config, low, high, pivots):
         # E above part of the spectrum: neither the sandwich nor the Cholesky can certify, yet no
-        # energy is a pole; the members below the free spectrum (free only) take one stacked Cholesky of M
+        # energy is a pole; the members below the free spectrum (free only) take one stacked Cholesky of M.
+        # Only the live members, those whose weight and tails are fine, are factored, each alone
         grid = [float(e) for e in np.linspace(low, high, _BLOCK)]
+        live = _BLOCK - len(failed_energies(grid, config))
         outcomes = kernel_outcomes(grid, [config])[0]
-        assert linalg_calls == {"cholesky": 1 + 1 + _BLOCK + pivots, "eigvalsh": 1}
+        assert linalg_calls == {"cholesky": 1 + 1 + live + pivots, "eigvalsh": 1}
         assert not any(isinstance(outcome, PoleError) for outcome in outcomes)
         assert any(isinstance(outcome, ScatterPoint) for outcome in outcomes)
         for energy, outcome in zip(grid, outcomes):
@@ -721,10 +763,10 @@ class TestLoewnerSandwich:
         assert linalg_calls == {"cholesky": 1 + 1}
         (coupling,), _ = block_couplings([3.0], config)
         energies = np.array([3.0, 3.1])
-        assert _cleared_blocks(energies, np.array([coupling, coupling]), config) == [True]
+        assert sandwich(energies, np.array([coupling, coupling]), config) == [True]
         linalg_calls.clear()
-        # nan marks a failed weight
-        assert _cleared_blocks(energies, np.array([coupling, np.nan]), config) == [False]
+        # nan marks a failed weight or failed tails
+        assert sandwich(energies, np.array([coupling, np.nan]), config) == [False]
         assert linalg_calls == {}
 
 
@@ -734,9 +776,22 @@ def block_couplings(grid, config):
     return config.g * np.array(w) * np.array(w), errors
 
 
+def failed_energies(grid, config):
+    """Indices of the energies whose weight or free tails fail: the kernel builds no wave operator for them."""
+    _, tail_errors = _free_tails([_momentum(energy, config.basis) for energy in grid], config.basis, config.size + 1)
+    _, weight_errors = block_couplings(grid, config)
+    return {j for j, errors in enumerate(zip(weight_errors, tail_errors)) if any(errors)}
+
+
+def sandwich(energies, couplings, config):
+    """Per block, whether the Loewner sandwich of these energies and couplings clears it."""
+    h0, _, h0_sums = _free_block(config.basis, config.size)
+    return _cleared_blocks(energies, couplings, h0, h0_sums, lambda_matrix(config))
+
+
 def cleared_blocks(grid, config):
     """Per block of the grid, whether its Loewner sandwich clears it."""
-    return _cleared_blocks(np.array(grid), block_couplings(grid, config)[0], config)
+    return sandwich(np.array(grid), block_couplings(grid, config)[0], config)
 
 
 def recorded_stacks(monkeypatch, name):
@@ -811,13 +866,14 @@ class TestPivotCorner:
             bound = backward_error_bound(exact, factor, factor.T, perturbed, _gamma(size + 1))
             assert pivot_error <= bound + _gamma(2) * pivot, energy
 
-            solution, (error,) = _checked_solve(matrix[None], _last_units(1, size), [energy])
+            (corner,), (error,) = _checked_solve(matrix[None], [energy])
+            solution = np.linalg.solve(matrix, np.eye(size)[:, -1:])[:, 0]
             # the checked solve kept LAPACK's solution: no refinement step ran
-            assert error is None and np.array_equal(solution[0], np.linalg.solve(matrix, _last_units(1, size)[0]))
+            assert error is None and corner == solution[-1]
             permutation, lower, upper = scipy.linalg.lu(matrix)
             with mpmath.workdps(60):
-                solve_error = float(abs(solution[0, -1, 0] - exact[size - 1]))
-            bound = backward_error_bound(exact, permutation @ lower, upper, solution[0, :, 0], _gamma(3 * size))
+                solve_error = float(abs(corner - exact[size - 1]))
+            bound = backward_error_bound(exact, permutation @ lower, upper, solution, _gamma(3 * size))
             assert solve_error <= bound, energy
 
     @pytest.mark.parametrize(
