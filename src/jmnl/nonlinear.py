@@ -179,7 +179,6 @@ class LambdaMatrix:
     """
 
     entries: np.ndarray
-    nu: float
     terms: int
     min_eigenvalue: float
     factor: np.ndarray
@@ -219,7 +218,7 @@ def _lambda_core(nu: float, terms: int, size: int) -> LambdaMatrix:
             f"min eigenvalue {min_eig:.3e} indistinguishable from zero "
             f"(floor {float(floor**2):.3e}) for nu={nu}, terms={terms}, size={size}"
         )
-    return LambdaMatrix(entries, nu, terms, min_eig, factor, singular, v_t, row_sums)
+    return LambdaMatrix(entries, terms, min_eig, factor, singular, v_t, row_sums)
 
 
 def lambda_matrix(config: ModelConfig) -> LambdaMatrix:

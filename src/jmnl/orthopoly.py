@@ -10,7 +10,7 @@ recurrence coefficients into a tridiagonal Jacobi matrix J turns multiplication
 by z into a matrix operator.  The workhorses:
 
 * :func:`laguerre_orthonormal_sequence`, the values Lt_0(z) .. Lt_n(z) by the
-  recurrence;
+  recurrence, whose one loop (:func:`_recursion`) also runs the free sequences;
 * :func:`linearization_table`, the coefficients expanding Lt_i(z)^2 * Lt_n(z)
   over the family: entries of Lt_i(J)^2, a banded matrix polynomial evaluated
   exactly by the same recurrence, with the stacked factor whose Gram matrix
@@ -47,6 +47,34 @@ def _normalization(n: int, nu: float) -> float:
     return math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + nu + 1)))
 
 
+@lru_cache(maxsize=64)
+def _recursion_coefficients(nu: float, count: int) -> tuple[tuple[float, float, float], ...]:
+    # (alpha_n, |beta_{n-1}|, |beta_n|) for n < count - 1; the first step weighs P_{-1}, the drive, by 1
+    if count < 1:
+        raise ValueError(f"a sequence needs at least one value (asked for {count})")
+    return tuple(
+        (2 * n + nu + 1.0, math.sqrt(n * (n + nu)) if n else 1.0, math.sqrt((n + 1.0) * (n + nu + 1.0)))
+        for n in range(count - 1)
+    )
+
+
+def _recursion(first, z, nu: float, count: int, drive=0.0) -> list:
+    """P_0 .. P_{count-1} of the recurrence that (-1)^n Lt_n(z) obeys, from P_0 = ``first``.
+
+    P_{n+1} = ((z - alpha_n) P_n - |beta_{n-1}| P_{n-1}) / |beta_n|, the free
+    Hamiltonian's positive couplings, with P_{-1} = ``drive`` weighed by 1:
+    the free cosine sequence passes its seed and the drive of its n = 0
+    relation.  In Python floats or elementwise in arrays (z and the drive
+    broadcast against ``first``), which round alike.
+    """
+    values = [first]
+    first, second = drive, first
+    for diagonal, below, above in _recursion_coefficients(nu, count):
+        first, second = second, ((z - diagonal) * second - below * first) / above
+        values.append(second)
+    return values
+
+
 def laguerre_orthonormal_sequence(nmax: int, nu: float, z):
     """Orthonormal Laguerre values Lt_0(z) .. Lt_nmax(z).
 
@@ -56,15 +84,8 @@ def laguerre_orthonormal_sequence(nmax: int, nu: float, z):
     """
     _check_nu(nu)
     z = np.asarray(z, dtype=float)
-    out = np.zeros((nmax + 1,) + z.shape)
-    out[0] = _normalization(0, nu)
-    if nmax == 0:
-        return out
-    out[1] = (z - (nu + 1.0)) * out[0] / (-math.sqrt(nu + 1.0))
-    for n in range(1, nmax):
-        b_n = -math.sqrt((n + 1.0) * (n + nu + 1.0))
-        b_nm1 = -math.sqrt(n * (n + nu))
-        out[n + 1] = ((z - (2 * n + nu + 1.0)) * out[n] - b_nm1 * out[n - 1]) / b_n
+    out = np.array(_recursion(np.full(z.shape, _normalization(0, nu)), z, nu, nmax + 1))
+    out[1::2] *= -1.0  # Lt_n = (-1)^n P_n, exactly
     return out
 
 

@@ -6,9 +6,10 @@ momentum ell.  In the basis
     phi_n(r) = sqrt(2 lam Gamma(n+1)/Gamma(n+ell+3/2))
                (lam r)^{ell+1} e^{-lam^2 r^2 / 2} L_n^{ell+1/2}(lam^2 r^2)
 
-its matrix is tridiagonal, so the two scattering solutions of the free
-problem are encoded by coefficient sequences s_n(E) (regular, "sine-like")
-and c_n(E) (irregular, "cosine-like") obeying one three-term recursion.
+its matrix is (lam^2/2) |J|, J the Laguerre Jacobi matrix at nu = ell + 1/2,
+so the two scattering solutions of the free problem are encoded by
+coefficient sequences s_n(E) (regular, "sine-like") and c_n(E) (irregular,
+"cosine-like") obeying orthopoly's three-term recurrence.
 The sine coefficients have a closed form; the cosine sequence is seeded by a
 confluent-hypergeometric closed form at n = 0, its n = 1 value follows from
 the inhomogeneous seed relation, and the rest by forward recursion.  The one
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import laguerre_orthonormal_sequence
+from .orthopoly import _normalization, _recursion, jacobi_matrix, laguerre_orthonormal_sequence
 
 __all__ = [
     "BasisParams",
@@ -74,48 +75,16 @@ def _momentum(energy: float, basis: BasisParams) -> float:
 
 
 def h0_matrix(basis: BasisParams, size: int) -> np.ndarray:
-    """Dense size x size block of the free Hamiltonian.
+    """Dense size x size block of the free Hamiltonian, (lam^2/2) |J| at nu = ell + 1/2 (size >= 1).
 
     Diagonal (lam^2/2)(2n + ell + 3/2); first off-diagonals, the couplings
     b_n, (lam^2/2) sqrt((n+1)(n + ell + 3/2)); zero beyond.
     """
-    n = np.arange(size, dtype=float)
-    diag = 0.5 * basis.lam**2 * (2 * n + basis.ell + 1.5)
-    off = 0.5 * basis.lam**2 * np.sqrt((n[:-1] + 1) * (n[:-1] + basis.ell + 1.5))
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return 0.5 * basis.lam**2 * np.abs(jacobi_matrix(basis.nu_basis, size))
 
 
 def _sine_prefactor(mu: float, basis: BasisParams) -> float:
     return (2.0 / math.sqrt(basis.lam)) * mu ** (basis.ell + 1) * math.exp(-mu**2 / 2.0)
-
-
-def _lt_0(basis: BasisParams) -> float:
-    # Lt_0 = 1 / sqrt(Gamma(nu + 1)), nu = ell + 1/2: the n = 0 normalisation of both sequences
-    return math.exp(-0.5 * math.lgamma(basis.nu_basis + 1.0))
-
-
-@lru_cache(maxsize=64)
-def _free_recursion_coefficients(ell: int, count: int) -> tuple[tuple[float, float, float], ...]:
-    return tuple(
-        (2 * n + ell + 1.5, math.sqrt(n * (n + ell + 0.5)), math.sqrt((n + 1) * (n + ell + 1.5)))
-        for n in range(1, count - 1)
-    )
-
-
-def _free_recursion(first, second, z, ell: int, count: int) -> list:
-    """P_0 .. P_{count-1} (count >= 2) of the free three-term recursion.
-
-    P_{n+1} = ((z - (2n + ell + 3/2)) P_n - sqrt(n (n + ell + 1/2)) P_{n-1})
-    / sqrt((n+1)(n + ell + 3/2)), in Python floats or elementwise in arrays
-    (z broadcast against the seeds), which round alike.  The cosine
-    coefficients obey it, and so does (-1)^n Lt_n(z) with nu = ell + 1/2,
-    whose sign flips are exact.
-    """
-    values = [first, second]
-    for diagonal, below, above in _free_recursion_coefficients(ell, count):
-        first, second = second, ((z - diagonal) * second - below * first) / above
-        values.append(second)
-    return values
 
 
 def _read_only(values: list[float]) -> np.ndarray:
@@ -126,14 +95,9 @@ def _read_only(values: list[float]) -> np.ndarray:
 
 def _sine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
-    z = mu**2
+    nu = basis.nu_basis
     prefactor = _sine_prefactor(mu, basis)
-    lt_0 = _lt_0(basis)
-    if count == 1:
-        values = [prefactor * lt_0]
-    else:
-        minus_lt_1 = (z - (basis.ell + 1.5)) * lt_0 / math.sqrt(basis.ell + 1.5)
-        values = [prefactor * v for v in _free_recursion(lt_0, minus_lt_1, z, basis.ell, count)]
+    values = [prefactor * v for v in _recursion(_normalization(0, nu), mu**2, nu, count)]
     if not all(map(math.isfinite, values)):
         raise RecurrenceOverflowError(f"sine coefficients overflowed for mu={mu:.3g}")
     return values
@@ -143,8 +107,8 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarr
     """Closed-form regular-solution coefficients s_0 .. s_{count-1}.
 
     s_n = (-1)^n (2/sqrt(lam)) mu^{ell+1} e^{-mu^2/2} Lt_n(mu^2) with
-    nu = ell + 1/2; (-1)^n Lt_n runs through the free recursion shared with
-    the cosine coefficients, whose sign flips are exact.  Raises
+    nu = ell + 1/2; (-1)^n Lt_n runs through orthopoly's recurrence, shared
+    with the cosine coefficients, whose sign flips are exact.  Raises
     :class:`RecurrenceOverflowError` where e^{-mu^2/2} underflows as Lt_n overflows,
     so the returned read-only array is finite.
     """
@@ -212,7 +176,7 @@ def _cosine_seed(mu: float, basis: BasisParams, kummer: float) -> float:
         * (math.exp(math.lgamma(basis.nu_basis)) / math.pi)
         * mu ** (-basis.ell)
         * math.exp(-mu**2 / 2.0)
-        * _lt_0(basis)
+        * _normalization(0, basis.nu_basis)
         * kummer
     )
 
@@ -250,12 +214,10 @@ def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
         c0 = _cosine_seed(mu, basis, _kummer(ell, z)) if _seed_in_range(drive) else math.nan
     except OverflowError as exc:
         raise _seed_overflow(mu) from exc
-    if count == 1 and math.isfinite(c0):
-        return [c0]  # a non-finite c_0 reaches the seed check below
-    c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
+    values = _recursion(c0, z, basis.nu_basis, count, drive)
+    c1 = values[1] if count > 1 else 0.0
     if not (math.isfinite(c0) and math.isfinite(c1)):
         raise _seed_overflow(mu)
-    values = _free_recursion(c0, c1, z, ell, count)
     guard = 1e8 * max(abs(c0), abs(c1), 1e-300)
     # from finite c_0, c_1 the recursion reaches nan only through inf
     peak = max(map(abs, values))
@@ -307,13 +269,12 @@ def _free_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.nd
 def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
     """:func:`_free_tails` as one stacked (2, B) recursion of the unscaled sine and the cosine.
 
-    The recursion runs through :func:`_free_recursion`, with the seeds computed
+    The recursion runs through :func:`_recursion`, with the seeds computed
     per energy in ``math``, so every value and every overflow test rounds as in
     the float sequences; an energy whose seeds raise or whose values fail a
     test takes the float sequences, which raise its error.
     """
-    ell = basis.ell
-    lt_0 = _lt_0(basis)
+    ell, nu = basis.ell, basis.nu_basis
     regular, irregular, seeds = [], [], []
     for j, mu in enumerate(mus):
         try:
@@ -330,12 +291,10 @@ def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np
     c0 = np.array([_cosine_seed(mus[j], basis, m) for j, m in zip(regular, _stacked_kummer(ell, z).tolist())])
     with np.errstate(over="ignore", invalid="ignore"):
         # a failing energy leaves inf or nan in its own column
-        c1 = ((z - (ell + 1.5)) * c0 - drive) / math.sqrt(ell + 1.5)
-        minus_lt_1 = (z - (ell + 1.5)) * lt_0 / math.sqrt(ell + 1.5)
-        values = np.array(
-            _free_recursion(np.stack([np.full_like(z, lt_0), c0]), np.stack([minus_lt_1, c1]), z, ell, count)
-        )
+        first = np.stack([np.full_like(z, _normalization(0, nu)), c0])
+        values = np.array(_recursion(first, z, nu, count, np.stack([np.zeros_like(z), drive])))
         sine, cosine = prefactor * values[:, 0], values[:, 1]
+        c1 = cosine[1]
         guard = 1e8 * np.maximum(np.maximum(np.abs(c0), np.abs(c1)), 1e-300)
         # max() of the float sequence skips nan as fmax does
         peak = np.fmax.reduce(np.abs(cosine))

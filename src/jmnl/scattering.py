@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 #: relative distance to the nearest spectral point below which an energy is
 #: treated as sitting on a pole of the finite Green's function
@@ -323,7 +324,7 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     does not depend on its block.  A member that Cholesky cannot certify (on
     a pole, or with E above part of its spectrum) is an OverflowError if its
     wave operator is not finite (the coupling overflowed); the rest take the
-    eigvalsh gap and :func:`_pole_error`, which alone give the gap the
+    eigvalsh gap and :func:`_pole_errors`, which alone give the gap the
     PoleError reports.  A Cholesky factorisation succeeds only if its matrix
     is numerically positive definite, the same floating-point evidence
     eigvalsh gives about the smallest eigenvalue, so the guards can disagree
@@ -503,10 +504,9 @@ def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, e
     if doubtful:
         finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
         spectral = [m for m, ok in zip(doubtful, finite) if ok]
-        shifts = e[spectral]
-        gaps = np.abs(np.linalg.eigvalsh(stack[spectral]) + shifts - shifts).min(axis=1).tolist()
-        for m, gap in zip(spectral, gaps):
-            errors[live[m]] = _pole_error(gap, at[m])
+        _, gap_errors = _pole_errors(np.linalg.eigvalsh(stack[spectral]) + e[spectral], e[spectral, 0])
+        for m, error in zip(spectral, gap_errors):
+            errors[live[m]] = error
         for m, ok in zip(doubtful, finite):
             if not ok:
                 errors[live[m]] = OverflowError(f"wave operator is not finite at E={at[m]}")
@@ -794,7 +794,7 @@ def _green_routes(config: ModelConfig, energies: list, corners: list) -> tuple[t
 _CASORATIAN_LIMIT = 1e-8
 
 
-def _casoratian(energy: float, basis: BasisParams, b: np.ndarray) -> tuple[float, float]:
+def _casoratian(energy: float, basis: BasisParams, b: np.ndarray) -> tuple[float, float] | None:
     """Relative defect of b_n (s_n c_{n+1} - s_{n+1} c_n) = 2k/pi over n < N, and its bound.
 
     ``b`` holds the free couplings b_0 .. b_{N-1}.  Two solutions of one
@@ -803,10 +803,14 @@ def _casoratian(energy: float, basis: BasisParams, b: np.ndarray) -> tuple[float
     its own relative error, while rounding, kept once made, adds up over the
     N + 1 values of about five operations each: the bound is
     5 (N + 1) eps max_n b_n (|s_n c_{n+1}| + |s_{n+1} c_n|) / (2k/pi).
+    ``None`` where a sine coefficient is below the normal range (ell = 1,
+    E < 6: from lam ~ 1e124), which keeps fewer bits than the bound counts.
     """
     count = len(b) + 1
     sine = sine_coefficients(energy, basis, count)
     cosine = cosine_coefficients(energy, basis, count)
+    if np.abs(sine).min() < _TINY:
+        return None
     wronskian = 2.0 * math.sqrt(2.0 * energy) / math.pi
     first, second = b * sine[:-1] * cosine[1:], b * sine[1:] * cosine[:-1]
     defect = float(np.max(np.abs(first - second - wronskian))) / wronskian
@@ -866,19 +870,25 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     worst_defect = 0.0
     worst_ratio = 0.0
     skipped = []
+    underflowed = 0
     for energy in energies[:4]:
         try:
-            defect, bound = _casoratian(energy, config.basis, b)
+            result = _casoratian(energy, config.basis, b)
         except ArithmeticError as exc:
             skipped.append(_status(exc))
             continue
+        if result is None:
+            underflowed += 1
+            continue
+        defect, bound = result
         worst_defect = max(worst_defect, defect)
         worst_ratio = max(worst_ratio, defect / bound)
-    checked = len(energies[:4]) - len(skipped)
+    checked = len(energies[:4]) - len(skipped) - underflowed
+    underflow = f", {underflowed} underflow-failed: sine coefficients below the normal range" if underflowed else ""
     report.add(
         "casoratian",
-        checked > 0 and worst_ratio <= 1.0 and worst_defect <= _CASORATIAN_LIMIT,
+        checked > 0 and not underflowed and worst_ratio <= 1.0 and worst_defect <= _CASORATIAN_LIMIT,
         f"worst relative defect {worst_defect:.3e} (limit {_CASORATIAN_LIMIT:.0e}), "
-        f"{worst_ratio:.3f} of the rounding bound ({checked} checked, {status_summary(skipped, 'skipped')})",
+        f"{worst_ratio:.3f} of the rounding bound ({checked} checked, {status_summary(skipped, 'skipped')}{underflow})",
     )
     return report

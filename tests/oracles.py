@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, roots_genlaguerre, spherical_jn
 
 from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform, wave_operator, weight
-from jmnl.orthopoly import laguerre_orthonormal_sequence, linearization_table
+from jmnl.orthopoly import jacobi_matrix, laguerre_orthonormal_sequence, linearization_table
 from jmnl.reference import BasisParams, _momentum, cosine_coefficients, h0_matrix, sine_coefficients
 from jmnl.scattering import (
     _CASORATIAN_LIMIT,
@@ -34,6 +34,7 @@ from jmnl.scattering import (
     ScatterPoint,
     ValidationReport,
     _checked_solve,
+    _gamma,
     _lambda_bound,
     _scatter,
     _status,
@@ -113,19 +114,75 @@ def kummer_series(a: float, b: float, z: float) -> float:
     return total
 
 
-def linearization_identity_residual(i: int, n: int, nu: float, z: float) -> float:
-    """Relative mismatch of the product expansion at a single point.
+def _majorant_values(count: int, nu: float, z: float) -> np.ndarray:
+    """V_0 .. V_{count-1}: the Laguerre recurrence run with every term in absolute value, V_m >= |Lt_m(z)|."""
+    dense = np.abs(jacobi_matrix(nu, count + 1))
+    alpha, beta = np.diag(dense), np.diag(dense, 1)
+    values = [math.exp(-0.5 * math.lgamma(nu + 1.0))]
+    values.append(abs(z - alpha[0]) * values[0] / beta[0])
+    for k in range(1, count - 1):
+        values.append((abs(z - alpha[k]) * values[k] + beta[k - 1] * values[k - 1]) / beta[k])
+    return np.array(values[:count])
 
-    Compares Lt_i(z)^2 Lt_n(z) against the tabulated expansion
-    sum_m entries[i, n, m] Lt_m(z), m <= n + 2i, normalized by max(1, |lhs|).
-    Meaningful for z in the well-conditioned evaluation range (roughly
-    z <= 50 at degrees <= 40).
+
+def _majorant_family(i: int, nu: float, size: int) -> np.ndarray:
+    """Q_i >= |Lt_i(J)| entrywise: the matrix recurrence of Lt_i(J) with |J - alpha_k I| and |beta_k|."""
+    dense = jacobi_matrix(nu, size)
+    alpha, beta = np.diag(dense), np.abs(np.diag(dense, 1))
+    identity = np.eye(size)
+    family = [math.exp(-0.5 * math.lgamma(nu + 1.0)) * identity]
+    if i > 0:
+        family.append(np.abs(dense - alpha[0] * identity) @ family[0] / beta[0])
+    for k in range(1, i):
+        family.append((np.abs(dense - alpha[k] * identity) @ family[k] + beta[k - 1] * family[k - 1]) / beta[k])
+    return family[i]
+
+
+def linearization_identity_residual(i: int, n: int, nu: float, z: float) -> tuple[float, float, float]:
+    """Residual of the product expansion at one point, the sum's own size, and the residual's rounding bound.
+
+    The residual is |Lt_i(z)^2 Lt_n(z) - sum_m e_m Lt_m(z)|, m <= M = n + 2i,
+    e_m = entries[i, n, m]; the size is T = sum_m |e_m Lt_m(z)| + |lhs|, which
+    the sum cancels down from at large z.  The bound adds, to first order in
+    the unit roundoff u (Higham, ch. 3, gamma_k = k u / (1 - k u)):
+
+    * the dot product, gamma_{M+2} sum_m |e_m Lt_m| (Higham (3.5), with the
+      subtraction that forms the residual), and lhs's two products and that
+      subtraction, gamma_3 |lhs|;
+    * the recurrence's own rounding.  Each step rounds each of its two terms at
+      most five times (z - alpha_k or |beta_{k-1}|, the product, the
+      difference, |beta_k| and the division; alpha_k is exact for integer or
+      half-integer nu), so a computed Lt_m is within gamma_{5m} V_m, V the
+      recurrence run in absolute values (:func:`_majorant_values`).  lhs and
+      the sum see it through gamma_{5M} (2 |Lt_i Lt_n| V_i + Lt_i^2 V_n +
+      sum_m |e_m| V_m);
+    * the table's.  Each step of the matrix recurrence rounds its terms at most
+      seven times (three-term products with the tridiagonal J, the difference,
+      |beta_k| and the division), so Lt_i(J) is within gamma_{7i} Q_i
+      (:func:`_majorant_family`); its Gram product over the S-row truncation
+      adds gamma_S and the symmetrisation gamma_1, so e_m is within
+      gamma_{14i + S + 1} (Q_i^T Q_i)_{nm}, which the sum weighs by |Lt_m|.
+
+    Lt_0's own rounding cancels: lhs and the sum are both cubic in it.
     """
-    entries, _ = linearization_table(i + 1, n + 2 * i + 1, nu)
-    values = laguerre_orthonormal_sequence(n + 2 * i, nu, z)
+    size = n + 2 * i + 1
+    truncation = size + 2 * (i + 1) + 4
+    entries, _ = linearization_table(i + 1, size, nu)
+    e = entries[i, n, :size]
+    values = laguerre_orthonormal_sequence(size - 1, nu, z)
     lhs = values[i] ** 2 * values[n]
-    rhs = float(entries[i, n, : n + 2 * i + 1] @ values)
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    residual = abs(lhs - float(e @ values))
+    terms = float(np.abs(e * values).sum())
+    majorant = _majorant_values(size, nu, z)
+    family = _majorant_family(i, nu, truncation)[:, :size]
+    bound = (
+        _gamma(size + 1) * terms
+        + _gamma(3) * abs(lhs)
+        + _gamma(5 * (size - 1))
+        * (2 * abs(values[i] * values[n]) * majorant[i] + values[i] ** 2 * majorant[n] + float(np.abs(e) @ majorant))
+        + _gamma(14 * i + truncation + 1) * float((family.T @ family)[n] @ np.abs(values))
+    )
+    return residual, terms + abs(lhs), bound
 
 
 def ansatz_coefficients(energy: float, config: ModelConfig, count: int) -> np.ndarray:
@@ -301,11 +358,14 @@ def s_matrix_tr_form(energy: float, config: ModelConfig) -> ScatterPoint:
     )
 
 
-def _casoratian_point(energy: float, config: ModelConfig) -> tuple[float, float]:
-    """Relative Casoratian defect over n < N and its rounding bound, b_n from h0_matrix."""
+def _casoratian_point(energy: float, config: ModelConfig) -> tuple[float, float] | None:
+    """Relative Casoratian defect over n < N and its rounding bound, b_n from h0_matrix;
+    ``None`` where a sine coefficient is subnormal or zero."""
     basis, count = config.basis, config.size + 1
     sine = sine_coefficients(energy, basis, count)
     cosine = cosine_coefficients(energy, basis, count)
+    if any(abs(value) < np.finfo(float).tiny for value in sine.tolist()):
+        return None
     b = free_couplings(config)
     wronskian = 2.0 * math.sqrt(2.0 * energy) / math.pi
     first, second = b * sine[:-1] * cosine[1:], b * sine[1:] * cosine[:-1]
@@ -379,19 +439,29 @@ def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
     worst_defect = 0.0
     worst_ratio = 0.0
     skipped = []
+    underflowed = []
     for energy in energies[:4]:
         try:
-            defect, bound = _casoratian_point(energy, config)
+            result = _casoratian_point(energy, config)
         except ArithmeticError as exc:
             skipped.append(_status(exc))
             continue
+        if result is None:
+            underflowed.append(energy)
+            continue
+        defect, bound = result
         worst_defect = max(worst_defect, defect)
         worst_ratio = max(worst_ratio, defect / bound)
-    checked = len(energies[:4]) - len(skipped)
+    checked = len(energies[:4]) - len(skipped) - len(underflowed)
+    detail = (
+        f"worst relative defect {worst_defect:.3e} (limit {_CASORATIAN_LIMIT:.0e}), "
+        f"{worst_ratio:.3f} of the rounding bound ({checked} checked, {status_summary(skipped, 'skipped')}"
+    )
+    if underflowed:
+        detail += f", {len(underflowed)} underflow-failed: sine coefficients below the normal range"
     report.add(
         "casoratian",
-        checked > 0 and worst_ratio <= 1.0 and worst_defect <= _CASORATIAN_LIMIT,
-        f"worst relative defect {worst_defect:.3e} (limit {_CASORATIAN_LIMIT:.0e}), "
-        f"{worst_ratio:.3f} of the rounding bound ({checked} checked, {status_summary(skipped, 'skipped')})",
+        checked > 0 and not underflowed and worst_ratio <= 1.0 and worst_defect <= _CASORATIAN_LIMIT,
+        detail + ")",
     )
     return report

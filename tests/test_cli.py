@@ -66,6 +66,19 @@ e_max = 720
 steps = 3
 """
 
+# the sine coefficients, ~ lam^{-5/2} at these energies, are normal doubles up to lam ~ 1e123
+LARGE_SCALE_CONFIG = """\
+ell = 1
+g = 2.0
+lambda = 1e120
+nu = 1
+N = 20
+K = 8
+e_min = 0.5
+e_max = 6.0
+steps = 8
+"""
+
 # e^{-mu^2/2} underflows while the Laguerre values overflow above the first energy
 SINE_OVERFLOW_CONFIG = """\
 ell = 1
@@ -838,6 +851,23 @@ class TestMainEntry:
         assert "[FAIL] nu=1 casoratian: worst relative defect 0.000e+00 (limit 1e-08), 0.000 of the " \
             "rounding bound (0 checked, 3 overflow-skipped)" in out
         assert "pole-skipped" not in out
+
+    @pytest.mark.parametrize("scale", [1e130, largest_scale(20, 1)], ids=["1e130", "largest"])
+    def test_validate_fails_casoratian_on_underflowing_sines(self, tmp_path, capsys, scale):
+        # s_n ~ lam^{-5/2} is 0 here: the Casoratian's rounding bound is 0 and no longer divides the defect
+        config = write_config(tmp_path, LARGE_SCALE_CONFIG.replace("lambda = 1e120", f"lambda = {scale!r}"))
+        assert main(["validate", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "[FAIL] nu=1 casoratian: worst relative defect 0.000e+00 (limit 1e-08), 0.000 of the rounding bound " \
+            "(0 checked, 0 pole-skipped, 4 underflow-failed: sine coefficients below the normal range)\n" in captured.out
+        assert captured.out.count("[FAIL]") == 1
+
+    def test_validate_passes_casoratian_while_sines_are_normal(self, tmp_path, capsys):
+        config = write_config(tmp_path, LARGE_SCALE_CONFIG)
+        assert main(["validate", "--config", config]) == 0
+        assert "[ok ] nu=1 casoratian: worst relative defect 1.459e-14 (limit 1e-08), 0.023 of the rounding bound " \
+            "(4 checked, 0 pole-skipped)\n" in capsys.readouterr().out
 
     def test_validate_skips_energies_on_poles(self, tmp_path, capsys):
         config = write_config(tmp_path, POLE_CONFIG)

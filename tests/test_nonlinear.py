@@ -312,7 +312,6 @@ def hand_built(factor):
     _, singular, v_t = np.linalg.svd(factor, full_matrices=False)
     return LambdaMatrix(
         entries=factor.T @ factor,
-        nu=0.0,
         terms=1,
         min_eigenvalue=float(singular[-1] ** 2),
         factor=factor,

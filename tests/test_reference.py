@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from jmnl.orthopoly import jacobi_matrix, laguerre_orthonormal_sequence
 from jmnl.reference import (
     BasisParams,
     RecurrenceOverflowError,
     _kummer,
     _momentum,
+    _sine_prefactor,
     _stacked_kummer,
     basis_function,
     cosine_coefficients,
@@ -93,6 +95,20 @@ class TestH0:
             assert dense[n, n + 1] == 0.5 * basis.lam**2 * math.sqrt((n + 1) * (n + basis.ell + 1.5))
         assert np.array_equal(h0_matrix(basis, 5), dense[:5, :5])
 
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 5.0, 1e100])
+    def test_scaled_jacobi_matrix_bit_for_bit(self, lam):
+        # H0 = (lam^2/2) |J| with J the orthonormal Laguerre Jacobi matrix at nu = ell + 1/2
+        for ell in range(0, 30, 7):
+            basis = BasisParams(lam=lam, ell=ell)
+            for size in (1, 2, 21, 49):
+                expected = 0.5 * lam**2 * np.abs(jacobi_matrix(ell + 0.5, size))
+                assert h0_matrix(basis, size).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one_raises(self, size):
+        with pytest.raises(ValueError, match="size must be positive"):
+            h0_matrix(BasisParams(lam=5.0, ell=1), size)
+
     def test_sine_solves_free_problem(self):
         basis = BasisParams(lam=1.5, ell=1)
         energy = 0.8
@@ -108,6 +124,23 @@ class TestSineCoefficients:
         expected = 2.0 * math.exp(-0.5) / math.sqrt(math.gamma(1.5))
         assert s[0] == pytest.approx(expected, rel=1e-13)
         assert s[0] == pytest.approx(1.288575, abs=5e-6)
+
+    @pytest.mark.parametrize("ell", [0, 1, 4, 29])
+    @pytest.mark.parametrize("energy", [0.05, 0.6, 5.9, 42.5])
+    def test_signed_laguerre_values_bit_for_bit(self, ell, energy):
+        # s_n = (-1)^n (2/sqrt(lam)) mu^{ell+1} e^{-mu^2/2} Lt_n(mu^2), nu = ell + 1/2: the sign flips are exact
+        basis = BasisParams(lam=1.7, ell=ell)
+        mu = _momentum(energy, basis)
+        for count in (1, 2, 21, 49):
+            values = laguerre_orthonormal_sequence(count - 1, basis.nu_basis, mu**2)
+            signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+            expected = signs * (_sine_prefactor(mu, basis) * values)
+            assert sine_coefficients(energy, basis, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("function", [sine_coefficients, cosine_coefficients])
+    def test_count_below_one_raises(self, function):
+        with pytest.raises(ValueError, match="at least one value"):
+            function(0.5, BasisParams(lam=1.0, ell=0), 0)
 
     def test_coefficients_read_only(self):
         basis = BasisParams(lam=1.0, ell=0)

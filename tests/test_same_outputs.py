@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from jmnl.reference import BasisParams
+from jmnl.orthopoly import jacobi_matrix
+from jmnl.reference import BasisParams, h0_matrix
 from jmnl.scattering import ScanRequest, format_csv, run_scan
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
@@ -38,19 +39,20 @@ def test_scan_digest_is_of_the_csv_bytes():
     )
     csv = format_csv(run_scan(paper)).encode()
     assert same_outputs.scan_output(same_outputs.scan_text({})) == csv
-    (line,) = same_outputs.digests({"paper": {}}, [], [])[:1]
+    (line,) = same_outputs.digests({"paper": {}}, [], [], [])[:1]
     assert line == same_outputs._line("scan:paper", [csv])
 
 
 def test_reports_and_messages_digest_their_text():
     corpus = same_outputs.validate_corpus()[::500]
-    lines = same_outputs.digests({}, corpus, same_outputs.MESSAGE_POINTS[:2])
+    lines = same_outputs.digests({}, corpus, same_outputs.MESSAGE_POINTS[:2], [])
     # one line per group in corpus order, with its count of reports
     assert [line.split()[:2] for line in lines] == [
         *([f"validate:{group}", "1"] for group, _, _ in corpus),
         ["messages", "2"],
+        ["free", "0"],
     ]
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert same_outputs.message_text(*same_outputs.MESSAGE_POINTS[0]) == "ValueError: energy must be positive\n"
     _, config, _ = corpus[0]
     assert same_outputs.report_text(config, np.array([0.0])) == "ValueError: energy must be positive\n"
@@ -68,3 +70,21 @@ def test_header_names_the_blas_kernel(monkeypatch):
     assert same_outputs.header() == f"blas OPENBLAS_CORETYPE=unset {blas['name']} {blas['version']}"
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
     assert same_outputs.header().startswith("blas OPENBLAS_CORETYPE=Haswell ")
+
+
+def test_free_group_digests_public_calls():
+    calls = same_outputs.free_calls()
+    assert len(calls) == 7 * same_outputs.FREE_DRAWS
+    assert {name for name, _ in calls} == set(same_outputs.FREE_MODULES)
+    outputs = [same_outputs.free_output(*call) for call in calls]
+    # the corpus reaches every error of the free sequences
+    errors = [output.decode() for output in outputs if output.startswith(b"RecurrenceOverflowError: ")]
+    for start in ("sine coefficients overflowed", "cosine seed overflowed", "cosine recursion unstable"):
+        assert any(error.startswith(f"RecurrenceOverflowError: {start}") for error in errors), start
+    (name, (nu, size)), (_, (nmax, _, z)) = calls[:2]
+    assert name == "jacobi_matrix" and outputs[0] == jacobi_matrix(nu, size).tobytes()
+    assert nmax == size - 1 and isinstance(z, float)
+    basis = BasisParams(lam=5.0, ell=1)
+    assert same_outputs.free_output("h0_matrix", (basis, 3)) == h0_matrix(basis, 3).tobytes()
+    (line,) = same_outputs.digests({}, [], [], calls[:7])[-1:]
+    assert line == same_outputs._line("free", outputs[:7])

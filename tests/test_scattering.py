@@ -442,15 +442,15 @@ class TestFreeTails:
         "count, kind", [(1, float), (_STACKED_FROM - 1, float), (_STACKED_FROM, np.ndarray)]
     )
     def test_recursion_operands(self, monkeypatch, count, kind):
-        # few energies run the recursion in Python floats, more in arrays, through one body
+        # few energies run orthopoly's recursion in Python floats, more in arrays, through one body
         operands = []
-        recursion = reference._free_recursion
+        recursion = reference._recursion
 
         def recorded(first, *args):
             operands.append(type(first))
             return recursion(first, *args)
 
-        monkeypatch.setattr(reference, "_free_recursion", recorded)
+        monkeypatch.setattr(reference, "_recursion", recorded)
         basis = BasisParams(lam=5.0, ell=1)
         _free_tails([_momentum(2.5, basis)] * count, basis, 21)
         assert set(operands) == {kind}
@@ -930,7 +930,8 @@ class TestPivotCorner:
 
 LAMBDA_ONE = BasisParams(lam=1.0, ell=1)
 # the paper configs, one seeded nu per (N, K) pair of the benchmark's validate-sweep with
-# its seed-27 draw, and lambda = 1 energy lists with pole, overflow and degenerate skips
+# its seed-27 draw, lambda = 1 energy lists with pole, overflow and degenerate skips, and a
+# scale whose sine coefficients underflow
 VALIDATE_CASES = (
     [(make_config(nu=float(nu)), None) for nu in range(1, 8)]
     + [
@@ -943,6 +944,7 @@ VALIDATE_CASES = (
     + [
         (make_config(nu=1.3941544542304376, size=48), None),
         (make_config(basis=LAMBDA_ONE, nu=1.0), [20.0, 30.0, 40.0, 42.5, 50.0, 60.0, 1e300]),
+        (make_config(basis=BasisParams(lam=1e130, ell=1), nu=1.0), None),
         (
             make_config(basis=LAMBDA_ONE, g=0.0, nu=1.0),
             [*np.linalg.eigvalsh(h0_matrix(LAMBDA_ONE, 20))[[1, 3]].tolist(), 2.0, 9.0, 42.5, 1e300],

@@ -29,7 +29,11 @@ Then one line per digest, ``name count sha256``:
   ``(N, K)`` pairs of the benchmark's validate sweep, and ``lambda = 1``
   configs with g from 0 to +-1e300 on two energy lists;
 * ``messages``: the text of the error ``s_matrix`` raises at energies that
-  are not positive, on a pole, or beyond the free sequences' range.
+  are not positive, on a pole, or beyond the free sequences' range;
+* ``free``: the bytes of each call of a seeded corpus of the free problem's
+  functions, ``jacobi_matrix``, ``laguerre_orthonormal_sequence`` (scalar and
+  array z), ``h0_matrix``, ``sine_coefficients``, ``cosine_coefficients`` and
+  ``basis_function``, or the error text of a call that raises.
 
 It reads only public names, so one copy of this script digests any tree.
 The full corpus takes about 12 s.
@@ -44,6 +48,7 @@ import tempfile
 
 import numpy as np
 
+from jmnl import orthopoly, reference
 from jmnl.cli import load_scan_request
 from jmnl.nonlinear import ModelConfig
 from jmnl.reference import BasisParams, h0_matrix
@@ -96,6 +101,21 @@ MESSAGE_POINTS = (
     + [(LAMBDA_ONE, 2.0, 1.0, energy) for energy in (*LAMBDA_ONE_ENERGIES, 350.0, 360.0, 1e15, 1e17)]
 )
 
+#: scales and energies of the free corpus: mu^2 from about 1e-201 to 2e9, so sine
+#: coefficients underflow and the sine, the cosine seed and the cosine recursion overflow
+FREE_SCALES = (1e-3, 0.37, 1.0, 5.0, 1e100)
+FREE_ENERGIES = (0.05, 0.5, 2.0, 42.5, 350.0, 1e3)
+FREE_DRAWS = 400
+#: module of each public free-problem function the ``free`` line digests
+FREE_MODULES = {
+    "jacobi_matrix": orthopoly,
+    "laguerre_orthonormal_sequence": orthopoly,
+    "h0_matrix": reference,
+    "sine_coefficients": reference,
+    "cosine_coefficients": reference,
+    "basis_function": reference,
+}
+
 
 def scan_text(changes: dict[str, str]) -> str:
     """Config text of the paper scan with ``changes`` applied."""
@@ -145,6 +165,35 @@ def message_text(basis: BasisParams, g: float, nu: float, energy: float) -> str:
     return f"{point.s_value!r} {point.delta!r} {point.amplitude!r}\n"
 
 
+def free_calls() -> list[tuple[str, tuple]]:
+    """(public name, arguments) of each free-problem call digested: nu in (-1, 40.5), ell < 30, sizes 1-49."""
+    rng = np.random.default_rng(len(SWEEP_PAIRS) + 1)
+    calls = []
+    for _ in range(FREE_DRAWS):
+        nu, size = float(rng.uniform(-0.99, 40.5)), int(rng.integers(1, 50))
+        basis = BasisParams(lam=float(rng.choice(FREE_SCALES)), ell=int(rng.integers(0, 30)))
+        energy, z = float(rng.choice(FREE_ENERGIES)), rng.uniform(0.0, 60.0, 3)
+        calls += [
+            ("jacobi_matrix", (nu, size)),
+            ("laguerre_orthonormal_sequence", (size - 1, nu, float(z[0]))),
+            ("laguerre_orthonormal_sequence", (size - 1, nu, z)),
+            ("h0_matrix", (basis, size)),
+            ("sine_coefficients", (energy, basis, size)),
+            ("cosine_coefficients", (energy, basis, size)),
+            ("basis_function", (size - 1, float(rng.uniform(0.05, 6.0)) / basis.lam, basis)),
+        ]
+    return calls
+
+
+def free_output(name: str, args: tuple) -> bytes:
+    """The float64 bytes of one free-problem call, or its error's type and message."""
+    try:
+        value = getattr(FREE_MODULES[name], name)(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the output
+        return f"{type(exc).__name__}: {exc}".encode()
+    return np.asarray(value, dtype=float).tobytes()
+
+
 def _line(name: str, parts: list[bytes]) -> str:
     digest = hashlib.sha256()
     for part in parts:
@@ -153,17 +202,21 @@ def _line(name: str, parts: list[bytes]) -> str:
     return f"{name} {len(parts)} {digest.hexdigest()}"
 
 
-def digests(grids: dict | None = None, corpus: list | None = None, points: list | None = None) -> list[str]:
-    """The digest lines of the given grids, validate corpus and message points (default: all)."""
+def digests(
+    grids: dict | None = None, corpus: list | None = None, points: list | None = None, free: list | None = None
+) -> list[str]:
+    """The digest lines of the given grids, validate corpus, message points and free calls (default: all)."""
     grids = GRIDS if grids is None else grids
     corpus = validate_corpus() if corpus is None else corpus
     points = MESSAGE_POINTS if points is None else points
+    free = free_calls() if free is None else free
     lines = [_line(f"scan:{name}", [scan_output(scan_text(changes))]) for name, changes in grids.items()]
     groups: dict[str, list[bytes]] = {}
     for group, config, energies in corpus:
         groups.setdefault(group, []).append(report_text(config, energies).encode())
     lines += [_line(f"validate:{group}", parts) for group, parts in groups.items()]
     lines.append(_line("messages", [message_text(*point).encode() for point in points]))
+    lines.append(_line("free", [free_output(*call) for call in free]))
     return lines
 
 
