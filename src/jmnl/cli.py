@@ -48,21 +48,12 @@ class ConfigError(ValueError):
     """Config file rejected; message carries the offending line."""
 
 
-_KEYS = {
-    "ell",
-    "g",
-    "lambda",
-    "nu",
-    "nu_list",
-    "N",
-    "K",
-    "weight",
-    "e_min",
-    "e_max",
-    "steps",
-    "out",
+#: the numeric keys and their casts, in the order they are converted; all but nu are required
+_NUMBERS = {
+    "ell": int, "lambda": float, "g": float, "N": int, "K": int,
+    "e_min": float, "e_max": float, "steps": int, "nu": float,
 }
-_REQUIRED = {"ell", "g", "lambda", "N", "K", "e_min", "e_max", "steps"}
+_KEYS = {*_NUMBERS, "nu_list", "weight", "out"}
 
 
 def _parse_pairs(text: str):
@@ -84,11 +75,12 @@ def _parse_pairs(text: str):
     return pairs
 
 
-def _convert(pairs, key, caster, kind):
+def _convert(pairs, key, cast):
     value, lineno = pairs[key]
     try:
-        return caster(value)
+        return cast(value)
     except ValueError as exc:
+        kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"line {lineno}: {key} must be {kind} (got {value!r})") from exc
 
 
@@ -101,7 +93,7 @@ def load_scan_request(path: str, output_override: str | None = None) -> ScanRequ
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from exc
     pairs = _parse_pairs(text)
-    missing = sorted(_REQUIRED - pairs.keys())
+    missing = sorted(_NUMBERS.keys() - {"nu"} - pairs.keys())
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     if "nu" not in pairs and "nu_list" not in pairs:
@@ -109,16 +101,9 @@ def load_scan_request(path: str, output_override: str | None = None) -> ScanRequ
     if "nu" in pairs and "nu_list" in pairs:
         raise ConfigError("give only one of 'nu' and 'nu_list'")
 
-    ell = _convert(pairs, "ell", int, "an integer")
-    lam = _convert(pairs, "lambda", float, "a number")
-    g = _convert(pairs, "g", float, "a number")
-    size = _convert(pairs, "N", int, "an integer")
-    terms = _convert(pairs, "K", int, "an integer")
-    e_min = _convert(pairs, "e_min", float, "a number")
-    e_max = _convert(pairs, "e_max", float, "a number")
-    steps = _convert(pairs, "steps", int, "an integer")
-    if "nu" in pairs:
-        nu_values = (_convert(pairs, "nu", float, "a number"),)
+    numbers = {key: _convert(pairs, key, cast) for key, cast in _NUMBERS.items() if key in pairs}
+    if "nu" in numbers:
+        nu_values = (numbers["nu"],)
     else:
         raw, lineno = pairs["nu_list"]
         try:
@@ -133,17 +118,16 @@ def load_scan_request(path: str, output_override: str | None = None) -> ScanRequ
     )
 
     try:
-        basis = BasisParams(lam=lam, ell=ell)
         request = ScanRequest(
-            basis=basis,
-            g=g,
-            size=size,
-            terms=terms,
+            basis=BasisParams(lam=numbers["lambda"], ell=numbers["ell"]),
+            g=numbers["g"],
+            size=numbers["N"],
+            terms=numbers["K"],
             weight_choice=weight_choice,
             nu_list=nu_values,
-            e_min=e_min,
-            e_max=e_max,
-            steps=steps,
+            e_min=numbers["e_min"],
+            e_max=numbers["e_max"],
+            steps=numbers["steps"],
             output_path=out,
         )
         for nu in nu_values:

@@ -16,15 +16,16 @@ operator, and a determinant ratio needing eigenvalues only.
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
 batch of one.  An energy whose weight or free tails fail has that error before
-any wave operator is built.  The pole guard works per block of energies: since
-Lambda is positive semi-definite, one Cholesky factorisation of a lower operator
-H0 + c_min Lambda - (E_max + delta_max) I, less a derived rounding slack,
-certifies every member of the block (a Loewner sandwich).  A block it cannot
-clear, or a block of one, takes one stacked Cholesky factorisation of
-M - delta I, and the spectrum is computed only for a member that this
-factorisation cannot certify.  A certified member takes its corner from the last pivot of
-its one unshifted Cholesky factorisation, checked against the last row of M;
-the rest take a checked solve.
+any wave operator is built; the rest are live, and the pole guard works per
+block of up to 64 live energies: since Lambda is positive semi-definite, one
+Cholesky factorisation of a lower operator H0 + c_min Lambda - (E_max +
+delta_max) I, less a derived rounding slack, certifies every member of the
+block (a Loewner sandwich).  A block it cannot clear, or a block of one, takes
+one stacked Cholesky factorisation of M - delta I, and the spectrum is
+computed only for a member that this factorisation cannot certify.  A
+certified member takes its corner from the last pivot of its one unshifted
+Cholesky factorisation, checked against the last row of M; the rest take a
+checked solve.
 
 The paper's pipeline runs here too: :func:`run_scan` evaluates a scan over its
 (nu, E) grid into columns with a status per row, :func:`format_csv` writes
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import _BLOCK, ModelConfig, _diagonal, _wave_stack, _weights, lambda_matrix, omega_transform
+from .nonlinear import _BLOCK, ModelConfig, _diagonal, _integer, _wave_stack, _weights, lambda_matrix, omega_transform
 from .reference import (
     BasisParams,
     RecurrenceOverflowError,
@@ -191,21 +192,17 @@ def _margin(energies):
     return POLE_MARGIN * np.maximum(1.0, np.abs(energies))
 
 
-def _pole_error(gap: float, e_hat: float) -> PoleError | None:
-    if gap <= _margin(e_hat):
-        return PoleError(
-            f"energy {e_hat} within pole margin of spectral point "
-            f"(gap {gap:.3e})",
-            energy=e_hat,
-        )
-    return None
-
-
 def _pole_errors(eigenvalues: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, list]:
-    # eigenvalues - E_i of each member, and per member None or the PoleError of its gap
+    # eigenvalues - E_i of each member, and per member None or the PoleError of a gap within its margin
     shifted = eigenvalues - energies[:, None]
     gaps = np.abs(shifted).min(axis=1).tolist()
-    return shifted, [_pole_error(gap, energy) for gap, energy in zip(gaps, energies.tolist())]
+    errors = [
+        PoleError(f"energy {energy} within pole margin of spectral point (gap {gap:.3e})", energy=energy)
+        if gap <= _margin(energy)
+        else None
+        for gap, energy in zip(gaps, energies.tolist())
+    ]
+    return shifted, errors
 
 
 @lru_cache(maxsize=64)
@@ -303,20 +300,21 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     per energy.
 
     Each energy's error comes from one order: weight, free tails, pole guard,
-    solve, S.  Per config, the weights of all energies are one pass, and an
-    energy whose weight or tails fail has its error before any wave operator
-    is built: its coupling c = g w^2 is nan, and the Loewner sandwich
-    (:func:`_cleared_blocks`) and the blocks (:func:`_block_corners`) pass
-    over it, so it is never factored or solved.  Each block of up to
-    ``_BLOCK`` energies is one (B, N, N) wave-operator stack of its live
-    members, whose certified members take their corners from one stacked
-    Cholesky factorisation of M (:func:`_pivot_corners`); a member cleared
-    only by eigvalsh, or whose factor fails the pivot check, takes the
-    checked solve (:func:`_checked_solve`).
+    solve, S.  Per config, the weights of all energies are one pass, and the
+    weight and tail errors decide once which energies are live: only a live
+    energy gets a wave operator, so one with such an error is never factored
+    or solved.  The live energies, in order, form blocks of up to ``_BLOCK``;
+    the Loewner sandwiches (:func:`_cleared_blocks`) and the blocks
+    (:func:`_block_corners`) see only live members, and each block's corners
+    and errors go back to its energies once.  Each block is one (B, N, N)
+    wave-operator stack, whose certified members take their corners from one
+    stacked Cholesky factorisation of M (:func:`_pivot_corners`); a member
+    cleared only by eigvalsh, or whose factor fails the pivot check, takes
+    the checked solve (:func:`_checked_solve`).
 
     The pole guard of a block is first its Loewner sandwich: one Cholesky
     factorisation of a lower operator A with M_i - delta_i I >= A for every
-    live member, delta_i = POLE_MARGIN * max(1, |E_i|).  If it succeeds,
+    member, delta_i = POLE_MARGIN * max(1, |E_i|).  If it succeeds,
     every member has all its eigenvalues above delta_i and is clear.
     Otherwise, and for a block of one, the guard is one stacked Cholesky of
     M_i - delta_i I; LAPACK stops the whole stack at the first member that is
@@ -351,41 +349,49 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
             lam = lambda_matrix(config)
             weights, weight_errors = _weights(mus, config)
             errors = [weight_error or tail_error for weight_error, tail_error in zip(weight_errors, tail_errors)]
-            w = np.array(weights)
+            # only a live energy, one with no weight or tail error, gets a wave operator
+            live = [j for j, error in enumerate(errors) if error is None]
+            at = [energies[j] for j in live]
+            w = np.array([weights[j] for j in live])
             couplings = config.g * w * w
-            couplings[[j for j, error in enumerate(errors) if error is not None]] = np.nan
             cleared = [False]
-            if len(energies) > 1:
-                cleared = _cleared_blocks(np.asarray(energies, dtype=float), couplings, h0, h0_sums, lam)
-            corner = np.empty(len(energies))
-            for b, start in enumerate(range(0, len(energies), _BLOCK)):
+            if len(live) > 1:
+                cleared = _cleared_blocks(np.asarray(at, dtype=float), couplings, h0, h0_sums, lam)
+            live_corner = np.empty(len(live))
+            for b, start in enumerate(range(0, len(live), _BLOCK)):
                 block = slice(start, start + _BLOCK)
-                corner[block], errors[block] = _block_corners(
-                    energies[block], couplings[block], errors[block], h0, lam.entries, cleared[b]
+                live_corner[block], block_errors = _block_corners(
+                    at[block], couplings[block], h0, lam.entries, cleared[b]
                 )
+                for j, error in zip(live[block], block_errors):
+                    errors[j] = error
+            corner = live_corner
+            if len(live) < len(energies):
+                corner = np.full(len(energies), np.nan)
+                corner[live] = live_corner
             s, delta, amplitude, errors = _assemble(energies, terms, b_tail * corner, errors)
-            corner[[j for j, error in enumerate(errors) if error is not None]] = np.nan
+            failed = [j for j, error in enumerate(errors) if error is not None]
+            if failed:
+                corner[failed] = np.nan
             columns.append((s, delta, amplitude, errors, corner))
     return columns
 
 
 def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, h0: np.ndarray, h0_sums: np.ndarray, lam) -> list[bool]:
-    """Per block of up to ``_BLOCK`` energies, whether its Loewner sandwich clears every member of poles.
+    """Per block of up to ``_BLOCK`` live energies, whether its Loewner sandwich clears every member of poles.
 
-    ``couplings`` holds c_i = g w_i^2 of each energy, nan where its weight or
-    tails failed: such a member is not live, and nothing here reads its
-    coupling or its energy.  ``h0_sums`` are H0's absolute row sums and
-    ``lam`` the config's :class:`LambdaMatrix`.  Lambda >= 0, so every live
-    member of a block has M_i - delta_i I >= H0 + c_min Lambda - (E_max +
-    delta_max) I with c_min the smallest live coupling and E_max the largest
-    live energy of the block (energies are positive, so E_max is also
+    ``couplings`` holds c_i = g w_i^2 of each energy, ``h0_sums`` H0's
+    absolute row sums and ``lam`` the config's :class:`LambdaMatrix`.
+    Lambda >= 0, so every member of a block has M_i - delta_i I >= H0 + c_min
+    Lambda - (E_max + delta_max) I with c_min the smallest coupling and E_max
+    the largest energy of the block (energies are positive, so E_max is also
     max|E|).  The block's lower operator is that matrix minus diag(r), and
     one stacked Cholesky factorisation of all of them answers for every
     block; a finite factor clears the block.
 
     r bounds, by Gershgorin's theorem, the rounding that separates the float
     matrices from the exact sandwich, row by row.  With u = eps/2, C = max|c_i|
-    over the live members, s = fl(E_max + delta_max), rho_j the row sum
+    over the block, s = fl(E_max + delta_max), rho_j the row sum
     |F|^T |F| 1 that Lambda carries (``LambdaMatrix.row_sums``) and eta_j =
     sum_k |H0_jk|, each of these moves row j by at most:
 
@@ -404,19 +410,16 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, h0: np.ndarray,
     Hence r_j = (3K + 8) eps (C rho_j + eta_j + s).  A block clears only if
     every r_j is finite: where C rho_j overflows, a member's c_i Lambda may
     too, and that member must report overflow, not a pole.  A block of one
-    live member is its own sandwich and is left to the per-member guard.
+    member is its own sandwich and is left to the per-member guard.
     """
-    starts = np.arange(0, len(couplings), _BLOCK)
-    dead = np.isnan(couplings)
-    live = np.add.reduceat(~dead, starts, dtype=np.intp)
-    # fmin and fmax pass over the nan coupling of a member that is not live; energies are positive
-    low = np.fmin.reduceat(couplings, starts)
-    size = np.fmax.reduceat(np.abs(couplings), starts)
-    top = np.maximum.reduceat(np.where(dead, 0.0, energies), starts)
+    starts = np.arange(0, len(energies), _BLOCK)
+    low = np.minimum.reduceat(couplings, starts)
+    size = np.maximum.reduceat(np.abs(couplings), starts)
+    top = np.maximum.reduceat(energies, starts)
     shift = top + _margin(top)
     slack = (3 * lam.terms + 8) * _EPS * (np.multiply.outer(size, lam.row_sums) + h0_sums + shift[:, None])
     diagonal = shift[:, None] + slack
-    candidates = ((live > 1) & np.isfinite(diagonal).all(axis=1)).nonzero()[0]
+    candidates = ((starts + 1 < len(energies)) & np.isfinite(diagonal).all(axis=1)).nonzero()[0]
     cleared = np.zeros(len(starts), dtype=bool)
     if len(candidates):
         lower = _wave_stack(h0, low[candidates], lam.entries, diagonal[candidates])
@@ -478,51 +481,46 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return corner, (~passed).nonzero()[0].tolist()
 
 
-def _block_corners(block, couplings: np.ndarray, errors: list, h0: np.ndarray, entries: np.ndarray, cleared: bool):
-    """Corner G_c at each energy of one block, nan where a weight, tail, pole guard or solve fails.
+def _block_corners(energies, couplings: np.ndarray, h0: np.ndarray, entries: np.ndarray, cleared: bool):
+    """Corner G_c at each energy of one block of live energies, and per energy ``None`` or its failure.
 
-    ``couplings`` holds c_i = g w_i^2 and ``errors``, per energy, ``None`` or
-    the failure of its weight or its tails; only the energies with no error
-    are live and get a wave operator.  Returns the corners and ``errors`` with the
-    pole guard's and the solve's failures added.  ``cleared`` says that the
-    block's Loewner sandwich cleared every member (:func:`_cleared_blocks`);
-    otherwise the members take the per-member Cholesky guard.  A certified
-    member takes its corner from its last Cholesky pivot
-    (:func:`_pivot_corners`); a member cleared only by eigvalsh, or whose
-    factor fails the pivot check, takes the checked solve.
+    ``couplings`` holds c_i = g w_i^2 of each energy.  A member whose pole
+    guard or solve fails has that error and a nan corner.  ``cleared`` says
+    that the block's Loewner sandwich cleared every member
+    (:func:`_cleared_blocks`); otherwise the members take the per-member
+    Cholesky guard.  A certified member takes its corner from its last
+    Cholesky pivot (:func:`_pivot_corners`); a member cleared only by
+    eigvalsh, or whose factor fails the pivot check, takes the checked solve.
     """
-    corner = np.full(len(block), np.nan)
-    live = [i for i, error in enumerate(errors) if error is None]
-    if not live:
-        return corner, errors
-    at = [block[i] for i in live]
-    e = np.array(at)[:, None]
+    e = np.array(energies)[:, None]
     # an overflowing coupling leaves inf or nan entries: the pole guard reports them
-    stack = _wave_stack(h0, couplings if len(live) == len(block) else couplings[live], entries, e)
+    stack = _wave_stack(h0, couplings, entries, e)
+    errors = [None] * len(e)
     doubtful = [] if cleared else _uncertified(stack, _margin(e))
-    certified, solve = list(range(len(live))), []
-    if doubtful:
+    if not doubtful:
+        corner, solve = _pivot_corners(stack)
+    else:
+        corner = np.full(len(e), np.nan)
         finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
         spectral = [m for m, ok in zip(doubtful, finite) if ok]
         _, gap_errors = _pole_errors(np.linalg.eigvalsh(stack[spectral]) + e[spectral], e[spectral, 0])
         for m, error in zip(spectral, gap_errors):
-            errors[live[m]] = error
+            errors[m] = error
         for m, ok in zip(doubtful, finite):
             if not ok:
-                errors[live[m]] = OverflowError(f"wave operator is not finite at E={at[m]}")
-        solve = [m for m in doubtful if errors[live[m]] is None]
-        certified = sorted(set(certified) - set(doubtful))
-    if certified:
-        pivots, failed = _pivot_corners(stack[certified] if doubtful else stack)
-        corner[[live[m] for m in certified]] = pivots
-        solve += [certified[k] for k in failed]
+                errors[m] = OverflowError(f"wave operator is not finite at E={energies[m]}")
+        solve = [m for m in doubtful if errors[m] is None]
+        certified = sorted(set(range(len(e))) - set(doubtful))
+        if certified:
+            corner[certified], failed = _pivot_corners(stack[certified])
+            solve += [certified[k] for k in failed]
     if solve:
-        corners, solve_errors = _checked_solve(stack[solve], [at[m] for m in solve])
+        corners, solve_errors = _checked_solve(stack[solve], [energies[m] for m in solve])
         for m, value, error in zip(solve, corners.tolist(), solve_errors):
             if error is None:
-                corner[live[m]] = value
+                corner[m] = value
             else:
-                errors[live[m]] = error
+                errors[m] = error
     return corner, errors
 
 
@@ -575,6 +573,7 @@ class ScanRequest:
     output_path: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if not (0 < self.e_min < self.e_max < math.inf):
             raise ValueError("need 0 < e_min < e_max, both finite")
         if self.steps < 2:
@@ -761,19 +760,17 @@ def _three_route_tolerance(eigenvalues: np.ndarray, energies: np.ndarray) -> np.
     return np.maximum(1e-8, 1024.0 * _EPS * radius / gap)
 
 
-def _green_routes(config: ModelConfig, energies: list, corners: list) -> tuple[tuple[list, list, list], np.ndarray, list]:
-    """The kernel's, spectral and determinant corners at each energy; each other route is one stacked call.
+def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.ndarray, list]:
+    """The spectral and determinant corners at each energy, each route one stacked call.
 
-    ``corners`` are the scan kernel's corners at ``energies``, the ones S
-    used (pivot or checked solve).  The couplings are one pass of
-    :func:`_weights`, and H_i = H0 + c_i Lambda one (B, N, N) stack from the
-    kernel's builder: eigh of H (:func:`green_corner_spectral`) and eigvalsh
-    of H and of its trimmed blocks (:func:`green_corner_determinant`) are bit
-    for bit the public routes at each energy alone.  The spectrum of H from
-    eigvalsh, never eigh's, also serves the tolerance, so the routes stay
-    independent.
+    The couplings are one pass of :func:`_weights`, and H_i = H0 + c_i Lambda
+    one (B, N, N) stack from the kernel's builder: eigh of H
+    (:func:`green_corner_spectral`) and eigvalsh of H and of its trimmed
+    blocks (:func:`green_corner_determinant`) are bit for bit the public
+    routes at each energy alone.  The spectrum of H from eigvalsh, never
+    eigh's, also serves the tolerance, so the routes stay independent.
 
-    Returns the three routes' corners, the (B, N) eigenvalues of H, and per
+    Returns the two routes' corners, the (B, N) eigenvalues of H, and per
     energy ``None`` or its first error in the order spectral guard,
     determinant guard.
     """
@@ -786,7 +783,7 @@ def _green_routes(config: ModelConfig, energies: list, corners: list) -> tuple[t
     spectral, spectral_errors = _spectral_corners(hamiltonian, e)
     determinant, determinant_errors = _determinant_corners(hamiltonian, e, eigenvalues)
     errors = [a or b for a, b in zip(spectral_errors, determinant_errors)]
-    return (corners, spectral, determinant), eigenvalues, errors
+    return spectral, determinant, eigenvalues, errors
 
 
 #: largest relative Casoratian defect validate accepts: above the free spectrum the
@@ -850,13 +847,15 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     live = [j for j, error in enumerate(errors) if error is None]
     if live:
         at = [energies[j] for j in live]
-        routes, eigenvalues, route_errors = _green_routes(config, at, corners[live].tolist())
+        spectral, determinant, eigenvalues, route_errors = _green_routes(config, at)
+        # the kernel's corners, the ones S used (pivot or checked solve), against the two other routes
+        routes = (corners[live].tolist(), spectral, determinant)
         skipped += [_status(error) for error in route_errors if error is not None]
         agreed = [m for m, error in enumerate(route_errors) if error is None]
         tolerances = _three_route_tolerance(eigenvalues[agreed], np.array(at)[agreed]).tolist()
         for m, tol in zip(agreed, tolerances):
-            kernel, spectral, det_route = (route[m] for route in routes)
-            spread = max(abs(kernel - spectral), abs(kernel - det_route), abs(spectral - det_route))
+            kernel, spectral_route, det_route = (route[m] for route in routes)
+            spread = max(abs(kernel - spectral_route), abs(kernel - det_route), abs(spectral_route - det_route))
             worst_route = max(worst_route, spread / abs(kernel) / tol)
     checked = len(energies) - len(skipped)
     report.add(

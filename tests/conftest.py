@@ -46,17 +46,30 @@ def linalg_calls(monkeypatch):
     return count_calls(monkeypatch, np.linalg, ("eigvalsh", "cholesky"))
 
 
+def record_sizes(monkeypatch, module, names):
+    """Per named function of module, the size of each stack it is called on while the test runs; a single matrix counts 1."""
+    sizes = {name: [] for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def recorded(a, *args, name=name, original=original, **kwargs):
+            sizes[name].append(len(a) if np.ndim(a) == 3 else 1)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    return sizes
+
+
 @pytest.fixture
 def factored(monkeypatch):
     """Sizes of the stacks np.linalg.cholesky factors while the test runs; a single matrix counts 1."""
-    sizes, original = [], np.linalg.cholesky
+    return record_sizes(monkeypatch, np.linalg, ("cholesky",))["cholesky"]
 
-    def recorded(a, *args, **kwargs):
-        sizes.append(len(a) if np.ndim(a) == 3 else 1)
-        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recorded)
-    return sizes
+@pytest.fixture
+def lapack_sizes(monkeypatch):
+    """Per name, sizes of the stacks np.linalg.cholesky, eigvalsh and solve take while the test runs."""
+    return record_sizes(monkeypatch, np.linalg, ("cholesky", "eigvalsh", "solve"))
 
 
 @pytest.fixture

@@ -282,6 +282,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 3: g must be a number"):
             load_scan_request(write_config(tmp_path, text))
 
+    def test_first_bad_value_in_conversion_order(self, tmp_path):
+        # ell converts before steps, as the keys are converted in one fixed order
+        text = GOOD_CONFIG.replace("ell = 1", "ell = one").replace("steps = 8", "steps = eight")
+        with pytest.raises(ConfigError, match=r"^line 2: ell must be an integer \(got 'one'\)$"):
+            load_scan_request(write_config(tmp_path, text))
+
     def test_missing_keys_listed(self, tmp_path):
         with pytest.raises(ConfigError, match="missing required keys"):
             load_scan_request(write_config(tmp_path, "ell = 1\n"))
@@ -296,7 +302,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="e_min < e_max"):
             load_scan_request(write_config(tmp_path, text))
 
-
     def test_grid_size_bound(self):
         # the most rows numpy can index as one complex128 column are accepted, one more is not
         assert _MAX_ROWS * 16 <= np.iinfo(np.intp).max < (_MAX_ROWS + 1) * 16
@@ -305,6 +310,16 @@ class TestConfigParsing:
         for nu_list, steps in (((1.0,), _MAX_ROWS + 1), ((1.0, 2.0), _MAX_ROWS // 2 + 1)):
             with pytest.raises(ValueError, match="steps x nu values must be at most"):
                 ScanRequest(nu_list=nu_list, e_min=0.5, e_max=4.0, steps=steps, **fields)
+
+    @pytest.mark.parametrize("steps", [3.0, 2.5, True], ids=["3.0", "2.5", "True"])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match=r"^steps must be an integer"):
+            dataclasses.replace(PAPER_REQUEST, steps=steps)
+
+    def test_numpy_integer_steps(self):
+        request = dataclasses.replace(PAPER_REQUEST, steps=np.int64(551))
+        assert type(request.steps) is int
+        assert format_csv(run_scan(request)) == format_csv(run_scan(PAPER_REQUEST))
 
 
 class TestRunScan:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -562,6 +563,37 @@ class TestScanKernel:
         for j, outcome in enumerate(outcomes):
             assert same_outcome(outcome, oracle_outcome(grid[j], config)), grid[j]
 
+    def test_blocks_hold_only_live_energies(self, monkeypatch):
+        # lambda = 1 above the free spectrum: energies with weight or tail errors interleave live ones,
+        # and the blocks are the live energies, in order, 64 at a time
+        config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
+        grid = np.linspace(40.0, 90.0, 551).tolist()
+        failed = failed_energies(grid, config)
+        live = [energy for j, energy in enumerate(grid) if j not in failed]
+        assert min(failed) < max(set(range(len(grid))) - failed)
+        blocks, block_corners = [], scattering._block_corners
+
+        def recorded(energies, *args):
+            blocks.append(list(energies))
+            return block_corners(energies, *args)
+
+        monkeypatch.setattr(scattering, "_block_corners", recorded)
+        _scatter(grid, [config])
+        assert [energy for block in blocks for energy in block] == live
+        assert [len(block) for block in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= _BLOCK
+
+    def test_live_blocks_on_mixed_grid_lapack_counts(self, lapack_sizes):
+        # 7 nu x 551 E at lambda = 1, E 40-90: the sandwiches, guards and pivot corners factor 6,244
+        # matrices in 3,178 calls, and the 3,073 members that Cholesky cannot certify take 49
+        # stacked eigvalsh and 49 stacked solves
+        configs = [make_config(basis=OVERFLOW_BASIS, nu=float(nu)) for nu in range(1, 8)]
+        columns = _scatter(np.linspace(40.0, 90.0, 551).tolist(), configs)
+        statuses = Counter(type(error).__name__ for *_, errors, _ in columns for error in errors)
+        assert statuses == {"NoneType": 2709, "RecurrenceOverflowError": 784, "DegenerateEnergyError": 364}
+        counts = {name: (len(sizes), sum(sizes)) for name, sizes in lapack_sizes.items()}
+        assert counts == {"cholesky": (3178, 6244), "eigvalsh": (49, 3073), "solve": (49, 3073)}
+
     @pytest.mark.parametrize(
         "config, energy, kind",
         [
@@ -765,8 +797,7 @@ class TestLoewnerSandwich:
         energies = np.array([3.0, 3.1])
         assert sandwich(energies, np.array([coupling, coupling]), config) == [True]
         linalg_calls.clear()
-        # nan marks a failed weight or failed tails
-        assert sandwich(energies, np.array([coupling, np.nan]), config) == [False]
+        assert sandwich(energies[:1], np.array([coupling]), config) == [False]
         assert linalg_calls == {}
 
 
@@ -784,13 +815,13 @@ def failed_energies(grid, config):
 
 
 def sandwich(energies, couplings, config):
-    """Per block, whether the Loewner sandwich of these energies and couplings clears it."""
+    """Per block, whether the Loewner sandwich of these live energies and their couplings clears it."""
     h0, _, h0_sums = _free_block(config.basis, config.size)
     return _cleared_blocks(energies, couplings, h0, h0_sums, lambda_matrix(config))
 
 
 def cleared_blocks(grid, config):
-    """Per block of the grid, whether its Loewner sandwich clears it."""
+    """Per block of the grid, whose energies are all live, whether its Loewner sandwich clears it."""
     return sandwich(np.array(grid), block_couplings(grid, config)[0], config)
 
 
@@ -819,11 +850,12 @@ def recorded_sizes(monkeypatch, name):
 
 
 def block_corners(grid, config):
-    """The kernel's corners and errors over one block of energies, its Loewner sandwich first."""
+    """The kernel's corners and errors over one block of live energies, its Loewner sandwich first."""
+    assert not failed_energies(grid, config)
     (cleared,) = cleared_blocks(grid, config)
     h0, _, _ = _free_block(config.basis, config.size)
-    couplings, errors = block_couplings(grid, config)
-    return _block_corners(grid, couplings, errors, h0, lambda_matrix(config).entries, cleared)
+    couplings, _ = block_couplings(grid, config)
+    return _block_corners(grid, couplings, h0, lambda_matrix(config).entries, cleared)
 
 
 def exact_last_column(matrix) -> list:
@@ -985,8 +1017,8 @@ class TestStackedValidate:
         ((_, _, _, errors, corners),) = _scatter(energies, [config])
         live = [j for j, error in enumerate(errors) if error is None]
         at = [energies[j] for j in live]
-        routes, eigenvalues, route_errors = _green_routes(config, at, corners[live].tolist())
+        spectral, determinant, eigenvalues, route_errors = _green_routes(config, at)
         assert eigenvalues.shape == (len(at), config.size)
-        for energy, *values, error in zip(at, *routes, route_errors):
+        for energy, *values, error in zip(at, corners[live].tolist(), spectral, determinant, route_errors):
             expected = point_routes(energy, config)
             assert (tuple(values) if error is None else type(error)) == expected, energy
