@@ -130,8 +130,6 @@ def load_scan_request(path: str, output_override: str | None = None) -> ScanRequ
             steps=numbers["steps"],
             output_path=out,
         )
-        for nu in nu_values:
-            request.config_for(nu)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return request
@@ -158,11 +156,11 @@ def _cmd_validate(args) -> int:
     request = load_scan_request(args.config)
     energies = np.linspace(request.e_min, request.e_max, min(request.steps, 8))
     failures = 0
-    for nu in request.nu_list:
-        report = validate(request.config_for(nu), energies)
+    for config in request.configs:
+        report = validate(config, energies)
         for check in report.checks:
             mark = "ok " if check.passed else "FAIL"
-            print(f"[{mark}] nu={nu:g} {check.name}: {check.detail}")
+            print(f"[{mark}] nu={config.nu:g} {check.name}: {check.detail}")
             failures += not check.passed
     return 1 if failures else 0
 

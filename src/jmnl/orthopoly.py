@@ -42,20 +42,29 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"weight parameter must satisfy nu > -1 and be finite, got {nu!r}")
 
 
-def _normalization(n: int, nu: float) -> float:
-    # sqrt(n! / Gamma(n+nu+1)) evaluated in log space to avoid overflow
-    return math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + nu + 1)))
+def _normalization(nu: float) -> float:
+    # Lt_0 = 1 / sqrt(Gamma(nu+1)) evaluated in log space to avoid overflow
+    return math.exp(-0.5 * math.lgamma(nu + 1.0))
+
+
+def _coefficients(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # alpha_n = 2n + nu + 1 and |beta_n| = sqrt((n+1)(n+nu+1)) for n < count: the recurrence's one formula
+    n = np.arange(count, dtype=float)
+    return 2.0 * n + nu + 1.0, np.sqrt((n + 1.0) * (n + nu + 1.0))
 
 
 @lru_cache(maxsize=64)
 def _recursion_coefficients(nu: float, count: int) -> tuple[tuple[float, float, float], ...]:
-    # (alpha_n, |beta_{n-1}|, |beta_n|) for n < count - 1; the first step weighs P_{-1}, the drive, by 1
+    """(alpha_n, |beta_{n-1}|, |beta_n|) for n < count - 1, with |beta_{-1}| = 1 weighing P_{-1}.
+
+    Filled by :func:`_recursion`, for the orthonormal values and the free
+    sine and cosine sequences, and by :func:`_polynomial_family`, once per
+    Lambda build.
+    """
     if count < 1:
         raise ValueError(f"a sequence needs at least one value (asked for {count})")
-    return tuple(
-        (2 * n + nu + 1.0, math.sqrt(n * (n + nu)) if n else 1.0, math.sqrt((n + 1.0) * (n + nu + 1.0)))
-        for n in range(count - 1)
-    )
+    alpha, beta = (values.tolist() for values in _coefficients(nu, count - 1))
+    return tuple(zip(alpha, [1.0, *beta[:-1]], beta))
 
 
 def _recursion(first, z, nu: float, count: int, drive=0.0) -> list:
@@ -84,7 +93,7 @@ def laguerre_orthonormal_sequence(nmax: int, nu: float, z):
     """
     _check_nu(nu)
     z = np.asarray(z, dtype=float)
-    out = np.array(_recursion(np.full(z.shape, _normalization(0, nu)), z, nu, nmax + 1))
+    out = np.array(_recursion(np.full(z.shape, _normalization(nu)), z, nu, nmax + 1))
     out[1::2] *= -1.0  # Lt_n = (-1)^n P_n, exactly
     return out
 
@@ -98,9 +107,8 @@ def jacobi_matrix(nu: float, size: int) -> np.ndarray:
     _check_nu(nu)
     if size < 1:
         raise ValueError("size must be positive")
-    n = np.arange(size, dtype=float)
-    off = -np.sqrt((n[:-1] + 1.0) * (n[:-1] + nu + 1.0))
-    dense = np.diag(2.0 * n + nu + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    alpha, beta = _coefficients(nu, size)
+    dense = np.diag(alpha) - np.diag(beta[:-1], 1) - np.diag(beta[:-1], -1)
     dense.setflags(write=False)
     return dense
 
@@ -121,38 +129,25 @@ def gauss_laguerre_rule(count: int, nu: float):
     return nodes, weights
 
 
-@lru_cache(maxsize=32)
-def _distances(size: int) -> np.ndarray:
-    # read-only |i - j| over the size x size grid, shared by every band mask of that size
-    n = np.arange(size)
-    grid = np.abs(n[:, None] - n)
-    grid.setflags(write=False)
-    return grid
-
-
-def _band_mask(size: int, width: int) -> np.ndarray:
-    return (_distances(size) <= width).astype(float)
-
-
 def _polynomial_family(count: int, nu: float, size: int) -> list[np.ndarray]:
     """Matrices Lt_0(J) .. Lt_{count-1}(J) on a size-truncated J.
 
-    The degree-i matrix has bandwidth i; the recurrence is applied to whole
-    matrices with the band enforced at every step so that spurious
-    out-of-band rounding noise cannot be amplified.  Entries (n, m) with
-    max(n, m) + i < size are exact to rounding.
+    The loop of :func:`_recursion` on whole matrices, from Lt_{-1} = 0
+    weighed by 1, with J's own signs:
+    Lt_{n+1}(J) = ((J - alpha_n I) Lt_n(J) + |beta_{n-1}| Lt_{n-1}(J)) / -|beta_n|.
+    The degree-i matrix has bandwidth i, and its entries beyond the band are
+    exact zeros, so no mask is needed: J is tridiagonal and Lt_n(J) has band
+    n, so every product summed into an entry of (J - alpha_n I) Lt_n(J)
+    beyond band n + 1 has a zero factor, and Lt_{n-1}(J) is zero there too.
+    Entries (n, m) with max(n, m) + i < size are exact to rounding.
     """
     dense = jacobi_matrix(nu, size)
-    alpha = np.diag(dense)
-    beta = np.diag(dense, 1)
     identity = np.eye(size)
-    family = [_normalization(0, nu) * identity]
-    if count > 1:
-        first = (dense - alpha[0] * identity) @ family[0] / beta[0]
-        family.append(first * _band_mask(size, 1))
-    for i in range(1, count - 1):
-        nxt = ((dense - alpha[i] * identity) @ family[i] - beta[i - 1] * family[i - 1]) / beta[i]
-        family.append(nxt * _band_mask(size, i + 1))
+    family = [_normalization(nu) * identity]
+    first, second = 0.0, family[0]
+    for diagonal, below, above in _recursion_coefficients(nu, count):
+        first, second = second, ((dense - diagonal * identity) @ second + below * first) / -above
+        family.append(second)
     return family
 
 
@@ -174,14 +169,9 @@ def linearization_table(terms: int, dim: int, nu: float) -> tuple[np.ndarray, np
     if terms < 1 or dim < 1:
         raise ValueError("terms and dim must be positive")
     family = _polynomial_family(terms, nu, dim + 2 * terms + 4)
-    entries = np.zeros((terms, dim, dim))
-    blocks = []
-    for i, poly in enumerate(family):
-        block = poly[:, :dim]
-        blocks.append(block)
-        gram = block.T @ block
-        gram = 0.5 * (gram + gram.T)
-        entries[i] = gram * _band_mask(dim, 2 * i)
+    blocks = [poly[:, :dim] for poly in family]
+    grams = np.array([block.T @ block for block in blocks])
+    entries = 0.5 * (grams + grams.transpose(0, 2, 1))
     factor = np.vstack(blocks)
     entries.setflags(write=False)
     factor.setflags(write=False)

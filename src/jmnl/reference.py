@@ -97,7 +97,7 @@ def _sine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
     nu = basis.nu_basis
     prefactor = _sine_prefactor(mu, basis)
-    values = [prefactor * v for v in _recursion(_normalization(0, nu), mu**2, nu, count)]
+    values = [prefactor * v for v in _recursion(_normalization(nu), mu**2, nu, count)]
     if not all(map(math.isfinite, values)):
         raise RecurrenceOverflowError(f"sine coefficients overflowed for mu={mu:.3g}")
     return values
@@ -176,7 +176,7 @@ def _cosine_seed(mu: float, basis: BasisParams, kummer: float) -> float:
         * (math.exp(math.lgamma(basis.nu_basis)) / math.pi)
         * mu ** (-basis.ell)
         * math.exp(-mu**2 / 2.0)
-        * _normalization(0, basis.nu_basis)
+        * _normalization(basis.nu_basis)
         * kummer
     )
 
@@ -291,7 +291,7 @@ def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np
     c0 = np.array([_cosine_seed(mus[j], basis, m) for j, m in zip(regular, _stacked_kummer(ell, z).tolist())])
     with np.errstate(over="ignore", invalid="ignore"):
         # a failing energy leaves inf or nan in its own column
-        first = np.stack([np.full_like(z, _normalization(0, nu)), c0])
+        first = np.stack([np.full_like(z, _normalization(nu)), c0])
         values = np.array(_recursion(first, z, nu, count, np.stack([np.zeros_like(z), drive])))
         sine, cosine = prefactor * values[:, 0], values[:, 1]
         c1 = cosine[1]

@@ -559,7 +559,11 @@ def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
 
 @dataclass(frozen=True)
 class ScanRequest:
-    """One scan: a model template, the nu list, and the energy grid."""
+    """One scan: a model template, the nu list, and the energy grid.
+
+    ``configs`` holds each nu's :class:`ModelConfig`, built once at
+    construction after the grid checks, so a bad model field raises here.
+    """
 
     basis: BasisParams
     g: float
@@ -571,6 +575,7 @@ class ScanRequest:
     e_max: float
     steps: int
     output_path: str | None = None
+    configs: tuple[ModelConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _integer(self.steps, "steps"))
@@ -584,16 +589,10 @@ class ScanRequest:
             raise ValueError(
                 f"steps x nu values must be at most {_MAX_ROWS} rows, the largest complex column numpy can index"
             )
-
-    def config_for(self, nu: float) -> ModelConfig:
-        return ModelConfig(
-            basis=self.basis,
-            g=self.g,
-            nu=nu,
-            size=self.size,
-            terms=self.terms,
-            weight_choice=self.weight_choice,
+        configs = tuple(
+            ModelConfig(self.basis, self.g, nu, self.size, self.terms, self.weight_choice) for nu in self.nu_list
         )
+        object.__setattr__(self, "configs", configs)
 
     def energy_grid(self) -> np.ndarray:
         return np.linspace(self.e_min, self.e_max, self.steps)
@@ -638,9 +637,7 @@ def run_scan(request: ScanRequest) -> ScanColumns:
     status (``pole``, ``overflow`` or ``degenerate``) instead of values.
     """
     grid = request.energy_grid()
-    energies = grid.tolist()
-    configs = [request.config_for(nu) for nu in request.nu_list]
-    s_value, delta, amplitude, errors, _ = zip(*_scatter(energies, configs))
+    s_value, delta, amplitude, errors, _ = zip(*_scatter(grid.tolist(), request.configs))
     status = [["ok" if error is None else _status(error) for error in row] for row in errors]
     k, j = _row_order(request.nu_list, grid)
     return ScanColumns(

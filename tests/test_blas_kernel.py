@@ -34,7 +34,7 @@ def paper_outcomes():
         e_max=6.0,
         steps=551,
     )
-    verdicts = [[check.name, check.passed] for nu in request.nu_list for check in validate(request.config_for(nu)).checks]
+    verdicts = [[check.name, check.passed] for config in request.configs for check in validate(config).checks]
     return {"status": list(run_scan(request).status), "verdicts": verdicts}
 
 

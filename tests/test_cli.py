@@ -181,9 +181,8 @@ def bits(values):
 def stable_sorted_rows(request):
     """The rows as the per-row scan built them: config-major, then a stable sort by (nu, E)."""
     grid = request.energy_grid().tolist()
-    configs = [request.config_for(nu) for nu in request.nu_list]
     rows = []
-    for nu, (s, delta, amplitude, errors, _) in zip(request.nu_list, scattering._scatter(grid, configs)):
+    for nu, (s, delta, amplitude, errors, _) in zip(request.nu_list, scattering._scatter(grid, request.configs)):
         statuses = ["ok" if error is None else ORACLE_STATUS[type(error)] for error in errors]
         rows += zip([nu] * len(grid), grid, s.tolist(), delta.tolist(), amplitude.tolist(), statuses)
     return sorted(rows, key=lambda row: (row[0], row[1]))
@@ -321,6 +320,31 @@ class TestConfigParsing:
         assert type(request.steps) is int
         assert format_csv(run_scan(request)) == format_csv(run_scan(PAPER_REQUEST))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"g": math.nan}, "coupling g must be finite"),
+            ({"g": math.inf}, "coupling g must be finite"),
+            ({"nu_list": (-2.0,)}, "ansatz parameter must satisfy nu > -1"),
+            ({"size": 1}, "matrix size must be at least 2"),
+            ({"terms": 30}, "need 1 <= terms <= size"),
+            ({"weight_choice": "x"}, "weight_choice must be one of"),
+        ],
+        ids=["g=nan", "g=inf", "nu=-2", "N=1", "K=30", "weight=x"],
+    )
+    def test_bad_model_field_rejected_at_construction(self, change, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            dataclasses.replace(PAPER_REQUEST, **change)
+
+    def test_configs_built_once_per_nu(self):
+        request = dataclasses.replace(PAPER_REQUEST, nu_list=(3.0, 1.0, 3.0))
+        assert request.configs == tuple(
+            ModelConfig(request.basis, 2.0, nu, 20, 8, "resonance") for nu in (3.0, 1.0, 3.0)
+        )
+        # the grid's errors come first, as the command line reports them
+        with pytest.raises(ValueError, match="need 0 < e_min < e_max"):
+            dataclasses.replace(PAPER_REQUEST, e_max=0.1, g=math.nan)
+
 
 class TestRunScan:
     def test_rows_sorted_and_unitary(self, tmp_path):
@@ -378,7 +402,7 @@ class TestRunScan:
             steps=130,
         )
         columns = run_scan(request)
-        config = request.config_for(1.0)
+        (config,) = request.configs
         statuses = set()
         for energy, s_value, delta, amplitude, status in zip(
             columns.energy.tolist(),
@@ -468,8 +492,8 @@ class TestRunScan:
     def test_paper_csv_equals_point_oracle(self):
         # all 3,857 rows, bit for bit, against one oracle point and one format per row
         rows = [
-            (nu, energy, s_matrix_point(energy, PAPER_REQUEST.config_for(nu)))
-            for nu in PAPER_REQUEST.nu_list
+            (config.nu, energy, s_matrix_point(energy, config))
+            for config in PAPER_REQUEST.configs
             for energy in PAPER_REQUEST.energy_grid().tolist()
         ]
         assert format_csv(run_scan(PAPER_REQUEST)) == per_row_csv(rows)
@@ -561,7 +585,7 @@ class TestValidate:
         # Loewner sandwich) and pivot corners (the 8 M)
         linalg = count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh", "solve"))
         generalized = count_calls(monkeypatch, scipy.linalg, ("eigh",))
-        report = validate(PAPER_REQUEST.config_for(1.0))
+        report = validate(PAPER_REQUEST.configs[0])
         assert report.passed
         assert linalg == {"cholesky": 2, "eigh": 1, "eigvalsh": 2}
         assert factored == [1, 8]
@@ -571,7 +595,7 @@ class TestValidate:
     def test_planted_pivot_corner_fails(self, monkeypatch, nu):
         # the corner S uses is the route the other two check: 1.5x it in the kernel's
         # pivot corners and green-three-route fails
-        config = PAPER_REQUEST.config_for(nu)
+        config = PAPER_REQUEST.configs[PAPER_REQUEST.nu_list.index(nu)]
         assert validate(config).passed
         pivot_corners = scattering._pivot_corners
 
@@ -586,7 +610,7 @@ class TestValidate:
     def test_planted_solve_corner_fails(self, monkeypatch):
         # g = 0: M is indefinite at the 4 default energies above the lowest free eigenvalue,
         # so the kernel takes its checked solve there; 1.5x in that solve alone fails the check
-        config = dataclasses.replace(PAPER_REQUEST.config_for(1.0), g=0.0)
+        config = dataclasses.replace(PAPER_REQUEST.configs[0], g=0.0)
         assert validate(config).passed
         checked_solve, block_corners, solved = scattering._checked_solve, scattering._block_corners, []
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jmnl.orthopoly import (
-    _band_mask,
     _polynomial_family,
+    _recursion_coefficients,
     gauss_laguerre_rule,
     jacobi_matrix,
     laguerre_orthonormal_sequence,
@@ -190,15 +190,36 @@ class TestMatrixPolynomial:
         band_edge = np.abs(rows - cols) == 3
         assert np.any(block[band_edge] != 0.0)
 
-    @pytest.mark.parametrize("size, width", [(1, 0), (5, 0), (5, 2), (9, 4), (9, 20)])
-    def test_band_mask_from_shared_grid(self, size, width):
-        rows, cols = np.indices((size, size))
-        expected = (np.abs(rows - cols) <= width).astype(float)
-        first, second = _band_mask(size, width), _band_mask(size, width)
-        assert np.array_equal(first, expected) and first.dtype == expected.dtype
-        # each mask is a fresh array; the cached grid behind it stays unchanged
-        first[...] = 7.0
-        assert np.array_equal(second, expected) and np.array_equal(_band_mask(size, width), expected)
+    def test_bands_exact_without_masks(self):
+        # J is tridiagonal, so each term of an entry of J Lt_i(J) beyond band i + 1 has a zero
+        # factor: Lt_i(J) is exactly zero beyond band i, and the table's Gram beyond band 2i
+        rng = np.random.default_rng(30)
+        nus = [-1.0 + 1e-12, -0.5, 305.0, 313.0, *rng.uniform(-0.99, 313.0, 60).tolist()]
+        subnormal = False
+        for nu in nus:
+            terms, dim = int(rng.integers(1, 17)), int(rng.integers(1, 40))
+            family = _polynomial_family(terms, nu, dim + 2 * terms + 4)
+            entries, _ = linearization_table(terms, dim, nu)
+            distance = np.abs(np.subtract.outer(np.arange(family[0].shape[0]), np.arange(family[0].shape[0])))
+            for i, poly in enumerate(family):
+                assert not poly[distance > i].any(), (nu, i)
+                assert not entries[i][distance[:dim, :dim] > 2 * i].any(), (nu, i)
+            subnormal |= 0.0 < family[0][0, 0] < np.finfo(float).tiny
+        assert subnormal
+
+    def test_recursion_reads_the_jacobi_matrix(self):
+        # one formula: alpha_n on J's diagonal, |beta_n| off it and |beta_{n-1}| the previous
+        # |beta_n|, with |beta_{-1}| = 1, bit for bit at nu that are not half-integers
+        rng = np.random.default_rng(30)
+        for nu in rng.uniform(-0.99, 313.0, 400).tolist():
+            count = int(rng.integers(2, 71))
+            assert nu % 0.5 != 0.0
+            dense = jacobi_matrix(nu, count)
+            alpha, below, above = (np.array(column) for column in zip(*_recursion_coefficients(nu, count)))
+            off = -np.diag(dense, 1)
+            assert alpha.tobytes() == np.diag(dense)[:-1].tobytes()
+            assert above.tobytes() == off.tobytes()
+            assert below.tobytes() == np.concatenate([[1.0], off[:-1]]).tobytes()
 
     def test_matches_scalar_polynomial_on_spectrum(self):
         # eigen-decomposing J and applying the scalar polynomial must agree

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from jmnl.orthopoly import jacobi_matrix
+from jmnl.nonlinear import ModelConfig, lambda_matrix
+from jmnl.orthopoly import jacobi_matrix, linearization_table
 from jmnl.reference import BasisParams, h0_matrix
 from jmnl.scattering import ScanRequest, format_csv, run_scan
 
@@ -39,20 +40,21 @@ def test_scan_digest_is_of_the_csv_bytes():
     )
     csv = format_csv(run_scan(paper)).encode()
     assert same_outputs.scan_output(same_outputs.scan_text({})) == csv
-    (line,) = same_outputs.digests({"paper": {}}, [], [], [])[:1]
+    (line,) = same_outputs.digests({"paper": {}}, [], [], [], [])[:1]
     assert line == same_outputs._line("scan:paper", [csv])
 
 
 def test_reports_and_messages_digest_their_text():
     corpus = same_outputs.validate_corpus()[::500]
-    lines = same_outputs.digests({}, corpus, same_outputs.MESSAGE_POINTS[:2], [])
+    lines = same_outputs.digests({}, corpus, same_outputs.MESSAGE_POINTS[:2], [], [])
     # one line per group in corpus order, with its count of reports
     assert [line.split()[:2] for line in lines] == [
         *([f"validate:{group}", "1"] for group, _, _ in corpus),
         ["messages", "2"],
         ["free", "0"],
+        ["lambda", "0"],
     ]
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert same_outputs.message_text(*same_outputs.MESSAGE_POINTS[0]) == "ValueError: energy must be positive\n"
     _, config, _ = corpus[0]
     assert same_outputs.report_text(config, np.array([0.0])) == "ValueError: energy must be positive\n"
@@ -86,5 +88,25 @@ def test_free_group_digests_public_calls():
     assert nmax == size - 1 and isinstance(z, float)
     basis = BasisParams(lam=5.0, ell=1)
     assert same_outputs.free_output("h0_matrix", (basis, 3)) == h0_matrix(basis, 3).tobytes()
-    (line,) = same_outputs.digests({}, [], [], calls[:7])[-1:]
+    (line,) = same_outputs.digests({}, [], [], calls[:7], [])[-2:-1]
     assert line == same_outputs._line("free", outputs[:7])
+
+
+def test_lambda_group_digests_public_builds():
+    cases = same_outputs.lambda_cases()
+    validated = {(config.nu, config.terms, config.size) for _, config, _ in same_outputs.validate_corpus()}
+    assert len(set(cases)) == len(cases) == len(validated) + same_outputs.LAMBDA_DRAWS
+    assert set(cases[: len(validated)]) == validated
+    drawn = cases[len(validated) :]
+    assert max(nu for nu, _, _ in drawn) > 305.0 and {terms for _, terms, _ in drawn} == set(range(1, 17))
+    assert all(terms <= size <= 64 for _, terms, size in drawn)
+    # the draw reaches both a certified Lambda and a failed certificate
+    outputs = [same_outputs.lambda_output(*case) for case in drawn[:120]]
+    failed = [output for output in outputs if b"PositivityCertificateError: min eigenvalue" in output]
+    assert 0 < len(failed) < len(outputs)
+    nu, terms, size = cases[0]
+    lam = lambda_matrix(ModelConfig(same_outputs.PAPER_BASIS, 2.0, nu, size, terms))
+    arrays = [*linearization_table(terms, size, nu), lam.entries, lam.factor, lam.singular, lam.v_t, lam.row_sums]
+    assert same_outputs.lambda_output(*cases[0]) == b"".join(array.tobytes() for array in arrays)
+    (line,) = same_outputs.digests({}, [], [], [], drawn[:3])[-1:]
+    assert line == same_outputs._line("lambda", outputs[:3])

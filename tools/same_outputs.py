@@ -33,10 +33,16 @@ Then one line per digest, ``name count sha256``:
 * ``free``: the bytes of each call of a seeded corpus of the free problem's
   functions, ``jacobi_matrix``, ``laguerre_orthonormal_sequence`` (scalar and
   array z), ``h0_matrix``, ``sine_coefficients``, ``cosine_coefficients`` and
-  ``basis_function``, or the error text of a call that raises.
+  ``basis_function``, or the error text of a call that raises;
+* ``lambda``: the bytes of both arrays of ``linearization_table`` and of the
+  ``entries``, ``factor``, ``singular``, ``v_t`` and ``row_sums`` of
+  ``lambda_matrix``, or the text of its certificate's error, at each distinct
+  ``(nu, K, N)`` of the validate corpus and at a seeded draw of nu in
+  (-1, 313), K 1-16 and N up to 64, which reaches subnormal factors and
+  failed certificates.
 
 It reads only public names, so one copy of this script digests any tree.
-The full corpus takes about 12 s.
+The full corpus takes about 15 s.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import numpy as np
 
 from jmnl import orthopoly, reference
 from jmnl.cli import load_scan_request
-from jmnl.nonlinear import ModelConfig
+from jmnl.nonlinear import ModelConfig, lambda_matrix
 from jmnl.reference import BasisParams, h0_matrix
 from jmnl.scattering import format_csv, run_scan, s_matrix, validate
 
@@ -106,6 +112,7 @@ MESSAGE_POINTS = (
 FREE_SCALES = (1e-3, 0.37, 1.0, 5.0, 1e100)
 FREE_ENERGIES = (0.05, 0.5, 2.0, 42.5, 350.0, 1e3)
 FREE_DRAWS = 400
+LAMBDA_DRAWS = 400
 #: module of each public free-problem function the ``free`` line digests
 FREE_MODULES = {
     "jacobi_matrix": orthopoly,
@@ -194,6 +201,27 @@ def free_output(name: str, args: tuple) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def lambda_cases() -> list[tuple[float, int, int]]:
+    """(nu, K, N) of each Lambda build digested: the validate corpus's distinct ones, then a seeded draw."""
+    cases = dict.fromkeys((config.nu, config.terms, config.size) for _, config, _ in validate_corpus())
+    rng = np.random.default_rng(len(SWEEP_PAIRS) + 2)
+    for _ in range(LAMBDA_DRAWS):
+        nu, terms = float(rng.uniform(-0.99, 313.0)), int(rng.integers(1, 17))
+        cases[nu, terms, int(rng.integers(max(2, terms), 65))] = None
+    return list(cases)
+
+
+def lambda_output(nu: float, terms: int, size: int) -> bytes:
+    """The float64 bytes of one linearization table and its Lambda build, or the build's error text."""
+    table = b"".join(array.tobytes() for array in orthopoly.linearization_table(terms, size, nu))
+    try:
+        lam = lambda_matrix(ModelConfig(PAPER_BASIS, 2.0, nu, size, terms))
+    except Exception as exc:  # noqa: BLE001 - the error is the output
+        return table + f"{type(exc).__name__}: {exc}".encode()
+    arrays = (lam.entries, lam.factor, lam.singular, lam.v_t, lam.row_sums)
+    return table + b"".join(array.tobytes() for array in arrays)
+
+
 def _line(name: str, parts: list[bytes]) -> str:
     digest = hashlib.sha256()
     for part in parts:
@@ -203,13 +231,18 @@ def _line(name: str, parts: list[bytes]) -> str:
 
 
 def digests(
-    grids: dict | None = None, corpus: list | None = None, points: list | None = None, free: list | None = None
+    grids: dict | None = None,
+    corpus: list | None = None,
+    points: list | None = None,
+    free: list | None = None,
+    lambdas: list | None = None,
 ) -> list[str]:
-    """The digest lines of the given grids, validate corpus, message points and free calls (default: all)."""
+    """The digest lines of the given grids, validate corpus, message points, free calls and Lambda builds (default: all)."""
     grids = GRIDS if grids is None else grids
     corpus = validate_corpus() if corpus is None else corpus
     points = MESSAGE_POINTS if points is None else points
     free = free_calls() if free is None else free
+    lambdas = lambda_cases() if lambdas is None else lambdas
     lines = [_line(f"scan:{name}", [scan_output(scan_text(changes))]) for name, changes in grids.items()]
     groups: dict[str, list[bytes]] = {}
     for group, config, energies in corpus:
@@ -217,6 +250,7 @@ def digests(
     lines += [_line(f"validate:{group}", parts) for group, parts in groups.items()]
     lines.append(_line("messages", [message_text(*point).encode() for point in points]))
     lines.append(_line("free", [free_output(*call) for call in free]))
+    lines.append(_line("lambda", [lambda_output(*case) for case in lambdas]))
     return lines
 
 
