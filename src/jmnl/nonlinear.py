@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orthopoly import linearization_table
-from .reference import BasisParams, _momentum, h0_matrix
+from .reference import BasisParams, _momentum, _real, h0_matrix
 
 __all__ = [
     "WEIGHT_CHOICES",
@@ -86,7 +86,7 @@ class ModelConfig:
     def __post_init__(self):
         for field, name in (("size", "matrix size N"), ("terms", "term count K")):
             object.__setattr__(self, field, _integer(getattr(self, field), name))
-        if not -1 < self.nu < math.inf:
+        if not -1 < _real(self.nu, "ansatz parameter nu") < math.inf:
             raise ValueError("ansatz parameter must satisfy nu > -1 and be finite")
         if self.size < 2:
             raise ValueError("matrix size must be at least 2")
@@ -100,7 +100,7 @@ class ModelConfig:
             )
         # the largest entry of H0's (N + 1) block is (lam^2/2)(2N + ell + 3/2), at n = N; a row
         # holds at most three entries, so each computed absolute row sum stays below 4 times it
-        if not math.isfinite(4.0 * (0.5 * self.basis.lam**2 * (2 * self.size + self.basis.ell + 1.5))):
+        if not math.isfinite(4.0 * (0.5 * float(self.basis.lam) ** 2 * (2 * self.size + float(self.basis.ell) + 1.5))):
             raise ValueError(
                 f"scale parameter lam must keep H0's row sums finite at N = {self.size} and ell = {self.basis.ell}: "
                 f"4 (lam^2/2)(2N + ell + 3/2) overflows (got {self.basis.lam!r})"
@@ -109,7 +109,7 @@ class ModelConfig:
             raise ValueError(
                 f"weight_choice must be one of {WEIGHT_CHOICES} (got {self.weight_choice!r})"
             )
-        if not math.isfinite(self.g):
+        if not math.isfinite(_real(self.g, "coupling g")):
             raise ValueError("coupling g must be finite")
 
 

@@ -25,6 +25,7 @@ sum_n c_n phi_n(r) = -sqrt(2 k r) Y_{ell+1/2}(k r).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,17 +55,30 @@ class BasisParams:
     ell: int
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
+        if not 0 < _real(self.lam, "scale parameter lam") < math.inf:
             raise ValueError("scale parameter lam must be positive and finite")
         # H0 scales as lam^2 and the momentum as 1/lam: both must be doubles
-        if not (math.isfinite(self.lam * self.lam) and math.isfinite(1.0 / self.lam)):
+        lam = float(self.lam)
+        if not (math.isfinite(lam * lam) and math.isfinite(1.0 / lam)):
             raise ValueError(f"scale parameter lam must have a finite square and reciprocal (got {self.lam!r})")
-        if self.ell < 0 or int(self.ell) != self.ell:
+        if not (0 <= _real(self.ell, "angular momentum ell") < math.inf and self.ell % 1 == 0):
             raise ValueError("angular momentum ell must be a non-negative integer")
 
     @property
     def nu_basis(self) -> float:
         return self.ell + 0.5
+
+
+def _real(value, name: str):
+    # value as given if it is a real number in the double range (a Python or numpy int or float);
+    # a str, bool, complex or None raises a ValueError naming the field, as nonlinear._integer does
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number (got {value!r})")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the double range (got {value!r})") from None
+    return value
 
 
 def _momentum(energy: float, basis: BasisParams) -> float:
@@ -191,13 +205,6 @@ def _seed_drive(mu: float, basis: BasisParams) -> float:
     )
 
 
-def _seed_in_range(drive: float) -> bool:
-    # The drive overflows (or is inf at mu = inf) from mu^2 ~ 1420, where c_0 is no
-    # longer finite either, so it is checked before the Kummer series, whose time
-    # grows with its argument.
-    return math.isfinite(drive)
-
-
 def _seed_overflow(mu: float) -> RecurrenceOverflowError:
     return RecurrenceOverflowError(
         f"cosine seed overflowed for mu={mu:.3g}; the requested "
@@ -211,7 +218,9 @@ def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     z = mu**2
     try:
         drive = _seed_drive(mu, basis)
-        c0 = _cosine_seed(mu, basis, _kummer(ell, z)) if _seed_in_range(drive) else math.nan
+        # the drive overflows (or is inf at mu = inf) from mu^2 ~ 1420, where c_0 is not finite either:
+        # it is checked before the Kummer series, whose time grows with its argument
+        c0 = _cosine_seed(mu, basis, _kummer(ell, z)) if math.isfinite(drive) else math.nan
     except OverflowError as exc:
         raise _seed_overflow(mu) from exc
     values = _recursion(c0, z, basis.nu_basis, count, drive)
@@ -232,60 +241,55 @@ def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
     return values
 
 
-#: tail terms of an energy whose sequences raise; its error is reported instead
-_NAN_TERMS = (complex(math.nan, math.nan),) * 2
-
 #: energies from which the tails run as one stacked recursion: its cost is
 #: mostly a fixed four numpy calls per step, which the float sequences (about
 #: 5 us per energy at N = 20) exceed from about 16 energies at N = 16 to 48
 _STACKED_FROM = 16
 
 
-def _float_tails(mu: float, basis: BasisParams, count: int):
-    # the tail terms of one energy from the float sequences, or its error
-    try:
-        s0, s1 = _sine_sequence(mu, basis, count)[-2:]
-        c0, c1 = _cosine_sequence(mu, basis, count)[-2:]
-    except ArithmeticError as exc:
-        return _NAN_TERMS, exc
-    return (c0 - 1j * s0, c1 - 1j * s1), None
-
-
-def _free_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
+def _free_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Tail terms c_n - i s_n at n = count-2, count-1 (count >= 2) of each energy's momentum mu.
 
-    Returns a (B, 2) complex array and, per energy, ``None`` or the
-    ArithmeticError that :func:`_sine_sequence`, then :func:`_cosine_sequence`
-    raise there (its terms are then nan).  Fewer than ``_STACKED_FROM``
+    Returns a (B, 2) complex array and a (B,) bool mask of the energies where
+    :func:`_sine_sequence`, then :func:`_cosine_sequence` raise (their terms
+    are then nan); :func:`sine_coefficients` and :func:`cosine_coefficients`
+    raise that error at such an energy.  Fewer than ``_STACKED_FROM``
     energies run those float sequences one by one, more
-    :func:`_stacked_tails`, which gives the same bits and errors.
+    :func:`_stacked_tails`, which gives the same bits and mask.
     """
-    if len(mus) < _STACKED_FROM:
-        pairs = [_float_tails(mu, basis, count) for mu in mus]
-        return np.array([terms for terms, _ in pairs], dtype=complex).reshape(-1, 2), [e for _, e in pairs]
-    return _stacked_tails(mus, basis, count)
+    if len(mus) >= _STACKED_FROM:
+        return _stacked_tails(mus, basis, count)
+    pairs = []
+    for mu in mus:
+        try:
+            s0, s1 = _sine_sequence(mu, basis, count)[-2:]
+            c0, c1 = _cosine_sequence(mu, basis, count)[-2:]
+        except ArithmeticError:
+            s0 = s1 = c0 = c1 = math.nan
+        pairs.append((c0 - 1j * s0, c1 - 1j * s1))
+    terms = np.array(pairs, dtype=complex).reshape(-1, 2)
+    # the terms of sequences that do not raise are finite
+    return terms, np.isnan(terms[:, 0])
 
 
-def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, list]:
+def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_free_tails` as one stacked (2, B) recursion of the unscaled sine and the cosine.
 
     The recursion runs through :func:`_recursion`, with the seeds computed
     per energy in ``math``, so every value and every overflow test rounds as in
-    the float sequences; an energy whose seeds raise or whose values fail a
-    test takes the float sequences, which raise its error.
+    the float sequences: an energy fails where its seeds raise or its values
+    fail a test, which is where the float sequences raise.
     """
     ell, nu = basis.ell, basis.nu_basis
-    regular, irregular, seeds = [], [], []
+    regular, seeds = [], []
     for j, mu in enumerate(mus):
         try:
             seed = (mu**2, _sine_prefactor(mu, basis), _seed_drive(mu, basis))
         except ArithmeticError:
-            seed = None
-        if seed is not None and _seed_in_range(seed[2]):
+            continue
+        if math.isfinite(seed[2]):
             regular.append(j)
             seeds.append(seed)
-        else:
-            irregular.append(j)
     z, prefactor, drive = np.array(seeds).reshape(-1, 3).T
     # no factor of c_0 raises where the drive did not
     c0 = np.array([_cosine_seed(mus[j], basis, m) for j, m in zip(regular, _stacked_kummer(ell, z).tolist())])
@@ -300,12 +304,10 @@ def _stacked_tails(mus: list[float], basis: BasisParams, count: int) -> tuple[np
         peak = np.fmax.reduce(np.abs(cosine))
         passed = np.isfinite(sine).all(axis=0) & np.isfinite(c0) & np.isfinite(c1)
         passed &= np.isfinite(peak) & (peak <= guard)
-    terms = np.empty((len(mus), 2), dtype=complex)
-    terms[regular] = (cosine[-2:] - 1j * sine[-2:]).T
-    errors = [None] * len(mus)
-    for j in irregular + [regular[i] for i in np.flatnonzero(~passed).tolist()]:
-        terms[j], errors[j] = _float_tails(mus[j], basis, count)
-    return terms, errors
+    terms = np.full((len(mus), 2), complex(math.nan, math.nan))
+    terms[np.array(regular, dtype=int)[passed]] = (cosine[-2:, passed] - 1j * sine[-2:, passed]).T
+    # the terms of an energy that passes are finite
+    return terms, np.isnan(terms[:, 0])
 
 
 def cosine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarray:

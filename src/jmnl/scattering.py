@@ -15,17 +15,18 @@ operator, and a determinant ratio needing eigenvalues only.
 
 S over a (nu, E) grid comes from one kernel that evaluates the free tails once
 per energy (see :func:`_scatter`) and returns columns; :func:`s_matrix` is a
-batch of one.  An energy whose weight or free tails fail has that error before
-any wave operator is built; the rest are live, and the pole guard works per
-block of up to 64 live energies: since Lambda is positive semi-definite, one
-Cholesky factorisation of a lower operator H0 + c_min Lambda - (E_max +
-delta_max) I, less a derived rounding slack, certifies every member of the
-block (a Loewner sandwich).  A block it cannot clear, or a block of one, takes
-one stacked Cholesky factorisation of M - delta I, and the spectrum is
-computed only for a member that this factorisation cannot certify.  A
-certified member takes its corner from the last pivot of its one unshifted
-Cholesky factorisation, checked against the last row of M; the rest take a
-checked solve.
+batch of one.  Why S stops at an energy is an int8 code into one reason table
+(``_REASONS``), and an error is built only where it is raised (:func:`_raise`).
+An energy whose weight or free tails fail has that reason before any wave
+operator is built; the rest are live, and the pole guard works per block of up
+to 64 live energies: since Lambda is positive semi-definite, one Cholesky
+factorisation of a lower operator H0 + c_min Lambda - (E_max + delta_max) I,
+less a derived rounding slack, certifies every member of the block (a Loewner
+sandwich).  A block it cannot clear, or a block of one, takes one stacked
+Cholesky factorisation of M - delta I, and the spectrum is computed only for a
+member that this factorisation cannot certify.  A certified member takes its
+corner from the last pivot of its one unshifted Cholesky factorisation,
+checked against the last row of M; the rest take a checked solve.
 
 The paper's pipeline runs here too: :func:`run_scan` evaluates a scan over its
 (nu, E) grid into columns with a status per row, :func:`format_csv` writes
@@ -42,14 +43,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nonlinear import _BLOCK, ModelConfig, _diagonal, _integer, _wave_stack, _weights, lambda_matrix, omega_transform
+from .nonlinear import (
+    _BLOCK, ModelConfig, _diagonal, _integer, _wave_stack, _weights, lambda_matrix, omega_transform, weight
+)
 from .reference import (
-    BasisParams,
-    RecurrenceOverflowError,
-    _free_tails,
-    _momentum,
-    cosine_coefficients,
-    h0_matrix,
+    BasisParams, RecurrenceOverflowError, _free_tails, _momentum, _real, cosine_coefficients, h0_matrix,
     sine_coefficients,
 )
 
@@ -96,6 +94,43 @@ class DegenerateEnergyError(ArithmeticError):
     """The scattering-matrix denominator vanished."""
 
 
+#: why S stops at an energy, per reason code in first-error order: row status, error class and
+#: message, which prints the energy and the row's value; a weight or tail error is raised by its
+#: stage function (see _raise), with its own message (and, for the tails, possibly an OverflowError)
+_REASONS = (
+    ("ok", None, None),
+    ("overflow", OverflowError, None),
+    ("overflow", RecurrenceOverflowError, None),
+    ("overflow", OverflowError, "wave operator is not finite at E={energy}"),
+    ("pole", PoleError, "energy {energy} within pole margin of spectral point (gap {value:.3e})"),
+    ("pole", PoleError, "wave operator is singular: Singular matrix"),
+    ("pole", PoleError, "solve residual {value:.3e} exceeds tolerance; energy is too close to a spectral point"),
+    ("degenerate", DegenerateEnergyError, "scattering denominator vanished at E={energy}"),
+)
+_OK, _WEIGHT, _TAILS, _NOT_FINITE, _MARGIN, _SINGULAR, _RESIDUAL, _DEGENERATE = range(len(_REASONS))
+_STATUSES = np.array([status for status, _, _ in _REASONS], dtype=object)
+
+
+def _raise(code: int, energy, value: float = math.nan, config: ModelConfig | None = None):
+    """Raise the error of reason ``code`` at one energy; ``value`` is the gap or residual it prints.
+
+    A weight or tail reason re-raises through its public stage function
+    (:func:`weight`, then :func:`sine_coefficients` and
+    :func:`cosine_coefficients`), which runs the kernel's float operations:
+    the same class, text and chained cause.
+    """
+    if code == _WEIGHT:
+        weight(energy, config)
+    elif code == _TAILS:
+        sine_coefficients(energy, config.basis, config.size + 1)
+        cosine_coefficients(energy, config.basis, config.size + 1)
+    elif code == _MARGIN:
+        energy = np.asarray(energy).item()  # the pole guard reads E back from a numpy array
+    _, kind, message = _REASONS[code]
+    text = message.format(energy=energy, value=value)
+    raise PoleError(text, energy=energy) if kind is PoleError else kind(text)
+
+
 @dataclass(frozen=True)
 class ScatterPoint:
     """Elastic scattering data at one energy."""
@@ -106,12 +141,8 @@ class ScatterPoint:
     amplitude: float
 
     def __post_init__(self):
-        _require_unitary(self.energy, self.s_value)
-
-
-def _require_unitary(energy: float, s_value: complex) -> None:
-    if abs(abs(s_value) - 1.0) > 1e-10:
-        raise ValueError(f"unitarity violated at E={energy}: |S|={abs(s_value)!r}")
+        if abs(abs(self.s_value) - 1.0) > 1e-10:
+            raise ValueError(f"unitarity violated at E={self.energy}: |S|={abs(self.s_value)!r}")
 
 
 def _floor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -133,30 +164,28 @@ def _floor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         return floor * scales[0] * scales[1]
 
 
-def _checked_solve(matrix: np.ndarray, energies) -> tuple[np.ndarray, list]:
+def _checked_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner G_c of each matrix[i]^-1 of a (B, N, N) stack: a solve for e_N, with up to two refinement steps.
 
     Returns the (B,) corners, the last entries of the solutions x_i of
-    matrix[i] @ x_i = e_N, and, for each member, ``None`` or the
-    :class:`PoleError` that rejects it: the matrix is singular (its corner
-    is then nan), or the max-norm residual stays above max(1e-9, 16 eps ||M||
-    ||x||).  Double precision cannot push it below ~eps ||M|| ||x||, and 1e-9
-    applies whenever that is representable; a floor that is not finite
-    accepts nothing.  A failure marks only its own member.
+    matrix[i] @ x_i = e_N, and per member its reason code and residual: the
+    matrix is singular, or the max-norm residual stays above max(1e-9,
+    16 eps ||M|| ||x||).  Double precision cannot push it below
+    ~eps ||M|| ||x||, and 1e-9 applies whenever that is representable; a
+    floor that is not finite accepts nothing.  A failure marks only its own
+    member, whose corner is nan.
     """
     unit = np.zeros(matrix.shape[:-1] + (1,))
     unit[:, -1] = 1.0
     try:
         solution = np.linalg.solve(matrix, unit)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError:
         if len(matrix) > 1:
             # LAPACK stops the whole stack at one singular member: settle each alone
-            parts = [_checked_solve(matrix[i : i + 1], energies[i : i + 1]) for i in range(len(matrix))]
-            return np.concatenate([x for x, _ in parts]), [e for _, (e,) in parts]
-        error = PoleError(f"wave operator is singular: {exc}", energy=energies[0])
-        error.__cause__ = exc
-        return np.full(1, np.nan), [error]
-    errors = [None] * len(matrix)
+            parts = [_checked_solve(matrix[i : i + 1]) for i in range(len(matrix))]
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        return np.full(1, np.nan), np.full(1, _SINGULAR, dtype=np.int8), np.full(1, np.nan)
+    reason, value = np.zeros(len(matrix), dtype=np.int8), np.full(len(matrix), np.nan)
     rows, a, b, x = np.arange(len(matrix)), matrix, unit, solution
     for refinement in range(3):
         defect = b - a @ x
@@ -173,13 +202,9 @@ def _checked_solve(matrix: np.ndarray, energies) -> tuple[np.ndarray, list]:
             x = x + np.linalg.solve(a, defect)
             solution[rows] = x
     else:
-        for row, value in zip(rows, residual):
-            errors[row] = PoleError(
-                f"solve residual {value:.3e} exceeds tolerance; "
-                "energy is too close to a spectral point",
-                energy=energies[row],
-            )
-    return solution[:, -1, 0], errors
+        reason[rows], value[rows] = _RESIDUAL, residual
+        solution[rows] = np.nan
+    return solution[:, -1, 0], reason, value
 
 
 def _gamma(n: int) -> float:
@@ -192,17 +217,11 @@ def _margin(energies):
     return POLE_MARGIN * np.maximum(1.0, np.abs(energies))
 
 
-def _pole_errors(eigenvalues: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, list]:
-    # eigenvalues - E_i of each member, and per member None or the PoleError of a gap within its margin
+def _pole_reasons(eigenvalues: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # eigenvalues - E_i of each member, its reason code (a gap within its margin is a pole) and its gap
     shifted = eigenvalues - energies[:, None]
-    gaps = np.abs(shifted).min(axis=1).tolist()
-    errors = [
-        PoleError(f"energy {energy} within pole margin of spectral point (gap {gap:.3e})", energy=energy)
-        if gap <= _margin(energy)
-        else None
-        for gap, energy in zip(gaps, energies.tolist())
-    ]
-    return shifted, errors
+    gaps = np.abs(shifted).min(axis=1)
+    return shifted, np.where(gaps <= _margin(energies), _MARGIN, _OK).astype(np.int8), gaps
 
 
 @lru_cache(maxsize=64)
@@ -237,9 +256,9 @@ def green_corner_spectral(h: np.ndarray, e_hat: float) -> float:
 
     A batch of one through :func:`_spectral_corners`.
     """
-    (value,), (error,) = _spectral_corners(_symmetric(h)[None], np.array([e_hat]))
-    if error is not None:
-        raise error
+    (value,), (code,), (gap,) = _spectral_corners(_symmetric(h)[None], np.array([e_hat]))
+    if code:
+        _raise(code, e_hat, gap)
     return value
 
 
@@ -249,26 +268,28 @@ def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
     A batch of one through :func:`_determinant_corners`.
     """
     h = _symmetric(h)[None]
-    (value,), (error,) = _determinant_corners(h, np.array([e_hat]), np.linalg.eigvalsh(h))
-    if error is not None:
-        raise error
+    (value,), (code,), (gap,) = _determinant_corners(h, np.array([e_hat]), np.linalg.eigvalsh(h))
+    if code:
+        _raise(code, e_hat, gap)
     return value
 
 
-def _spectral_corners(h: np.ndarray, energies: np.ndarray) -> tuple[list, list]:
+def _spectral_corners(h: np.ndarray, energies: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """Corner of each (h_i - E_i)^-1 of a (B, N, N) symmetric stack from the spectral sum.
 
-    One stacked eigh; returns the corners and, per member, ``None`` or the
-    :class:`PoleError` of its gap (its corner is then meaningless).
+    One stacked eigh; returns the corners and, per member, the reason code
+    and gap of :func:`_pole_reasons` (a pole's corner is meaningless).
     """
     eigenvalues, vectors = np.linalg.eigh(h)
-    shifted, errors = _pole_errors(eigenvalues, energies)
+    shifted, reasons, gaps = _pole_reasons(eigenvalues, energies)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = np.sum(vectors[:, -1] ** 2 / shifted, axis=1)
-    return values.tolist(), errors
+    return values.tolist(), reasons, gaps
 
 
-def _determinant_corners(h: np.ndarray, energies: np.ndarray, eigenvalues: np.ndarray) -> tuple[list, list]:
+def _determinant_corners(
+    h: np.ndarray, energies: np.ndarray, eigenvalues: np.ndarray
+) -> tuple[list, np.ndarray, np.ndarray]:
     """Corner of each (h_i - E_i)^-1 of a (B, N, N) symmetric stack from eigenvalues only.
 
     ``eigenvalues`` are the ascending eigenvalues of each h_i; the corner is
@@ -276,37 +297,38 @@ def _determinant_corners(h: np.ndarray, energies: np.ndarray, eigenvalues: np.nd
     block (one stacked eigvalsh) and of h_i itself.  The factors are paired
     in interlaced order and multiplied in that order, so every intermediate
     product stays of moderate size.  Returns the corners and, per member,
-    ``None`` or the :class:`PoleError` of its gap.
+    the reason code and gap of :func:`_pole_reasons`.
     """
-    shifted, errors = _pole_errors(eigenvalues, energies)
+    shifted, reasons, gaps = _pole_reasons(eigenvalues, energies)
     trimmed = np.linalg.eigvalsh(h[:, :-1, :-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = (trimmed - energies[:, None]) / shifted[:, :-1]
         # a running product multiplies each member's factors in index order
         product = np.cumprod(ratios, axis=1)[:, -1] if ratios.shape[1] else np.ones(len(h))
         values = product / shifted[:, -1]
-    return values.tolist(), errors
+    return values.tolist(), reasons, gaps
 
 
-def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
+def _scatter(energies, configs) -> list[tuple[np.ndarray, ...]]:
     """S of each config at each energy, as columns.
 
-    The scan kernel; ``result[k]`` is ``(s, delta, amplitude, errors,
-    corner)`` of ``configs[k]``: arrays over ``energies`` (``corner`` is the
-    G_c that S used, which :func:`validate` checks), and a list with, per
-    energy, ``None`` or the first ArithmeticError that stops S there (its
-    values are then nan).  The configs must share basis and size: the free
-    side (momentum, tail terms c_n - i s_n at n = N-1, N) is evaluated once
-    per energy.
+    The scan kernel; ``result[k]`` is ``(s, delta, amplitude, reason, value,
+    corner)`` of ``configs[k]``, arrays over ``energies``: ``reason`` is the
+    int8 ``_REASONS`` code of the first reason that stops S there (0 where S
+    is ok; elsewhere the other columns are nan), ``value`` the gap or residual
+    that its message prints, and ``corner`` the G_c that S used, which
+    :func:`validate` checks.  The configs share basis and size: the free side
+    (momentum, tails c_n - i s_n at n = N-1, N) is evaluated once per energy.
 
-    Each energy's error comes from one order: weight, free tails, pole guard,
-    solve, S.  Per config, the weights of all energies are one pass, and the
-    weight and tail errors decide once which energies are live: only a live
-    energy gets a wave operator, so one with such an error is never factored
-    or solved.  The live energies, in order, form blocks of up to ``_BLOCK``;
-    the Loewner sandwiches (:func:`_cleared_blocks`) and the blocks
-    (:func:`_block_corners`) see only live members, and each block's corners
-    and errors go back to its energies once.  Each block is one (B, N, N)
+    Each energy's reason comes from one order, which the codes follow:
+    weight, free tails, wave operator, pole guard, solve, S.  Per config, the
+    weights of all energies are one pass, and the weight and tail masks
+    decide once which energies are live: only a live energy gets a wave
+    operator, so one with such a reason is never factored or solved.  The
+    live energies, in order, form blocks of up to ``_BLOCK``; the Loewner
+    sandwiches (:func:`_cleared_blocks`) and the blocks
+    (:func:`_block_corners`) see only live members, and each block's corners,
+    codes and values go back to its energies once.  Each block is one (B, N, N)
     wave-operator stack, whose certified members take their corners from one
     stacked Cholesky factorisation of M (:func:`_pivot_corners`); a member
     cleared only by eigvalsh, or whose factor fails the pivot check, takes
@@ -320,10 +342,10 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     M_i - delta_i I; LAPACK stops the whole stack at the first member that is
     not positive definite, and then each member is factored alone, so a row
     does not depend on its block.  A member that Cholesky cannot certify (on
-    a pole, or with E above part of its spectrum) is an OverflowError if its
+    a pole, or with E above part of its spectrum) reads overflow if its
     wave operator is not finite (the coupling overflowed); the rest take the
-    eigvalsh gap and :func:`_pole_errors`, which alone give the gap the
-    PoleError reports.  A Cholesky factorisation succeeds only if its matrix
+    eigvalsh gap and :func:`_pole_reasons`, which alone give the gap that a
+    pole reports.  A Cholesky factorisation succeeds only if its matrix
     is numerically positive definite, the same floating-point evidence
     eigvalsh gives about the smallest eigenvalue, so the guards can disagree
     only where a gap lies within rounding of delta.
@@ -333,47 +355,43 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     array operation rounds as its numpy scalar form, and |1 - S| is Python's
     (libm) complex abs, so every value is bit for bit what the energy gives
     alone.  |S| = 1 is one array test per config; a value that fails it
-    raises :class:`ScatterPoint`'s ValueError.  Errors that are no
-    ArithmeticError (a non-positive energy, a failed eigensolver) propagate.
+    raises :class:`ScatterPoint`'s ValueError.  Errors outside the reason
+    table (a non-positive energy, a failed eigensolver) propagate.
     """
     basis, size = configs[0].basis, configs[0].size
     h0, b, h0_sums = _free_block(basis, size)
-    b_tail = b[-1]
     mus = [_momentum(energy, basis) for energy in energies]
-    terms, tail_errors = _free_tails(mus, basis, size + 1)
+    terms, tails_failed = _free_tails(mus, basis, size + 1)
     columns = []
     # a failing member leaves inf or nan in its own entries (an overflowing coupling,
-    # nan tail terms, a vanishing denominator); its error is reported instead
+    # nan tail terms, a vanishing denominator); its reason is reported instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for config in configs:
             lam = lambda_matrix(config)
             weights, weight_errors = _weights(mus, config)
-            errors = [weight_error or tail_error for weight_error, tail_error in zip(weight_errors, tail_errors)]
-            # only a live energy, one with no weight or tail error, gets a wave operator
-            live = [j for j, error in enumerate(errors) if error is None]
-            at = [energies[j] for j in live]
-            w = np.array([weights[j] for j in live])
+            reason = np.zeros(len(energies), dtype=np.int8)
+            reason[tails_failed] = _TAILS
+            if any(weight_errors):
+                reason[[error is not None for error in weight_errors]] = _WEIGHT
+            # only a live energy, one whose weight and tails are fine, gets a wave operator
+            live = np.logical_not(reason).nonzero()[0]
+            at = [energies[j] for j in live.tolist()]
+            w = np.array([weights[j] for j in live.tolist()])
             couplings = config.g * w * w
             cleared = [False]
             if len(live) > 1:
                 cleared = _cleared_blocks(np.asarray(at, dtype=float), couplings, h0, h0_sums, lam)
-            live_corner = np.empty(len(live))
-            for b, start in enumerate(range(0, len(live), _BLOCK)):
-                block = slice(start, start + _BLOCK)
-                live_corner[block], block_errors = _block_corners(
-                    at[block], couplings[block], h0, lam.entries, cleared[b]
-                )
-                for j, error in zip(live[block], block_errors):
-                    errors[j] = error
-            corner = live_corner
-            if len(live) < len(energies):
-                corner = np.full(len(energies), np.nan)
-                corner[live] = live_corner
-            s, delta, amplitude, errors = _assemble(energies, terms, b_tail * corner, errors)
-            failed = [j for j, error in enumerate(errors) if error is not None]
-            if failed:
-                corner[failed] = np.nan
-            columns.append((s, delta, amplitude, errors, corner))
+            slices = [slice(start, start + _BLOCK) for start in range(0, len(live), _BLOCK)]
+            blocks = [_block_corners(at[s], couplings[s], h0, lam.entries, c) for s, c in zip(slices, cleared)]
+            if len(blocks) == 1 and len(live) == len(energies):
+                # every energy is live, in one block (as in a batch of one): the block's columns are the config's
+                corner, reason, value = blocks[0]
+            else:
+                corner, value = np.full((2, len(energies)), np.nan)
+                for block, outcome in zip(slices, blocks):
+                    corner[live[block]], reason[live[block]], value[live[block]] = outcome
+            s, delta, amplitude = _assemble(energies, terms, b[-1], corner, reason)
+            columns.append((s, delta, amplitude, reason, value, corner))
     return columns
 
 
@@ -482,65 +500,56 @@ def _pivot_corners(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _block_corners(energies, couplings: np.ndarray, h0: np.ndarray, entries: np.ndarray, cleared: bool):
-    """Corner G_c at each energy of one block of live energies, and per energy ``None`` or its failure.
+    """Corner G_c, reason code and value at each energy of one block of live energies.
 
-    ``couplings`` holds c_i = g w_i^2 of each energy.  A member whose pole
-    guard or solve fails has that error and a nan corner.  ``cleared`` says
-    that the block's Loewner sandwich cleared every member
-    (:func:`_cleared_blocks`); otherwise the members take the per-member
-    Cholesky guard.  A certified member takes its corner from its last
-    Cholesky pivot (:func:`_pivot_corners`); a member cleared only by
-    eigvalsh, or whose factor fails the pivot check, takes the checked solve.
+    ``couplings`` holds c_i = g w_i^2 of each energy; a member whose guard
+    or solve fails has a nan corner.  ``cleared`` says that the block's
+    Loewner sandwich cleared every member (:func:`_cleared_blocks`);
+    otherwise the members take the per-member Cholesky guard.  A certified
+    member takes its corner from its last Cholesky pivot
+    (:func:`_pivot_corners`); a member cleared only by eigvalsh, or whose
+    factor fails the pivot check, takes the checked solve.
     """
     e = np.array(energies)[:, None]
     # an overflowing coupling leaves inf or nan entries: the pole guard reports them
     stack = _wave_stack(h0, couplings, entries, e)
-    errors = [None] * len(e)
+    reason, value = np.zeros(len(e), dtype=np.int8), np.full(len(e), np.nan)
     doubtful = [] if cleared else _uncertified(stack, _margin(e))
     if not doubtful:
         corner, solve = _pivot_corners(stack)
     else:
         corner = np.full(len(e), np.nan)
-        finite = np.isfinite(stack[doubtful]).all(axis=(1, 2)).tolist()
-        spectral = [m for m, ok in zip(doubtful, finite) if ok]
-        _, gap_errors = _pole_errors(np.linalg.eigvalsh(stack[spectral]) + e[spectral], e[spectral, 0])
-        for m, error in zip(spectral, gap_errors):
-            errors[m] = error
-        for m, ok in zip(doubtful, finite):
-            if not ok:
-                errors[m] = OverflowError(f"wave operator is not finite at E={energies[m]}")
-        solve = [m for m in doubtful if errors[m] is None]
+        finite = np.isfinite(stack[doubtful]).all(axis=(1, 2))
+        spectral = np.array(doubtful)[finite]
+        reason[doubtful] = np.where(finite, _OK, _NOT_FINITE)
+        eigenvalues = np.linalg.eigvalsh(stack[spectral]) + e[spectral]
+        _, reason[spectral], value[spectral] = _pole_reasons(eigenvalues, e[spectral, 0])
+        solve = [m for m in doubtful if reason[m] == _OK]
         certified = sorted(set(range(len(e))) - set(doubtful))
         if certified:
             corner[certified], failed = _pivot_corners(stack[certified])
             solve += [certified[k] for k in failed]
     if solve:
-        corners, solve_errors = _checked_solve(stack[solve], [energies[m] for m in solve])
-        for m, value, error in zip(solve, corners.tolist(), solve_errors):
-            if error is None:
-                corner[m] = value
-            else:
-                errors[m] = error
-    return corner, errors
+        corner[solve], reason[solve], value[solve] = _checked_solve(stack[solve])
+    return corner, reason, value
 
 
-def _assemble(energies, terms: np.ndarray, w: np.ndarray, errors: list):
-    """S, delta and |1 - S| from the tail terms and w = b_{N-1} G_c; flags a vanishing denominator."""
+def _assemble(energies, terms: np.ndarray, b_tail: float, corner: np.ndarray, reason: np.ndarray):
+    """S, delta and |1 - S| from the tails and w = b_{N-1} G_c; a vanishing denominator sets its reason, nan corner."""
     lower, upper = terms[:, 0], terms[:, 1]
-    numerators = lower + w * upper
+    numerators = lower + b_tail * corner * upper
     s = numerators / numerators.conj()
     # a vanishing denominator (|denominator| = |numerator|) or |S| off 1: numpy's abs
     # may differ from Python's in the last bit, so the masks take a superset
     doubtful = (np.abs(numerators) < 2e-300) | (np.abs(np.abs(s) - 1.0) > 0.5e-10)
     for j in doubtful.nonzero()[0].tolist():
-        if errors[j] is None and abs(complex(numerators[j])) < 1e-300:
-            errors[j] = DegenerateEnergyError(f"scattering denominator vanished at E={energies[j]}")
-            s[j] = complex(np.nan, np.nan)
-        elif errors[j] is None:
-            _require_unitary(energies[j], complex(s[j]))
+        if reason[j] == _OK and abs(complex(numerators[j])) < 1e-300:
+            reason[j], corner[j], s[j] = _DEGENERATE, np.nan, complex(np.nan, np.nan)
+        elif reason[j] == _OK:
+            ScatterPoint(energies[j], complex(s[j]), math.nan, math.nan)  # raises where |S| is off 1
     # only where S is used: Python's complex abs of a nan can raise on a stale errno
-    amplitude = [abs(1.0 - value) if error is None else np.nan for value, error in zip(s.tolist(), errors)]
-    return s, np.angle(s) / 2.0, np.array(amplitude), errors
+    amplitude = [np.nan if code else abs(1.0 - value) for value, code in zip(s.tolist(), reason.tolist())]
+    return s, np.angle(s) / 2.0, np.array(amplitude)
 
 
 def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
@@ -551,9 +560,9 @@ def s_matrix(energy: float, config: ModelConfig) -> ScatterPoint:
     solve, S (:class:`OverflowError`, :class:`RecurrenceOverflowError`,
     :class:`PoleError`, :class:`DegenerateEnergyError`, ...).
     """
-    ((s, delta, amplitude, (error,), _),) = _scatter([energy], [config])
-    if error is not None:
-        raise error
+    ((s, delta, amplitude, reason, value, _),) = _scatter([energy], [config])
+    if reason[0]:
+        _raise(reason[0], energy, value[0], config)
     return ScatterPoint(energy, s.tolist()[0], delta.tolist()[0], amplitude.tolist()[0])
 
 
@@ -579,7 +588,8 @@ class ScanRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _integer(self.steps, "steps"))
-        if not (0 < self.e_min < self.e_max < math.inf):
+        e_min, e_max = _real(self.e_min, "e_min"), _real(self.e_max, "e_max")
+        if not (0 < e_min < e_max < math.inf):
             raise ValueError("need 0 < e_min < e_max, both finite")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
@@ -617,17 +627,6 @@ class ScanColumns:
         return len(self.status)
 
 
-def _status(error: ArithmeticError) -> str:
-    """Row status for an error that stops S at one energy; re-raises any other."""
-    if isinstance(error, PoleError):
-        return "pole"
-    if isinstance(error, (RecurrenceOverflowError, OverflowError)):
-        return "overflow"
-    if isinstance(error, DegenerateEnergyError):
-        return "degenerate"
-    raise error
-
-
 def run_scan(request: ScanRequest) -> ScanColumns:
     """Evaluate the scattering matrix over the requested (nu, E) grid.
 
@@ -637,8 +636,7 @@ def run_scan(request: ScanRequest) -> ScanColumns:
     status (``pole``, ``overflow`` or ``degenerate``) instead of values.
     """
     grid = request.energy_grid()
-    s_value, delta, amplitude, errors, _ = zip(*_scatter(grid.tolist(), request.configs))
-    status = [["ok" if error is None else _status(error) for error in row] for row in errors]
+    s_value, delta, amplitude, reason, _, _ = zip(*_scatter(grid.tolist(), request.configs))
     k, j = _row_order(request.nu_list, grid)
     return ScanColumns(
         nu=np.array(request.nu_list)[k],
@@ -646,7 +644,7 @@ def run_scan(request: ScanRequest) -> ScanColumns:
         s_value=np.array(s_value)[k, j],
         delta=np.array(delta)[k, j],
         amplitude=np.array(amplitude)[k, j],
-        status=tuple(np.array(status, dtype=object)[k, j].tolist()),
+        status=tuple(_STATUSES[np.array(reason)[k, j]].tolist()),
     )
 
 
@@ -757,7 +755,7 @@ def _three_route_tolerance(eigenvalues: np.ndarray, energies: np.ndarray) -> np.
     return np.maximum(1e-8, 1024.0 * _EPS * radius / gap)
 
 
-def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.ndarray, list]:
+def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.ndarray, np.ndarray]:
     """The spectral and determinant corners at each energy, each route one stacked call.
 
     The couplings are one pass of :func:`_weights`, and H_i = H0 + c_i Lambda
@@ -768,7 +766,7 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.n
     eigh's, also serves the tolerance, so the routes stay independent.
 
     Returns the two routes' corners, the (B, N) eigenvalues of H, and per
-    energy ``None`` or its first error in the order spectral guard,
+    energy the reason code of its first pole in the order spectral guard,
     determinant guard.
     """
     h0, _, _ = _free_block(config.basis, config.size)
@@ -777,10 +775,10 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.n
     w = np.array(weights)
     hamiltonian = _wave_stack(h0, config.g * w * w, lambda_matrix(config).entries, 0.0)
     eigenvalues = np.linalg.eigvalsh(hamiltonian)
-    spectral, spectral_errors = _spectral_corners(hamiltonian, e)
-    determinant, determinant_errors = _determinant_corners(hamiltonian, e, eigenvalues)
-    errors = [a or b for a, b in zip(spectral_errors, determinant_errors)]
-    return spectral, determinant, eigenvalues, errors
+    spectral, spectral_reasons, _ = _spectral_corners(hamiltonian, e)
+    determinant, determinant_reasons, _ = _determinant_corners(hamiltonian, e, eigenvalues)
+    reasons = np.where(spectral_reasons != _OK, spectral_reasons, determinant_reasons)
+    return spectral, determinant, eigenvalues, reasons
 
 
 #: largest relative Casoratian defect validate accepts: above the free spectrum the
@@ -839,16 +837,16 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
 
     worst_route = 0.0
     # S first, in one kernel call: its pole guard skips an energy on a spectral point
-    ((_, _, _, errors, corners),) = _scatter(energies, [config])
-    skipped = [_status(error) for error in errors if error is not None]
-    live = [j for j, error in enumerate(errors) if error is None]
+    ((_, _, _, reasons, _, corners),) = _scatter(energies, [config])
+    skipped = _STATUSES[reasons[reasons != _OK]].tolist()
+    live = (reasons == _OK).nonzero()[0].tolist()
     if live:
         at = [energies[j] for j in live]
-        spectral, determinant, eigenvalues, route_errors = _green_routes(config, at)
+        spectral, determinant, eigenvalues, route_reasons = _green_routes(config, at)
         # the kernel's corners, the ones S used (pivot or checked solve), against the two other routes
         routes = (corners[live].tolist(), spectral, determinant)
-        skipped += [_status(error) for error in route_errors if error is not None]
-        agreed = [m for m, error in enumerate(route_errors) if error is None]
+        skipped += _STATUSES[route_reasons[route_reasons != _OK]].tolist()
+        agreed = (route_reasons == _OK).nonzero()[0].tolist()
         tolerances = _three_route_tolerance(eigenvalues[agreed], np.array(at)[agreed]).tolist()
         for m, tol in zip(agreed, tolerances):
             kernel, spectral_route, det_route = (route[m] for route in routes)
@@ -863,15 +861,13 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     )
 
     _, b, _ = _free_block(config.basis, config.size)
-    worst_defect = 0.0
-    worst_ratio = 0.0
-    skipped = []
-    underflowed = 0
+    worst_defect = worst_ratio = 0.0
+    skipped, underflowed = [], 0
     for energy in energies[:4]:
         try:
             result = _casoratian(energy, config.basis, b)
-        except ArithmeticError as exc:
-            skipped.append(_status(exc))
+        except (RecurrenceOverflowError, OverflowError):
+            skipped.append(_STATUSES[_TAILS])
             continue
         if result is None:
             underflowed += 1

@@ -24,7 +24,14 @@ from scipy.special import eval_genlaguerre, roots_genlaguerre, spherical_jn
 
 from jmnl.nonlinear import ModelConfig, lambda_matrix, omega_transform, wave_operator, weight
 from jmnl.orthopoly import jacobi_matrix, laguerre_orthonormal_sequence, linearization_table
-from jmnl.reference import BasisParams, _momentum, cosine_coefficients, h0_matrix, sine_coefficients
+from jmnl.reference import (
+    BasisParams,
+    RecurrenceOverflowError,
+    _momentum,
+    cosine_coefficients,
+    h0_matrix,
+    sine_coefficients,
+)
 from jmnl.scattering import (
     _CASORATIAN_LIMIT,
     _EPS,
@@ -36,12 +43,20 @@ from jmnl.scattering import (
     _checked_solve,
     _gamma,
     _lambda_bound,
+    _raise,
     _scatter,
-    _status,
     green_corner_determinant,
     green_corner_spectral,
     status_summary,
 )
+
+#: the row status of each error class that stops S at one energy
+ORACLE_STATUS = {
+    PoleError: "pole",
+    RecurrenceOverflowError: "overflow",
+    OverflowError: "overflow",
+    DegenerateEnergyError: "degenerate",
+}
 
 
 def laguerre_series(n: int, nu: float, z: float) -> float:
@@ -274,11 +289,20 @@ def free_couplings(config: ModelConfig) -> np.ndarray:
     return np.diag(h0_matrix(config.basis, config.size + 1), 1)
 
 
+def reason_error(code: int, energy, value: float = math.nan, config: ModelConfig | None = None) -> ArithmeticError:
+    """The error of a kernel reason code at one energy, built through the reason table that s_matrix raises from."""
+    try:
+        _raise(code, energy, value, config)
+    except ArithmeticError as exc:
+        return exc
+    raise AssertionError(f"reason {code} raised nothing at E={energy}")
+
+
 def checked_corner(matrix: np.ndarray, energy: float | None = None) -> float:
     """Corner of the inverse of one matrix from the kernel's checked solve; raises its PoleError."""
-    (corner,), (error,) = _checked_solve(np.asarray(matrix, dtype=float)[None], [energy])
-    if error is not None:
-        raise error
+    (corner,), (code,), (value,) = _checked_solve(np.asarray(matrix, dtype=float)[None])
+    if code:
+        raise reason_error(code, energy, value)
     return float(corner)
 
 
@@ -376,8 +400,8 @@ def _casoratian_point(energy: float, config: ModelConfig) -> tuple[float, float]
 
 def kernel_corner(energy: float, config: ModelConfig):
     """The scan kernel's corner at one energy alone, or the ArithmeticError that stops S there."""
-    ((_, _, _, (error,), (corner,)),) = _scatter([energy], [config])
-    return corner if error is None else error
+    ((_, _, _, (code,), (value,), (corner,)),) = _scatter([energy], [config])
+    return reason_error(code, energy, value, config) if code else corner
 
 
 def hamiltonian(energy: float, config: ModelConfig) -> np.ndarray:
@@ -413,14 +437,14 @@ def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
     for energy in energies:
         corner = kernel_corner(energy, config)
         if isinstance(corner, ArithmeticError):
-            skipped.append(_status(corner))
+            skipped.append(ORACLE_STATUS[type(corner)])
             continue
         try:
             h = hamiltonian(energy, config)
             spectral = green_corner_spectral(h, energy)
             det_route = green_corner_determinant(h, energy)
         except ArithmeticError as exc:
-            skipped.append(_status(exc))
+            skipped.append(ORACLE_STATUS[type(exc)])
             continue
         eigenvalues = np.linalg.eigvalsh(h)
         gap = float(np.min(np.abs(eigenvalues - energy)))
@@ -444,7 +468,7 @@ def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
         try:
             result = _casoratian_point(energy, config)
         except ArithmeticError as exc:
-            skipped.append(_status(exc))
+            skipped.append(ORACLE_STATUS[type(exc)])
             continue
         if result is None:
             underflowed.append(energy)

@@ -288,7 +288,7 @@ def wall_limit(nu: float, g: float = 2.0):
     """
     grid = np.linspace(0.5, 6.0, 551).tolist()
     size = 20
-    ((s_values, _, _, errors, corners),) = _scatter(grid, [scan_config(nu, g)])
+    ((s_values, _, _, reasons, _, corners),) = _scatter(grid, [scan_config(nu, g)])
     tails = []
     for energy in grid:
         sine = sine_coefficients(energy, SCAN_BASIS, size + 1)
@@ -297,7 +297,7 @@ def wall_limit(nu: float, g: float = 2.0):
     lower, upper = np.array(tails).T
     wu = np.abs(h0_matrix(SCAN_BASIS, size + 1)[size - 1, size] * corners * upper)
     bound = 2.0 * wu / (np.abs(lower) - wu)
-    ok = np.array([error is None for error in errors])
+    ok = reasons == 0
     return s_values, np.abs(s_values - lower / lower.conj()), bound, wu / np.abs(lower), ok
 
 

@@ -16,11 +16,9 @@ import jmnl
 from jmnl import cli, reference, scattering
 from jmnl.cli import ConfigError, load_scan_request, main
 from jmnl.nonlinear import ModelConfig, lambda_matrix
-from jmnl.reference import BasisParams, RecurrenceOverflowError, h0_matrix
+from jmnl.reference import BasisParams, h0_matrix
 from jmnl.scattering import (
     _MAX_ROWS,
-    DegenerateEnergyError,
-    PoleError,
     ScanColumns,
     ScanRequest,
     format_csv,
@@ -29,14 +27,8 @@ from jmnl.scattering import (
 )
 
 from conftest import count_calls, largest_scale
-from oracles import s_matrix_point
+from oracles import ORACLE_STATUS, reason_error, s_matrix_point
 
-ORACLE_STATUS = {
-    PoleError: "pole",
-    RecurrenceOverflowError: "overflow",
-    OverflowError: "overflow",
-    DegenerateEnergyError: "degenerate",
-}
 # with g = 0 the rows on these free eigenvalues are poles
 FREE_EIGS = np.linalg.eigvalsh(h0_matrix(BasisParams(lam=5.0, ell=1), 20))
 
@@ -182,9 +174,14 @@ def stable_sorted_rows(request):
     """The rows as the per-row scan built them: config-major, then a stable sort by (nu, E)."""
     grid = request.energy_grid().tolist()
     rows = []
-    for nu, (s, delta, amplitude, errors, _) in zip(request.nu_list, scattering._scatter(grid, request.configs)):
-        statuses = ["ok" if error is None else ORACLE_STATUS[type(error)] for error in errors]
-        rows += zip([nu] * len(grid), grid, s.tolist(), delta.tolist(), amplitude.tolist(), statuses)
+    for config, (s, delta, amplitude, reasons, values, _) in zip(
+        request.configs, scattering._scatter(grid, request.configs)
+    ):
+        statuses = [
+            ORACLE_STATUS[type(reason_error(code, energy, value, config))] if code else "ok"
+            for energy, code, value in zip(grid, reasons.tolist(), values.tolist())
+        ]
+        rows += zip([config.nu] * len(grid), grid, s.tolist(), delta.tolist(), amplitude.tolist(), statuses)
     return sorted(rows, key=lambda row: (row[0], row[1]))
 
 
@@ -403,18 +400,28 @@ class TestRunScan:
         )
         columns = run_scan(request)
         (config,) = request.configs
+        # one nu: the rows are in grid order, as the kernel's reason column
+        ((_, _, _, reasons, values, _),) = scattering._scatter(request.energy_grid().tolist(), [config])
         statuses = set()
-        for energy, s_value, delta, amplitude, status in zip(
+        for energy, s_value, delta, amplitude, status, code, value in zip(
             columns.energy.tolist(),
             columns.s_value.tolist(),
             columns.delta.tolist(),
             columns.amplitude.tolist(),
             columns.status,
+            reasons.tolist(),
+            values.tolist(),
         ):
             try:
                 point = s_matrix_point(energy, config)
             except ArithmeticError as exc:
                 assert status == ORACLE_STATUS[type(exc)]
+                error = reason_error(code, energy, value, config)
+                assert (type(error), str(error), getattr(error, "energy", None)) == (
+                    type(exc),
+                    str(exc),
+                    getattr(exc, "energy", None),
+                ), energy
                 assert cmath.isnan(s_value) and math.isnan(delta) and math.isnan(amplitude)
             else:
                 assert status == "ok"
@@ -433,6 +440,14 @@ class TestRunScan:
         sequences = count_calls(monkeypatch, reference, ("_sine_sequence", "_cosine_sequence"))
         assert len(run_scan(PAPER_REQUEST)) == 7 * 551
         assert tails == {"_free_tails": 1}
+        assert sequences == {}
+
+    def test_failed_tails_take_no_float_sequences(self, monkeypatch):
+        # e_max = 1e6: the tails fail on 3,843 of 3,857 rows, and the stacked recursion's mask
+        # alone reports them; no energy runs the float sequences to raise its error
+        sequences = count_calls(monkeypatch, reference, ("_sine_sequence", "_cosine_sequence"))
+        columns = run_scan(dataclasses.replace(PAPER_REQUEST, e_max=1e6))
+        assert columns.status.count("overflow") == 3843
         assert sequences == {}
 
     def test_pole_guard_one_cholesky_per_block(self, monkeypatch, linalg_calls):
@@ -614,10 +629,10 @@ class TestValidate:
         assert validate(config).passed
         checked_solve, block_corners, solved = scattering._checked_solve, scattering._block_corners, []
 
-        def planted_solve(matrix, energies):
-            solved.extend(energies)
-            corners, errors = checked_solve(matrix, energies)
-            return 1.5 * corners, errors
+        def planted_solve(matrix):
+            solved.extend(matrix)
+            corners, reasons, values = checked_solve(matrix)
+            return 1.5 * corners, reasons, values
 
         def kernel_blocks(*args):
             with monkeypatch.context() as patch:

@@ -61,6 +61,23 @@ def test_reports_and_messages_digest_their_text():
     assert same_outputs.report_text(config, None).startswith("lambda-positive True min eigenvalue")
 
 
+def test_messages_reach_every_natural_reason():
+    # every reason s_matrix reports on a natural input, with the weight's chained cause
+    texts = [same_outputs.message_text(*point) for point in same_outputs.MESSAGE_POINTS]
+    assert len(texts) == 19
+    assert "OverflowError: weight is not finite at mu=2.45e+300 (caused by OverflowError)\n" in texts
+    assert "OverflowError: wave operator is not finite at E=3.0\n" in texts
+    for start in (
+        "ValueError: energy must be positive",
+        "PoleError: energy 0.11889357175141775 within pole margin",
+        "DegenerateEnergyError: scattering denominator vanished",
+        "RecurrenceOverflowError: sine coefficients overflowed",
+        "RecurrenceOverflowError: cosine seed overflowed",
+        "RecurrenceOverflowError: cosine recursion unstable",
+    ):
+        assert any(text.startswith(start) for text in texts), start
+
+
 def test_digest_separates_parts():
     line = same_outputs._line
     assert line("x", [b"ab"]) != line("x", [b"a", b"b"]) != line("x", [b"b", b"a"])

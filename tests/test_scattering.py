@@ -22,6 +22,16 @@ from jmnl.reference import (
 )
 from jmnl.scattering import (
     _BLOCK,
+    _DEGENERATE,
+    _MARGIN,
+    _NOT_FINITE,
+    _OK,
+    _REASONS,
+    _RESIDUAL,
+    _SINGULAR,
+    _STATUSES,
+    _TAILS,
+    _WEIGHT,
     POLE_MARGIN,
     DegenerateEnergyError,
     PoleError,
@@ -44,7 +54,16 @@ from jmnl.scattering import (
 )
 
 from conftest import count_calls
-from oracles import checked_corner, hamiltonian, kernel_corner, s_matrix_point, s_matrix_tr_form, validate_point
+from oracles import (
+    ORACLE_STATUS,
+    checked_corner,
+    hamiltonian,
+    kernel_corner,
+    reason_error,
+    s_matrix_point,
+    s_matrix_tr_form,
+    validate_point,
+)
 
 
 def make_config(**overrides):
@@ -81,8 +100,8 @@ class TestGreenDirect:
         unit = np.zeros((20, 1))
         unit[-1] = 1.0
         solution = np.linalg.solve(matrix, unit)
-        (corner,), (error,) = _checked_solve(matrix[None], [1.0])
-        assert error is None
+        (corner,), (code,), _ = _checked_solve(matrix[None])
+        assert code == _OK
         residual = np.abs(matrix @ solution - unit).max()
         assert residual < 1e-9
         assert corner == solution[-1, 0]
@@ -101,26 +120,28 @@ class TestGreenDirect:
             pytest.fail("expected PoleError")
 
     @pytest.mark.parametrize(
-        "member, message",
+        "member, reason, message",
         [
-            (np.diag([1.0, 0.0]), "wave operator is singular"),
-            (np.diag([np.inf, 1.0]), "solve residual nan exceeds tolerance"),
+            (np.diag([1.0, 0.0]), _SINGULAR, "wave operator is singular: Singular matrix"),
+            (np.diag([np.inf, 1.0]), _RESIDUAL, "solve residual nan exceeds tolerance"),
         ],
         ids=["singular", "residual"],
     )
-    def test_failure_marks_only_its_row(self, member, message):
+    def test_failure_marks_only_its_row(self, member, reason, message):
         # LAPACK fails a whole stack at one singular member; an infinite
         # entry leaves a nan residual that refinement cannot lower
         stack = np.array([np.diag([2.0, 4.0]), member, np.diag([4.0, 8.0])])
         with np.errstate(invalid="ignore"):
-            corners, errors = _checked_solve(stack, [1.0, 2.0, 3.0])
-            with pytest.raises(PoleError) as alone:
+            corners, reasons, values = _checked_solve(stack)
+            alone = _checked_solve(member[None])
+            with pytest.raises(PoleError) as raised:
                 checked_corner(member, energy=2.0)
-        assert errors[0] is None and errors[2] is None
-        assert corners[[0, 2]].tolist() == [0.25, 0.125]
-        assert isinstance(errors[1], PoleError) and errors[1].energy == 2.0
-        assert str(errors[1]).startswith(message)
-        assert str(errors[1]) == str(alone.value)
+        assert reasons.tolist() == [_OK, reason, _OK]
+        assert corners[[0, 2]].tolist() == [0.25, 0.125] and math.isnan(corners[1])
+        assert math.isnan(values[0]) and math.isnan(values[2])
+        # the failing member's corner, code and value are the ones it has alone
+        assert [column[1:2].tobytes() for column in (corners, reasons, values)] == [column.tobytes() for column in alone]
+        assert raised.value.energy == 2.0 and str(raised.value).startswith(message)
 
 
 class TestFreeBlock:
@@ -170,11 +191,11 @@ class TestSolveFloor:
         # the solution of a right-hand side 1e-7 off in every entry; a refinement step keeps the offset
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b + 1e-7))
         solves = count_calls(monkeypatch, np.linalg, ("solve",))
-        _, (error,) = _checked_solve(matrix, [0.61])
-        assert error is None and solves == {"solve": 1}
+        _, (code,), _ = _checked_solve(matrix)
+        assert code == _OK and solves == {"solve": 1}
         monkeypatch.setattr(scattering, "_floor", lambda a, x: np.full(len(a), np.inf))
-        _, (error,) = _checked_solve(matrix, [0.61])
-        assert isinstance(error, PoleError) and str(error).startswith("solve residual")
+        _, (code,), (value,) = _checked_solve(matrix)
+        assert code == _RESIDUAL and str(reason_error(code, 0.61, value)).startswith("solve residual")
         assert solves == {"solve": 1 + 3}
 
 
@@ -345,18 +366,21 @@ def oracle_outcome(energy, config):
 
 
 def kernel_outcomes(energies, configs):
-    """Per config, the kernel's ScatterPoint or ArithmeticError at each energy, from its columns."""
+    """Per config, the kernel's ScatterPoint at each energy, or the ArithmeticError that s_matrix
+    would raise for its reason code, built through the reason table."""
     outcomes = []
-    for s, delta, amplitude, errors, _ in _scatter(energies, configs):
-        assert len(s) == len(delta) == len(amplitude) == len(errors) == len(energies)
+    for config, (s, delta, amplitude, reasons, values, _) in zip(configs, _scatter(energies, configs)):
+        assert len(s) == len(delta) == len(amplitude) == len(reasons) == len(values) == len(energies)
+        assert reasons.dtype == np.int8
         column = []
-        for energy, s_value, d, a, error in zip(energies, s.tolist(), delta.tolist(), amplitude.tolist(), errors):
-            if error is None:
+        rows = zip(energies, s.tolist(), delta.tolist(), amplitude.tolist(), reasons.tolist(), values.tolist())
+        for energy, s_value, d, a, code, value in rows:
+            if code == _OK:
                 column.append(ScatterPoint(energy, s_value, d, a))
             else:
                 # a row that is not ok carries no values
                 assert math.isnan(s_value.real) and math.isnan(s_value.imag) and math.isnan(d) and math.isnan(a)
-                column.append(error)
+                column.append(reason_error(code, energy, value, config))
         outcomes.append(column)
     return outcomes
 
@@ -416,17 +440,17 @@ TAIL_GRIDS = {
 class TestFreeTails:
     @pytest.mark.parametrize("name", TAIL_GRIDS)
     def test_array_tails_equal_float_sequences(self, name):
-        # bit for bit, and the same error class and message where the float sequences raise
+        # the stacked mask fails exactly where the float sequences raise, and the terms are bit
+        # for bit theirs where both pass
         basis, grid = TAIL_GRIDS[name]
-        terms, errors = _stacked_tails([_momentum(e, basis) for e in grid], basis, 21)
-        assert terms.shape == (len(grid), 2) and len(errors) == len(grid)
-        for energy, row, error in zip(grid, terms, errors):
+        terms, failed = _stacked_tails([_momentum(e, basis) for e in grid], basis, 21)
+        assert terms.shape == (len(grid), 2) and failed.shape == (len(grid),) and failed.dtype == bool
+        for energy, row, fails in zip(grid, terms, failed.tolist()):
             expected = float_tails(energy, basis, 21)
-            if isinstance(expected, ArithmeticError):
-                assert (type(error), str(error)) == (type(expected), str(expected)), energy
+            assert fails == isinstance(expected, ArithmeticError), energy
+            if fails:
                 assert all(cmath.isnan(term) for term in row.tolist())
             else:
-                assert error is None, energy
                 assert row.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist(), energy
 
     def test_grids_reach_every_tail_error(self):
@@ -511,24 +535,24 @@ class TestScanKernel:
             assert str(outcome) == f"wave operator is not finite at E={energy}"
 
     def test_no_energies(self):
-        ((s, delta, amplitude, errors, corner),) = _scatter([], [make_config()])
-        assert (s.shape, delta.shape, amplitude.shape, errors, corner.shape) == ((0,), (0,), (0,), [], (0,))
+        columns = _scatter([], [make_config()])
+        assert [column.shape for column in columns[0]] == [(0,)] * 6
 
     def test_tail_error_before_solve_error(self, monkeypatch):
         # as for the point oracle, a member whose tails fail reports that, and is never solved
         solved = []
 
-        def failing_solve(matrix, energies):
-            solved.extend(energies)
-            corners, _ = _checked_solve(matrix, energies)
-            return corners, [PoleError("forced", energy=energy) for energy in energies]
+        def failing_solve(matrix):
+            solved.append(len(matrix))
+            corners, reasons, values = _checked_solve(matrix)
+            return np.full_like(corners, np.nan), np.full_like(reasons, _SINGULAR), values
 
         monkeypatch.setattr(scattering, "_checked_solve", failing_solve)
         config = make_config(basis=OVERFLOW_BASIS, nu=1.0)
         outcomes = kernel_outcomes([30.0, 710.0], [config])[0]
         # E = 30 lies above part of the spectrum, so it takes the solve; the seed overflows at E = 710
-        assert solved == [30.0]
-        assert (type(outcomes[0]), str(outcomes[0])) == (PoleError, "forced")
+        assert solved == [1]
+        assert (type(outcomes[0]), str(outcomes[0])) == (PoleError, "wave operator is singular: Singular matrix")
         assert type(outcomes[1]) is RecurrenceOverflowError
         assert str(outcomes[1]).startswith("cosine seed overflowed")
         assert same_outcome(outcomes[1], oracle_outcome(710.0, config))
@@ -589,8 +613,8 @@ class TestScanKernel:
         # stacked eigvalsh and 49 stacked solves
         configs = [make_config(basis=OVERFLOW_BASIS, nu=float(nu)) for nu in range(1, 8)]
         columns = _scatter(np.linspace(40.0, 90.0, 551).tolist(), configs)
-        statuses = Counter(type(error).__name__ for *_, errors, _ in columns for error in errors)
-        assert statuses == {"NoneType": 2709, "RecurrenceOverflowError": 784, "DegenerateEnergyError": 364}
+        reasons = Counter(code for *_, column, _, _ in columns for code in column.tolist())
+        assert reasons == {_OK: 2709, _TAILS: 784, _DEGENERATE: 364}
         counts = {name: (len(sizes), sum(sizes)) for name, sizes in lapack_sizes.items()}
         assert counts == {"cholesky": (3178, 6244), "eigvalsh": (49, 3073), "solve": (49, 3073)}
 
@@ -621,6 +645,30 @@ class TestScanKernel:
         with pytest.raises(kind) as caught:
             s_matrix(energy, config)
         assert same_outcome(caught.value, expected)
+
+    @pytest.mark.parametrize(
+        "code, config, energy",
+        [
+            (_WEIGHT, make_config(basis=BasisParams(lam=1e-160, ell=1)), 2.0),
+            (_TAILS, make_config(basis=OVERFLOW_BASIS, nu=1.0), 710.0),
+            (_NOT_FINITE, make_config(g=1e308), 3.25),
+            (_MARGIN, make_config(g=0.0), FREE_EIGENVALUE),
+            (_SINGULAR, None, 2.0),
+            (_RESIDUAL, None, 2.0),
+            (_DEGENERATE, make_config(basis=OVERFLOW_BASIS, nu=1.0, g=0.0), DEGENERATE_ENERGY),
+        ],
+        ids=["weight", "tails", "not-finite", "margin", "singular", "residual", "degenerate"],
+    )
+    def test_reason_table_rows(self, code, config, energy):
+        # every reason but ok has a row: the status run_scan reports for its code is the status of
+        # the error s_matrix raises for it, of the table's class; the kernel gives the code itself
+        # where a natural input reaches it (a singular or refined-out solve needs a planted matrix)
+        error = reason_error(code, energy, 1e-3, config)
+        status, kind, _ = _REASONS[code]
+        assert isinstance(error, kind) and ORACLE_STATUS[type(error)] == status == _STATUSES[code]
+        if config is not None:
+            ((_, _, _, (reason,), _, _),) = _scatter([energy], [config])
+            assert reason == code
 
     @pytest.mark.parametrize("length", [1, 37, 64, 65, 200])
     @pytest.mark.parametrize(
@@ -809,9 +857,9 @@ def block_couplings(grid, config):
 
 def failed_energies(grid, config):
     """Indices of the energies whose weight or free tails fail: the kernel builds no wave operator for them."""
-    _, tail_errors = _free_tails([_momentum(energy, config.basis) for energy in grid], config.basis, config.size + 1)
+    _, tails_failed = _free_tails([_momentum(energy, config.basis) for energy in grid], config.basis, config.size + 1)
     _, weight_errors = block_couplings(grid, config)
-    return {j for j, errors in enumerate(zip(weight_errors, tail_errors)) if any(errors)}
+    return {j for j, (error, fails) in enumerate(zip(weight_errors, tails_failed.tolist())) if error or fails}
 
 
 def sandwich(energies, couplings, config):
@@ -850,7 +898,7 @@ def recorded_sizes(monkeypatch, name):
 
 
 def block_corners(grid, config):
-    """The kernel's corners and errors over one block of live energies, its Loewner sandwich first."""
+    """The kernel's corners, reason codes and values over one block of live energies, its Loewner sandwich first."""
     assert not failed_energies(grid, config)
     (cleared,) = cleared_blocks(grid, config)
     h0, _, _ = _free_block(config.basis, config.size)
@@ -898,10 +946,10 @@ class TestPivotCorner:
             bound = backward_error_bound(exact, factor, factor.T, perturbed, _gamma(size + 1))
             assert pivot_error <= bound + _gamma(2) * pivot, energy
 
-            (corner,), (error,) = _checked_solve(matrix[None], [energy])
+            (corner,), (code,), _ = _checked_solve(matrix[None])
             solution = np.linalg.solve(matrix, np.eye(size)[:, -1:])[:, 0]
             # the checked solve kept LAPACK's solution: no refinement step ran
-            assert error is None and corner == solution[-1]
+            assert code == _OK and corner == solution[-1]
             permutation, lower, upper = scipy.linalg.lu(matrix)
             with mpmath.workdps(60):
                 solve_error = float(abs(corner - exact[size - 1]))
@@ -926,7 +974,7 @@ class TestPivotCorner:
     def test_failed_check_takes_checked_solve(self, monkeypatch):
         config = make_config(nu=3.0)
         grid = np.linspace(0.5, 6.0, 10).tolist()
-        clean, _ = block_corners(grid, config)
+        clean, _, _ = block_corners(grid, config)
         cholesky, calls = np.linalg.cholesky, []
 
         def planted(stack):
@@ -940,8 +988,8 @@ class TestPivotCorner:
 
         monkeypatch.setattr(np.linalg, "cholesky", planted)
         solves = recorded_sizes(monkeypatch, "_checked_solve")
-        corners, errors = block_corners(grid, config)
-        assert calls == [1, 10] and solves == [1] and errors == [None] * 10
+        corners, reasons, _ = block_corners(grid, config)
+        assert calls == [1, 10] and solves == [1] and reasons.tolist() == [_OK] * 10
         assert corners[4] == checked_corner(wave_operator(grid[4], config), grid[4])
         others = [m for m in range(10) if m != 4]
         assert corners[others].tolist() == clean[others].tolist()
@@ -955,9 +1003,9 @@ class TestPivotCorner:
         assert 0 < below < _BLOCK
         pivots = recorded_sizes(monkeypatch, "_pivot_corners")
         solves = recorded_sizes(monkeypatch, "_checked_solve")
-        corners, errors = block_corners(grid, config)
+        corners, reasons, _ = block_corners(grid, config)
         assert pivots == [below] and solves == [_BLOCK - below]
-        assert errors == [None] * _BLOCK and np.isfinite(corners).all()
+        assert reasons.tolist() == [_OK] * _BLOCK and np.isfinite(corners).all()
 
 
 LAMBDA_ONE = BasisParams(lam=1.0, ell=1)
@@ -1014,11 +1062,11 @@ class TestStackedValidate:
 
     def test_stacked_routes_equal_public_routes(self, config, energies):
         energies = np.linspace(0.6, 5.9, 8).tolist() if energies is None else energies
-        ((_, _, _, errors, corners),) = _scatter(energies, [config])
-        live = [j for j, error in enumerate(errors) if error is None]
+        ((_, _, _, reasons, _, corners),) = _scatter(energies, [config])
+        live = (reasons == _OK).nonzero()[0].tolist()
         at = [energies[j] for j in live]
-        spectral, determinant, eigenvalues, route_errors = _green_routes(config, at)
+        spectral, determinant, eigenvalues, route_reasons = _green_routes(config, at)
         assert eigenvalues.shape == (len(at), config.size)
-        for energy, *values, error in zip(at, corners[live].tolist(), spectral, determinant, route_errors):
+        for energy, *values, code in zip(at, corners[live].tolist(), spectral, determinant, route_reasons.tolist()):
             expected = point_routes(energy, config)
-            assert (tuple(values) if error is None else type(error)) == expected, energy
+            assert (tuple(values) if code == _OK else _REASONS[code][1]) == expected, energy

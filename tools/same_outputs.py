@@ -28,8 +28,11 @@ Then one line per digest, ``name count sha256``:
   corpus: the 7 paper nu, 350 draws of nu in [0, 8) for each of the six
   ``(N, K)`` pairs of the benchmark's validate sweep, and ``lambda = 1``
   configs with g from 0 to +-1e300 on two energy lists;
-* ``messages``: the text of the error ``s_matrix`` raises at energies that
-  are not positive, on a pole, or beyond the free sequences' range;
+* ``messages``: the type, text and cause type of the error ``s_matrix``
+  raises at every reason a natural input reaches: an energy that is not
+  positive, a weight or a wave operator that is not finite, a pole, a
+  vanishing denominator, or free sequences beyond their range (a singular
+  or refined-out solve needs a planted matrix);
 * ``free``: the bytes of each call of a seeded corpus of the free problem's
   functions, ``jacobi_matrix``, ``laguerre_orthonormal_sequence`` (scalar and
   array z), ``h0_matrix``, ``sine_coefficients``, ``cosine_coefficients`` and
@@ -99,10 +102,12 @@ SWEEP_DRAWS = 350
 #: below, across and above the free spectrum at lambda = 1, with an energy whose sequences overflow
 LAMBDA_ONE_ENERGIES = (20.0, 30.0, 40.0, 42.5, 50.0, 60.0, 1e300)
 COUPLINGS = (0.0, *(sign * g for g in (1e-3, 2.0, 1e3, 1e30, 1e100, 1e300) for sign in (1.0, -1.0)))
-#: (basis, g, nu, energy) of s_matrix calls, most of which raise: not positive, on a
-#: free eigenvalue (g = 0), a vanishing denominator, overflowing free sequences
+#: (basis, g, nu, energy) of s_matrix calls, most of which raise: not positive, a weight
+#: and a wave operator that are not finite, on a free eigenvalue (g = 0), a vanishing
+#: denominator, overflowing free sequences
 MESSAGE_POINTS = (
     [(PAPER_BASIS, 2.0, 1.0, energy) for energy in (0.0, -1.0)]
+    + [(BasisParams(lam=1e-300, ell=1), 2.0, 1.0, 3.0), (PAPER_BASIS, 1e308, 1.0, 3.0)]
     + [(LAMBDA_ONE, 0.0, 1.0, energy) for energy in np.linalg.eigvalsh(h0_matrix(LAMBDA_ONE, 20))[:4].tolist()]
     + [(LAMBDA_ONE, 2.0, 1.0, energy) for energy in (*LAMBDA_ONE_ENERGIES, 350.0, 360.0, 1e15, 1e17)]
 )
@@ -164,11 +169,12 @@ def report_text(config: ModelConfig, energies) -> str:
 
 
 def message_text(basis: BasisParams, g: float, nu: float, energy: float) -> str:
-    """The outcome of one s_matrix call: its error's type and message, or its values."""
+    """The outcome of one s_matrix call: its error's type and message, and its cause's type if any, or its values."""
     try:
         point = s_matrix(energy, ModelConfig(basis, g, nu, 20, 8))
     except Exception as exc:  # noqa: BLE001 - the error is the output
-        return f"{type(exc).__name__}: {exc}\n"
+        cause = "" if exc.__cause__ is None else f" (caused by {type(exc.__cause__).__name__})"
+        return f"{type(exc).__name__}: {exc}{cause}\n"
     return f"{point.s_value!r} {point.delta!r} {point.amplitude!r}\n"
 
 
