@@ -86,7 +86,8 @@ class ModelConfig:
     def __post_init__(self):
         for field, name in (("size", "matrix size N"), ("terms", "term count K")):
             object.__setattr__(self, field, _integer(getattr(self, field), name))
-        if not -1 < _real(self.nu, "ansatz parameter nu") < math.inf:
+        nu = _real(self.nu, "ansatz parameter nu")
+        if not -1 < nu < math.inf:
             raise ValueError("ansatz parameter must satisfy nu > -1 and be finite")
         if self.size < 2:
             raise ValueError("matrix size must be at least 2")
@@ -100,7 +101,7 @@ class ModelConfig:
             )
         # the largest entry of H0's (N + 1) block is (lam^2/2)(2N + ell + 3/2), at n = N; a row
         # holds at most three entries, so each computed absolute row sum stays below 4 times it
-        if not math.isfinite(4.0 * (0.5 * float(self.basis.lam) ** 2 * (2 * self.size + float(self.basis.ell) + 1.5))):
+        if not math.isfinite(4.0 * (0.5 * self.basis.lam**2 * (2 * self.size + float(self.basis.ell) + 1.5))):
             raise ValueError(
                 f"scale parameter lam must keep H0's row sums finite at N = {self.size} and ell = {self.basis.ell}: "
                 f"4 (lam^2/2)(2N + ell + 3/2) overflows (got {self.basis.lam!r})"
@@ -109,8 +110,12 @@ class ModelConfig:
             raise ValueError(
                 f"weight_choice must be one of {WEIGHT_CHOICES} (got {self.weight_choice!r})"
             )
-        if not math.isfinite(_real(self.g, "coupling g")):
+        g = _real(self.g, "coupling g")
+        if not math.isfinite(g):
             raise ValueError("coupling g must be finite")
+        # Python floats, as BasisParams stores its fields: a numpy scalar would set the precision of S
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "g", g)
 
 
 def _integer(value, name: str) -> int:

@@ -44,7 +44,7 @@ __all__ = [
 
 
 class RecurrenceOverflowError(ArithmeticError):
-    """Forward recursion left its stability range for the requested length."""
+    """A free sequence left the double range: its seed, its prefactor or its forward recursion overflowed."""
 
 
 @dataclass(frozen=True)
@@ -55,30 +55,33 @@ class BasisParams:
     ell: int
 
     def __post_init__(self):
-        if not 0 < _real(self.lam, "scale parameter lam") < math.inf:
+        lam = _real(self.lam, "scale parameter lam")
+        if not 0 < lam < math.inf:
             raise ValueError("scale parameter lam must be positive and finite")
         # H0 scales as lam^2 and the momentum as 1/lam: both must be doubles
-        lam = float(self.lam)
         if not (math.isfinite(lam * lam) and math.isfinite(1.0 / lam)):
             raise ValueError(f"scale parameter lam must have a finite square and reciprocal (got {self.lam!r})")
         if not (0 <= _real(self.ell, "angular momentum ell") < math.inf and self.ell % 1 == 0):
             raise ValueError("angular momentum ell must be a non-negative integer")
+        # a numpy scalar hashes equal to the Python number but would run the free problem in its own
+        # precision (NEP 50), and the free caches key on the basis: store a Python float and int
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "ell", int(self.ell))
 
     @property
     def nu_basis(self) -> float:
         return self.ell + 0.5
 
 
-def _real(value, name: str):
-    # value as given if it is a real number in the double range (a Python or numpy int or float);
+def _real(value, name: str) -> float:
+    # value as a Python float if it is a real number in the double range (a Python or numpy int or float);
     # a str, bool, complex or None raises a ValueError naming the field, as nonlinear._integer does
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number (got {value!r})")
     try:
-        float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{name} must be within the double range (got {value!r})") from None
-    return value
 
 
 def _momentum(energy: float, basis: BasisParams) -> float:
@@ -101,17 +104,39 @@ def _sine_prefactor(mu: float, basis: BasisParams) -> float:
     return (2.0 / math.sqrt(basis.lam)) * mu ** (basis.ell + 1) * math.exp(-mu**2 / 2.0)
 
 
-def _read_only(values: list[float]) -> np.ndarray:
+def _read_only(values: tuple[float, ...]) -> np.ndarray:
     array = np.array(values)
     array.setflags(write=False)
     return array
 
 
-def _sine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
-    """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`."""
+@lru_cache(maxsize=64)
+def _sine_sequence(mu: float, basis: BasisParams, count: int) -> tuple[float, ...]:
+    """s_0 .. s_{count-1} in Python floats; see :func:`sine_coefficients`.
+
+    This and :func:`_cosine_sequence` are the free problem at one energy, for
+    :func:`s_matrix`, :func:`validate`, a scan of fewer than ``_STACKED_FROM``
+    energies and the public coefficient functions.  Each keeps its 64 most
+    recently used sequences, keyed by (mu, basis, count), sized by its
+    traffic: one ``validate`` reads each energy twice (the kernel's tails,
+    then the Casoratian), ``jmnl validate`` reads the same 8 energies for
+    every nu of its config, and a validate sweep over the 6 sizes of the
+    benchmark's and ``tools/same_outputs.py``'s corpus holds 6 x 8 = 48
+    keys.  A loop of point queries over more than 64 distinct energies
+    recomputes every one, and a scan of ``_STACKED_FROM`` or more energies
+    does not read the cache.  An entry is a tuple, which no caller can
+    alter; an energy whose sequence raises is not kept, so it raises again.
+    """
     nu = basis.nu_basis
-    prefactor = _sine_prefactor(mu, basis)
-    values = [prefactor * v for v in _recursion(_normalization(nu), mu**2, nu, count)]
+    try:
+        prefactor = _sine_prefactor(mu, basis)
+    except OverflowError as exc:
+        # Python's float power raises where mu^(ell+1) or mu^2 leaves the double range
+        raise RecurrenceOverflowError(
+            f"sine coefficients overflowed for mu={mu:.3g}: a power of mu in their prefactor "
+            "mu^(ell+1) e^(-mu^2/2) is beyond the double range"
+        ) from exc
+    values = tuple([prefactor * v for v in _recursion(_normalization(nu), mu**2, nu, count)])
     if not all(map(math.isfinite, values)):
         raise RecurrenceOverflowError(f"sine coefficients overflowed for mu={mu:.3g}")
     return values
@@ -128,6 +153,9 @@ def sine_coefficients(energy: float, basis: BasisParams, count: int) -> np.ndarr
     """
     return _read_only(_sine_sequence(_momentum(energy, basis), basis, count))
 
+
+#: natural log of the largest double: exp of a larger value overflows
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 #: terms of the Kummer series that the seed can need.  It is summed only where the
 #: drive e^{z/2} is finite, z < 1420; its sum overflows from z ~ 715, and it stops
@@ -205,28 +233,32 @@ def _seed_drive(mu: float, basis: BasisParams) -> float:
     )
 
 
-def _seed_overflow(mu: float) -> RecurrenceOverflowError:
-    return RecurrenceOverflowError(
-        f"cosine seed overflowed for mu={mu:.3g}; the requested "
-        "momentum is outside the double-precision range of the seed"
-    )
+def _seed_overflow(mu: float, basis: BasisParams) -> RecurrenceOverflowError:
+    # the drive's Gamma(ell + 3/2) overflows from ell = 171 at every momentum (and the seed's
+    # Gamma(ell + 1/2) from ell = 172); below that a power or exponential of mu overflows
+    if math.lgamma(basis.ell + 1.5) > _LOG_MAX:
+        cause = f"Gamma(ell + 3/2) in its drive is beyond the double range at ell={basis.ell} (from ell = 171), at any momentum"
+    else:
+        cause = "the requested momentum is outside the double-precision range of the seed"
+    return RecurrenceOverflowError(f"cosine seed overflowed for mu={mu:.3g}; {cause}")
 
 
-def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> list[float]:
-    """c_0 .. c_{count-1} in Python floats; see :func:`cosine_coefficients`."""
+@lru_cache(maxsize=64)
+def _cosine_sequence(mu: float, basis: BasisParams, count: int) -> tuple[float, ...]:
+    """c_0 .. c_{count-1} in Python floats; see :func:`cosine_coefficients`, and :func:`_sine_sequence` for the cache."""
     ell = basis.ell
-    z = mu**2
     try:
+        z = mu**2
         drive = _seed_drive(mu, basis)
         # the drive overflows (or is inf at mu = inf) from mu^2 ~ 1420, where c_0 is not finite either:
         # it is checked before the Kummer series, whose time grows with its argument
         c0 = _cosine_seed(mu, basis, _kummer(ell, z)) if math.isfinite(drive) else math.nan
     except OverflowError as exc:
-        raise _seed_overflow(mu) from exc
-    values = _recursion(c0, z, basis.nu_basis, count, drive)
+        raise _seed_overflow(mu, basis) from exc
+    values = tuple(_recursion(c0, z, basis.nu_basis, count, drive))
     c1 = values[1] if count > 1 else 0.0
     if not (math.isfinite(c0) and math.isfinite(c1)):
-        raise _seed_overflow(mu)
+        raise _seed_overflow(mu, basis)
     guard = 1e8 * max(abs(c0), abs(c1), 1e-300)
     # from finite c_0, c_1 the recursion reaches nan only through inf
     peak = max(map(abs, values))

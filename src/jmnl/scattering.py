@@ -47,8 +47,8 @@ from .nonlinear import (
     _BLOCK, ModelConfig, _diagonal, _integer, _wave_stack, _weights, lambda_matrix, omega_transform, weight
 )
 from .reference import (
-    BasisParams, RecurrenceOverflowError, _free_tails, _momentum, _real, cosine_coefficients, h0_matrix,
-    sine_coefficients,
+    BasisParams, RecurrenceOverflowError, _cosine_sequence, _free_tails, _momentum, _real, _sine_sequence,
+    cosine_coefficients, h0_matrix, sine_coefficients,
 )
 
 __all__ = [
@@ -96,7 +96,7 @@ class DegenerateEnergyError(ArithmeticError):
 
 #: why S stops at an energy, per reason code in first-error order: row status, error class and
 #: message, which prints the energy and the row's value; a weight or tail error is raised by its
-#: stage function (see _raise), with its own message (and, for the tails, possibly an OverflowError)
+#: stage function (see _raise), with its own message
 _REASONS = (
     ("ok", None, None),
     ("overflow", OverflowError, None),
@@ -181,7 +181,8 @@ def _checked_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         solution = np.linalg.solve(matrix, unit)
     except np.linalg.LinAlgError:
         if len(matrix) > 1:
-            # LAPACK stops the whole stack at one singular member: settle each alone
+            # numpy solves every member, fills a singular one with nan and then raises for the
+            # whole stack, returning none of it: settle each member alone
             parts = [_checked_solve(matrix[i : i + 1]) for i in range(len(matrix))]
             return tuple(np.concatenate(column) for column in zip(*parts))
         return np.full(1, np.nan), np.full(1, _SINGULAR, dtype=np.int8), np.full(1, np.nan)
@@ -339,11 +340,12 @@ def _scatter(energies, configs) -> list[tuple[np.ndarray, ...]]:
     member, delta_i = POLE_MARGIN * max(1, |E_i|).  If it succeeds,
     every member has all its eigenvalues above delta_i and is clear.
     Otherwise, and for a block of one, the guard is one stacked Cholesky of
-    M_i - delta_i I; LAPACK stops the whole stack at the first member that is
-    not positive definite, and then each member is factored alone, so a row
-    does not depend on its block.  A member that Cholesky cannot certify (on
-    a pole, or with E above part of its spectrum) reads overflow if its
-    wave operator is not finite (the coupling overflowed); the rest take the
+    M_i - delta_i I; numpy factors every member but raises for the whole stack
+    if one is not positive definite, returning none of the factors, and then
+    each member is factored alone, so a row does not depend on its block.  A
+    member that Cholesky cannot certify (on a pole, or with E above part of
+    its spectrum) reads overflow if its wave operator is not finite (the
+    coupling overflowed); the rest take the
     eigvalsh gap and :func:`_pole_reasons`, which alone give the gap that a
     pole reports.  A Cholesky factorisation succeeds only if its matrix
     is numerically positive definite, the same floating-point evidence
@@ -448,9 +450,11 @@ def _cleared_blocks(energies: np.ndarray, couplings: np.ndarray, h0: np.ndarray,
 def _factors(stack: np.ndarray) -> np.ndarray:
     """Cholesky factors of a (B, N, N) stack, nan for a member that is not numerically positive definite.
 
-    LAPACK stops the whole stack at its first such member; then each member
-    is factored alone, so a member's factor does not depend on its block.
-    LAPACK lets nan and inf through without an error; they reach the factor.
+    numpy's batched Cholesky factors every member and fills a failed one with
+    nan, but then raises for the whole stack and returns none of it; so each
+    member is factored alone, and a member's factor does not depend on its
+    block.  LAPACK lets nan and inf through without an error; they reach the
+    factor.
     """
     try:
         return np.linalg.cholesky(stack)
@@ -591,6 +595,8 @@ class ScanRequest:
         e_min, e_max = _real(self.e_min, "e_min"), _real(self.e_max, "e_max")
         if not (0 < e_min < e_max < math.inf):
             raise ValueError("need 0 < e_min < e_max, both finite")
+        object.__setattr__(self, "e_min", e_min)
+        object.__setattr__(self, "e_max", e_max)
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         if not self.nu_list:
@@ -786,8 +792,8 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.n
 _CASORATIAN_LIMIT = 1e-8
 
 
-def _casoratian(energy: float, basis: BasisParams, b: np.ndarray) -> tuple[float, float] | None:
-    """Relative defect of b_n (s_n c_{n+1} - s_{n+1} c_n) = 2k/pi over n < N, and its bound.
+def _casoratians(energies, basis: BasisParams, b: np.ndarray) -> tuple[list, list, int, int]:
+    """Relative defect of b_n (s_n c_{n+1} - s_{n+1} c_n) = 2k/pi over n < N at each energy, and its share of the bound.
 
     ``b`` holds the free couplings b_0 .. b_{N-1}.  Two solutions of one
     three-term recursion have a Casoratian constant in n; the seed relation's
@@ -795,19 +801,35 @@ def _casoratian(energy: float, basis: BasisParams, b: np.ndarray) -> tuple[float
     its own relative error, while rounding, kept once made, adds up over the
     N + 1 values of about five operations each: the bound is
     5 (N + 1) eps max_n b_n (|s_n c_{n+1}| + |s_{n+1} c_n|) / (2k/pi).
-    ``None`` where a sine coefficient is below the normal range (ell = 1,
-    E < 6: from lam ~ 1e124), which keeps fewer bits than the bound counts.
+
+    The sequences are the cached ones the kernel's tails read at the same
+    energies, and the defects of all energies are one stacked pass whose
+    every element rounds as at that energy alone.  Returns the defects of the
+    energies checked and each as a share of its bound, the count of energies
+    whose sequences raise (the tails' error) and the count skipped because a
+    sine coefficient is below the normal range (ell = 1, E < 6: from
+    lam ~ 1e124), which keeps fewer bits than the bound counts.
     """
     count = len(b) + 1
-    sine = sine_coefficients(energy, basis, count)
-    cosine = cosine_coefficients(energy, basis, count)
-    if np.abs(sine).min() < _TINY:
-        return None
-    wronskian = 2.0 * math.sqrt(2.0 * energy) / math.pi
-    first, second = b * sine[:-1] * cosine[1:], b * sine[1:] * cosine[:-1]
-    defect = float(np.max(np.abs(first - second - wronskian))) / wronskian
-    scale = float(np.max(np.abs(first) + np.abs(second))) / wronskian
-    return defect, 5.0 * count * _EPS * scale
+    kept, sines, cosines = [], [], []
+    for energy in energies:
+        mu = _momentum(energy, basis)
+        try:
+            sine, cosine = _sine_sequence(mu, basis, count), _cosine_sequence(mu, basis, count)
+        except RecurrenceOverflowError:
+            continue
+        kept.append(energy)
+        sines.append(sine)
+        cosines.append(cosine)
+    sine, cosine = np.array(sines).reshape(-1, count), np.array(cosines).reshape(-1, count)
+    normal = ~(np.abs(sine).min(axis=1) < _TINY)
+    sine, cosine = sine[normal], cosine[normal]
+    wronskian = 2.0 * np.sqrt(2.0 * np.array(kept, dtype=float)[normal]) / math.pi
+    first, second = b * sine[:, :-1] * cosine[:, 1:], b * sine[:, 1:] * cosine[:, :-1]
+    defect = np.abs(first - second - wronskian[:, None]).max(axis=1) / wronskian
+    scale = (np.abs(first) + np.abs(second)).max(axis=1) / wronskian
+    ratio = defect / (5.0 * count * _EPS * scale)
+    return defect.tolist(), ratio.tolist(), len(energies) - len(kept), len(kept) - len(wronskian)
 
 
 def validate(config: ModelConfig, energies: np.ndarray | None = None) -> ValidationReport:
@@ -861,21 +883,10 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     )
 
     _, b, _ = _free_block(config.basis, config.size)
-    worst_defect = worst_ratio = 0.0
-    skipped, underflowed = [], 0
-    for energy in energies[:4]:
-        try:
-            result = _casoratian(energy, config.basis, b)
-        except (RecurrenceOverflowError, OverflowError):
-            skipped.append(_STATUSES[_TAILS])
-            continue
-        if result is None:
-            underflowed += 1
-            continue
-        defect, bound = result
-        worst_defect = max(worst_defect, defect)
-        worst_ratio = max(worst_ratio, defect / bound)
-    checked = len(energies[:4]) - len(skipped) - underflowed
+    defects, ratios, raised, underflowed = _casoratians(energies[:4], config.basis, b)
+    skipped = [_STATUSES[_TAILS]] * raised
+    worst_defect, worst_ratio = max([0.0, *defects]), max([0.0, *ratios])
+    checked = len(defects)
     underflow = f", {underflowed} underflow-failed: sine coefficients below the normal range" if underflowed else ""
     report.add(
         "casoratian",

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from jmnl import reference
 from jmnl.nonlinear import ModelConfig
 from jmnl.reference import BasisParams
 
@@ -76,3 +77,20 @@ def lapack_sizes(monkeypatch):
 def angle_calls(monkeypatch):
     """Counter of np.angle calls made while the test runs: one per assembled batch of S values."""
     return count_calls(monkeypatch, np, ("angle",))
+
+
+def _clear_free_caches():
+    reference._sine_sequence.cache_clear()
+    reference._cosine_sequence.cache_clear()
+
+
+@pytest.fixture
+def clear_free_caches():
+    """Empties the cached free sine and cosine sequences when called, and again after the test.
+
+    A test that plants a fault in the free problem calls it before planting,
+    so no sequence computed earlier answers for the planted code, and the
+    teardown drops what the planted code computed.
+    """
+    yield _clear_free_caches
+    _clear_free_caches()

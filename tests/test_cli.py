@@ -692,11 +692,12 @@ class TestValidate:
             "casoratian",
         ]
 
-    def test_casoratian_fails_on_planted_drive(self, monkeypatch):
+    def test_casoratian_fails_on_planted_drive(self, monkeypatch, clear_free_caches):
         # a drive off by 1e-8 shifts the Casoratian by 1e-8; the recurrence itself still holds
         config = ModelConfig(basis=BasisParams(lam=5.0, ell=1), g=2.0, nu=3.0, size=12, terms=4)
         energies = np.linspace(0.6, 3.9, 5)
         assert validate(config, energies).passed
+        clear_free_caches()
         drive = reference._seed_drive
         monkeypatch.setattr(reference, "_seed_drive", lambda mu, basis: drive(mu, basis) * (1.0 + 1e-8))
         report = validate(config, energies)

@@ -98,7 +98,11 @@ def test_real_field_error_names_the_field(build, fields, message):
 
 
 @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), 2.0])
-def test_real_field_kept_as_given(value):
-    # a field keeps the value as given, so every text that prints it is unchanged
-    config = ModelConfig(PAPER_BASIS, g=value, nu=value, size=20, terms=8)
-    assert config.g is value and config.nu is value
+def test_real_field_stored_as_python_type(value):
+    # reals are stored as Python floats and ell as a Python int: a numpy scalar hashes equal
+    # to them, so it would share cache entries while running S in its own precision
+    config = ModelConfig(BasisParams(lam=value, ell=value), g=value, nu=value, size=20, terms=8)
+    fields = (config.basis.lam, config.basis.ell, config.g, config.nu)
+    assert [type(field) for field in fields] == [float, int, float, float] and fields == (2.0, 2, 2.0, 2.0)
+    request = ScanRequest(**dict(PAPER_SCAN, e_min=value, e_max=np.float32(4.0)))
+    assert (type(request.e_min), type(request.e_max)) == (float, float)

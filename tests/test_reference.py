@@ -148,6 +148,12 @@ class TestSineCoefficients:
             with pytest.raises(ValueError):
                 values[0] = 1.0
 
+    def test_prefactor_overflow_is_named(self):
+        # mu = 1e100 at ell = 3: Python's mu**4 raises its errno error, which the named one chains
+        with pytest.raises(RecurrenceOverflowError, match="sine coefficients overflowed for mu=1e[+]100: a power") as caught:
+            sine_coefficients(5e199, BasisParams(lam=1.0, ell=3), 21)
+        assert type(caught.value.__cause__) is OverflowError
+
     def test_threshold_limit(self):
         basis = BasisParams(lam=1.0, ell=1)
         s = sine_coefficients(1e-12, basis, 10)
@@ -211,6 +217,24 @@ class TestCosineCoefficients:
         # M(-nu, 1-nu, mu^2) overflows at mu^2 = 800, so c_0 is not finite
         with pytest.raises(RecurrenceOverflowError, match="cosine seed overflowed"):
             cosine_coefficients(400.0, BasisParams(lam=1.0, ell=0), count)
+
+    def test_gamma_overflow_names_its_factor(self):
+        # from ell = 171 the drive's Gamma(ell + 3/2) overflows at any momentum, here mu = 0.49,
+        # where mu^-ell = 9.1e123 is finite
+        basis = BasisParams(lam=5.0, ell=400)
+        with pytest.raises(RecurrenceOverflowError) as caught:
+            cosine_coefficients(3.0, basis, 21)
+        assert str(caught.value) == (
+            "cosine seed overflowed for mu=0.49; Gamma(ell + 3/2) in its drive is beyond the double range "
+            "at ell=400 (from ell = 171), at any momentum"
+        )
+        assert math.isfinite(_momentum(3.0, basis) ** -400)
+
+    def test_squared_momentum_overflow_is_named(self):
+        # mu = 1.4e160: Python's mu**2 raises; the cosine reports its seed, not errno text
+        with pytest.raises(RecurrenceOverflowError, match="cosine seed overflowed for mu=1.41e[+]160") as caught:
+            cosine_coefficients(1e300, BasisParams(lam=1e-10, ell=1), 5)
+        assert type(caught.value.__cause__) is OverflowError
 
     def test_resums_to_irregular_wave(self):
         # the tapered resummation of c_n phi_n approaches the cosine-like

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+from jmnl import reference
 from jmnl.nonlinear import ModelConfig, lambda_matrix
 from jmnl.orthopoly import jacobi_matrix, linearization_table
 from jmnl.reference import BasisParams, h0_matrix
@@ -59,6 +60,18 @@ def test_reports_and_messages_digest_their_text():
     _, config, _ = corpus[0]
     assert same_outputs.report_text(config, np.array([0.0])) == "ValueError: energy must be positive\n"
     assert same_outputs.report_text(config, None).startswith("lambda-positive True min eigenvalue")
+
+
+def test_reports_are_the_same_from_cold_and_warm_free_caches(clear_free_caches):
+    # each report twice: first with the free sequences computed afresh, then read from their cache
+    hits = 0
+    for _, config, energies in same_outputs.validate_corpus()[::50]:
+        clear_free_caches()
+        cold = same_outputs.report_text(config, energies)
+        before = reference._sine_sequence.cache_info().hits
+        assert same_outputs.report_text(config, energies) == cold, config
+        hits += reference._sine_sequence.cache_info().hits - before
+    assert hits > 0
 
 
 def test_messages_reach_every_natural_reason():

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from jmnl import reference, scattering
-from jmnl.nonlinear import ModelConfig, _diagonal, _wave_stack, _weights, lambda_matrix, wave_operator, weight
+from jmnl.nonlinear import ModelConfig, _diagonal, _lambda_core, _wave_stack, _weights, lambda_matrix, wave_operator, weight
 from jmnl.reference import (
     BasisParams,
     RecurrenceOverflowError,
@@ -317,6 +317,30 @@ class TestSMatrix:
         assert type(caught.value.__cause__) is OverflowError
         assert str(caught.value.__cause__) != str(caught.value)
 
+    def test_sine_overflow_is_named(self):
+        # mu = 1e100: the weight mu e^{-mu^2} is 0, but the sine prefactor's mu^4 is beyond the
+        # double range; S reports the tails' named error, chained from Python's errno error
+        config = ModelConfig(BasisParams(1.0, 3), 2.0, 0.5, 20, 8)
+        with pytest.raises(RecurrenceOverflowError, match="sine coefficients overflowed for mu=1e[+]100: a power") as caught:
+            s_matrix(5e199, config)
+        assert type(caught.value.__cause__) is OverflowError
+
+    def test_numpy_scalar_fields_give_the_python_float_s(self, clear_free_caches):
+        # under NEP 50 a float32 scale ran the free problem in single precision (S off by ~2e-7)
+        # and float32 g and nu moved S by ~4e-15; each config is evaluated from cold caches, since
+        # a numpy field hashes equal to the Python one
+        def point(lam, ell, g, nu):
+            clear_free_caches()
+            _free_block.cache_clear()
+            _lambda_core.cache_clear()
+            return s_matrix(2.5, ModelConfig(BasisParams(lam, ell), g, nu, 20, 8))
+
+        expected = point(5.0, 1, 2.0, 3.0)
+        for kind in (np.float32, np.float64, np.int64):
+            got = point(kind(5), np.int64(1), kind(2), kind(3))
+            assert np.array([got.s_value]).tobytes() == np.array([expected.s_value]).tobytes(), kind
+            assert (got.delta, got.amplitude) == (expected.delta, expected.amplitude)
+
     def test_two_forms_agree(self):
         rng = np.random.default_rng(20260811)
         checked = 0
@@ -466,8 +490,9 @@ class TestFreeTails:
     @pytest.mark.parametrize(
         "count, kind", [(1, float), (_STACKED_FROM - 1, float), (_STACKED_FROM, np.ndarray)]
     )
-    def test_recursion_operands(self, monkeypatch, count, kind):
+    def test_recursion_operands(self, monkeypatch, clear_free_caches, count, kind):
         # few energies run orthopoly's recursion in Python floats, more in arrays, through one body
+        clear_free_caches()
         operands = []
         recursion = reference._recursion
 
@@ -1024,6 +1049,8 @@ VALIDATE_CASES = (
     + [
         (make_config(nu=1.3941544542304376, size=48), None),
         (make_config(basis=LAMBDA_ONE, nu=1.0), [20.0, 30.0, 40.0, 42.5, 50.0, 60.0, 1e300]),
+        # the Casoratian's first 4 energies mix sequences that raise (1e300, 710) with checked ones
+        (make_config(basis=LAMBDA_ONE, nu=2.0), [1e300, 20.0, 710.0, 30.0, 40.0]),
         (make_config(basis=BasisParams(lam=1e130, ell=1), nu=1.0), None),
         (
             make_config(basis=LAMBDA_ONE, g=0.0, nu=1.0),
