@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .nonlinear import (
-    _BLOCK, ModelConfig, _diagonal, _integer, _wave_stack, _weights, lambda_matrix, omega_transform, weight
+    _BLOCK, _EPS, ModelConfig, _diagonal, _integer, _wave_stack, _weights, lambda_matrix, omega_transform, weight
 )
 from .reference import (
     BasisParams, RecurrenceOverflowError, _cosine_sequence, _free_tails, _momentum, _real, _sine_sequence,
@@ -70,7 +70,6 @@ __all__ = [
     "validate",
 ]
 
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 #: relative distance to the nearest spectral point below which an energy is
@@ -260,7 +259,7 @@ def green_corner_spectral(h: np.ndarray, e_hat: float) -> float:
     (value,), (code,), (gap,) = _spectral_corners(_symmetric(h)[None], np.array([e_hat]))
     if code:
         _raise(code, e_hat, gap)
-    return value
+    return float(value)
 
 
 def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
@@ -272,10 +271,10 @@ def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
     (value,), (code,), (gap,) = _determinant_corners(h, np.array([e_hat]), np.linalg.eigvalsh(h))
     if code:
         _raise(code, e_hat, gap)
-    return value
+    return float(value)
 
 
-def _spectral_corners(h: np.ndarray, energies: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+def _spectral_corners(h: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner of each (h_i - E_i)^-1 of a (B, N, N) symmetric stack from the spectral sum.
 
     One stacked eigh; returns the corners and, per member, the reason code
@@ -285,12 +284,12 @@ def _spectral_corners(h: np.ndarray, energies: np.ndarray) -> tuple[list, np.nda
     shifted, reasons, gaps = _pole_reasons(eigenvalues, energies)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = np.sum(vectors[:, -1] ** 2 / shifted, axis=1)
-    return values.tolist(), reasons, gaps
+    return values, reasons, gaps
 
 
 def _determinant_corners(
     h: np.ndarray, energies: np.ndarray, eigenvalues: np.ndarray
-) -> tuple[list, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner of each (h_i - E_i)^-1 of a (B, N, N) symmetric stack from eigenvalues only.
 
     ``eigenvalues`` are the ascending eigenvalues of each h_i; the corner is
@@ -307,7 +306,7 @@ def _determinant_corners(
         # a running product multiplies each member's factors in index order
         product = np.cumprod(ratios, axis=1)[:, -1] if ratios.shape[1] else np.ones(len(h))
         values = product / shifted[:, -1]
-    return values.tolist(), reasons, gaps
+    return values, reasons, gaps
 
 
 def _scatter(energies, configs) -> list[tuple[np.ndarray, ...]]:
@@ -753,15 +752,7 @@ def _lambda_bound(lam, nu: float) -> tuple[bool, str]:
     )
 
 
-def _three_route_tolerance(eigenvalues: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    # per member: route agreement saturates at eps * (spectral radius / gap); strongly
-    # graded coupling matrices (condition up to ~1e17) push it above 1e-8
-    gap = np.abs(eigenvalues - energies[:, None]).min(axis=1)
-    radius = np.abs(eigenvalues).max(axis=1)
-    return np.maximum(1e-8, 1024.0 * _EPS * radius / gap)
-
-
-def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.ndarray, np.ndarray]:
+def _green_routes(config: ModelConfig, energies: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The spectral and determinant corners at each energy, each route one stacked call.
 
     The couplings are one pass of :func:`_weights`, and H_i = H0 + c_i Lambda
@@ -771,9 +762,9 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.n
     routes at each energy alone.  The spectrum of H from eigvalsh, never
     eigh's, also serves the tolerance, so the routes stay independent.
 
-    Returns the two routes' corners, the (B, N) eigenvalues of H, and per
-    energy the reason code of its first pole in the order spectral guard,
-    determinant guard.
+    Returns the two routes' corners, each energy's tolerance
+    max(1e-8, 1024 eps radius / gap) on the determinant guard's gap, and its
+    reason code of the first pole in the order spectral guard, determinant guard.
     """
     h0, _, _ = _free_block(config.basis, config.size)
     e = np.array(energies)
@@ -782,9 +773,13 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[list, list, np.n
     hamiltonian = _wave_stack(h0, config.g * w * w, lambda_matrix(config).entries, 0.0)
     eigenvalues = np.linalg.eigvalsh(hamiltonian)
     spectral, spectral_reasons, _ = _spectral_corners(hamiltonian, e)
-    determinant, determinant_reasons, _ = _determinant_corners(hamiltonian, e, eigenvalues)
+    determinant, determinant_reasons, gaps = _determinant_corners(hamiltonian, e, eigenvalues)
     reasons = np.where(spectral_reasons != _OK, spectral_reasons, determinant_reasons)
-    return spectral, determinant, eigenvalues, reasons
+    # route agreement saturates at eps * (spectral radius / gap); strongly graded coupling
+    # matrices (condition up to ~1e17) push it above 1e-8.  A pole's gap may be 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        tolerances = np.maximum(1e-8, 1024.0 * _EPS * np.abs(eigenvalues).max(axis=1) / gaps)
+    return spectral, determinant, tolerances, reasons
 
 
 #: largest relative Casoratian defect validate accepts: above the free spectrum the
@@ -864,16 +859,17 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     live = (reasons == _OK).nonzero()[0].tolist()
     if live:
         at = [energies[j] for j in live]
-        spectral, determinant, eigenvalues, route_reasons = _green_routes(config, at)
-        # the kernel's corners, the ones S used (pivot or checked solve), against the two other routes
-        routes = (corners[live].tolist(), spectral, determinant)
+        spectral, determinant, tolerances, route_reasons = _green_routes(config, at)
         skipped += _STATUSES[route_reasons[route_reasons != _OK]].tolist()
-        agreed = (route_reasons == _OK).nonzero()[0].tolist()
-        tolerances = _three_route_tolerance(eigenvalues[agreed], np.array(at)[agreed]).tolist()
-        for m, tol in zip(agreed, tolerances):
-            kernel, spectral_route, det_route = (route[m] for route in routes)
-            spread = max(abs(kernel - spectral_route), abs(kernel - det_route), abs(spectral_route - det_route))
-            worst_route = max(worst_route, spread / abs(kernel) / tol)
+        # the kernel's corners, the ones S used (pivot or checked solve), against the two other routes
+        agreed = route_reasons == _OK
+        kernel, spectral, determinant = corners[live][agreed], spectral[agreed], determinant[agreed]
+        # each spread and the worst ratio as Python's max takes them: a nan after the first
+        # operand, and an energy whose ratio is nan, are passed over, as np.max would not
+        spread = np.abs(kernel - spectral)
+        for other in (np.abs(kernel - determinant), np.abs(spectral - determinant)):
+            spread = np.where(other > spread, other, spread)
+        worst_route = max([0.0, *(spread / np.abs(kernel) / tolerances[agreed]).tolist()])
     checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",

@@ -410,6 +410,14 @@ def hamiltonian(energy: float, config: ModelConfig) -> np.ndarray:
     return h0_matrix(config.basis, config.size) + (config.g * w * w) * lambda_matrix(config).entries
 
 
+def route_tolerance(h: np.ndarray, energy: float) -> float:
+    """validate's three-route tolerance at one energy, from the eigvalsh spectrum of H."""
+    eigenvalues = np.linalg.eigvalsh(h)
+    gap = float(np.min(np.abs(eigenvalues - energy)))
+    radius = float(np.max(np.abs(eigenvalues)))
+    return max(1e-8, 1024.0 * _EPS * radius / gap)
+
+
 def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
     """The validate report with the Green's routes run one energy at a time.
 
@@ -446,10 +454,7 @@ def validate_point(config: ModelConfig, energies=None) -> ValidationReport:
         except ArithmeticError as exc:
             skipped.append(ORACLE_STATUS[type(exc)])
             continue
-        eigenvalues = np.linalg.eigvalsh(h)
-        gap = float(np.min(np.abs(eigenvalues - energy)))
-        radius = float(np.max(np.abs(eigenvalues)))
-        tol = max(1e-8, 1024.0 * _EPS * radius / gap)
+        tol = route_tolerance(h, energy)
         spread = max(abs(corner - spectral), abs(corner - det_route), abs(spectral - det_route))
         worst_route = max(worst_route, spread / abs(corner) / tol)
     checked = len(energies) - len(skipped)

@@ -326,8 +326,10 @@ class TestConfigParsing:
             ({"size": 1}, "matrix size must be at least 2"),
             ({"terms": 30}, "need 1 <= terms <= size"),
             ({"weight_choice": "x"}, "weight_choice must be one of"),
+            # the config parser never gives an empty nu list: "nu_list = ," is its own error
+            ({"nu_list": ()}, "at least one nu value is required"),
         ],
-        ids=["g=nan", "g=inf", "nu=-2", "N=1", "K=30", "weight=x"],
+        ids=["g=nan", "g=inf", "nu=-2", "N=1", "K=30", "weight=x", "nu_list=()"],
     )
     def test_bad_model_field_rejected_at_construction(self, change, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -733,6 +735,23 @@ class TestMainEntry:
         config = write_config(tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu = -2"))
         assert main(["scan", "--config", config]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("steps = 8\n", "steps = 8\nbogus\n", "line 11: expected 'key = value', got 'bogus'"),
+            ("g = 2.0", "g =", "line 3: empty value for 'g'"),
+            ("steps = 8\n", "steps = 8\nnu = 2\n", "give only one of 'nu' and 'nu_list'"),
+            ("nu_list = 1, 3", "nu_list = 1, x", "line 5: nu_list must be comma-separated numbers"),
+            ("nu_list = 1, 3", "nu_list = ,", "line 5: nu_list is empty"),
+            ("steps = 8", "steps = 1", "steps must be at least 2"),
+        ],
+        ids=["no-equals", "empty-value", "nu-and-nu_list", "nu_list-not-numbers", "nu_list-empty", "steps=1"],
+    )
+    def test_config_error_is_one_stderr_line(self, tmp_path, capsys, old, new, message):
+        config = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+        assert main(["scan", "--config", config]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     def test_infinite_nu_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG.replace("nu_list = 1, 3", "nu_list = 1, inf"))

@@ -229,6 +229,7 @@ class TestLambdaMatrix:
         lam = _lambda_core(1.0, 8, size)
         arrays = [getattr(lam, field.name) for field in dataclasses.fields(lam)]
         arrays = [array for array in arrays if isinstance(array, np.ndarray)]
+        assert lam.size == size
         assert all(array.base is None for array in arrays)
         assert sum(array.nbytes for array in arrays) <= (3 * size**2 + 2 * size) * 8
 
@@ -356,6 +357,12 @@ class TestOmegaTransform:
         lam = lambda_matrix(make_config(nu=1.5, terms=4, size=10))
         transform = omega_transform(lam)
         assert transform.residual < 1e-10
+
+    def test_mismatched_singular_vectors_fail_the_identity(self):
+        # V^T's rows reversed against the singular values: omega Lambda omega^T is far from I, yet finite
+        lam = lambda_matrix(make_config(nu=1.5, terms=4, size=10))
+        with pytest.raises(np.linalg.LinAlgError, match=r"^whitening failed: residual .* above tolerance"):
+            omega_transform(dataclasses.replace(lam, v_t=lam.v_t[::-1]))
 
     def test_scan_config_meets_floorwise_identity(self):
         # condition ~1e16: the identity holds to the double-precision floor

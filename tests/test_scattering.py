@@ -60,6 +60,7 @@ from oracles import (
     hamiltonian,
     kernel_corner,
     reason_error,
+    route_tolerance,
     s_matrix_point,
     s_matrix_tr_form,
     validate_point,
@@ -218,6 +219,7 @@ class TestGreenCornerRoutes:
         for e_hat in rng.uniform(-5.0, 12.0, size=10):
             spectral = green_corner_spectral(h, float(e_hat))
             determinant = green_corner_determinant(h, float(e_hat))
+            assert (type(spectral), type(determinant)) == (float, float)
             assert determinant == pytest.approx(spectral, rel=1e-8)
 
     def test_unit_weight_reduces_to_char_poly_ratio(self):
@@ -1061,17 +1063,18 @@ VALIDATE_CASES = (
 
 
 def point_routes(energy, config):
-    """The kernel's corner alone and the two public routes on H at one energy, or the first
-    error in the order spectral, determinant."""
+    """The kernel's corner alone, the two public routes on H and the three-route tolerance
+    at one energy, or the first error in the order spectral, determinant."""
     h = hamiltonian(energy, config)
     try:
-        return (
+        routes = (
             kernel_corner(energy, config),
             green_corner_spectral(h, energy),
             green_corner_determinant(h, energy),
         )
     except PoleError as exc:
         return type(exc)
+    return (*routes, route_tolerance(h, energy))
 
 
 @pytest.mark.parametrize(
@@ -1092,8 +1095,8 @@ class TestStackedValidate:
         ((_, _, _, reasons, _, corners),) = _scatter(energies, [config])
         live = (reasons == _OK).nonzero()[0].tolist()
         at = [energies[j] for j in live]
-        spectral, determinant, eigenvalues, route_reasons = _green_routes(config, at)
-        assert eigenvalues.shape == (len(at), config.size)
-        for energy, *values, code in zip(at, corners[live].tolist(), spectral, determinant, route_reasons.tolist()):
+        routes = _green_routes(config, at)
+        assert [route.shape for route in routes] == [(len(at),)] * 4
+        for energy, *values, code in zip(at, corners[live].tolist(), *(route.tolist() for route in routes)):
             expected = point_routes(energy, config)
             assert (tuple(values) if code == _OK else _REASONS[code][1]) == expected, energy
