@@ -164,15 +164,16 @@ def _floor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _checked_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner G_c of each matrix[i]^-1 of a (B, N, N) stack: a solve for e_N, with up to two refinement steps.
+    """Corner G_c of each matrix[i]^-1 of a (B, N, N) stack: one solve for e_N, one residual test per member.
 
     Returns the (B,) corners, the last entries of the solutions x_i of
     matrix[i] @ x_i = e_N, and per member its reason code and residual: the
-    matrix is singular, or the max-norm residual stays above max(1e-9,
+    matrix is singular, or the max-norm residual is above max(1e-9,
     16 eps ||M|| ||x||).  Double precision cannot push it below
     ~eps ||M|| ||x||, and 1e-9 applies whenever that is representable; a
-    floor that is not finite accepts nothing.  A failure marks only its own
-    member, whose corner is nan.
+    floor that is not finite, or a residual that is nan, accepts nothing.
+    Nothing is retried: a failure marks only its own member, whose corner is
+    nan.
     """
     unit = np.zeros(matrix.shape[:-1] + (1,))
     unit[:, -1] = 1.0
@@ -185,26 +186,14 @@ def _checked_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             parts = [_checked_solve(matrix[i : i + 1]) for i in range(len(matrix))]
             return tuple(np.concatenate(column) for column in zip(*parts))
         return np.full(1, np.nan), np.full(1, _SINGULAR, dtype=np.int8), np.full(1, np.nan)
-    reason, value = np.zeros(len(matrix), dtype=np.int8), np.full(len(matrix), np.nan)
-    rows, a, b, x = np.arange(len(matrix)), matrix, unit, solution
-    for refinement in range(3):
-        defect = b - a @ x
-        residual = np.abs(defect).max(axis=(1, 2))
-        # within 1e-9, or within the double-precision floor where that is finite
-        failed = ~(residual <= 1e-9)
-        if failed.any():
-            floor = _floor(a, x)
-            failed &= ~((residual <= floor) & np.isfinite(floor))
-        if not failed.any():
-            break
-        rows, a, b, x, defect, residual = (v[failed] for v in (rows, a, b, x, defect, residual))
-        if refinement < 2:
-            x = x + np.linalg.solve(a, defect)
-            solution[rows] = x
-    else:
-        reason[rows], value[rows] = _RESIDUAL, residual
-        solution[rows] = np.nan
-    return solution[:, -1, 0], reason, value
+    residual = np.abs(unit - matrix @ solution).max(axis=(1, 2))
+    # within 1e-9, or within the double-precision floor where that is finite
+    failed = ~(residual <= 1e-9)
+    if failed.any():
+        floor = _floor(matrix, solution)
+        failed &= ~((residual <= floor) & np.isfinite(floor))
+    corner = np.where(failed, np.nan, solution[:, -1, 0])
+    return corner, np.where(failed, _RESIDUAL, _OK).astype(np.int8), np.where(failed, residual, np.nan)
 
 
 def _gamma(n: int) -> float:
@@ -242,10 +231,12 @@ def _free_block(basis: BasisParams, size: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _symmetric(h: np.ndarray) -> np.ndarray:
-    """h as a float array; a matrix that is not square and exactly symmetric is rejected."""
+    """h as a float array; a matrix that is not square, finite and exactly symmetric is rejected."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix must be finite")
     if not np.array_equal(h, h.T):
         raise ValueError("matrix must be exactly symmetric")
     return h
@@ -256,6 +247,8 @@ def green_corner_spectral(h: np.ndarray, e_hat: float) -> float:
 
     A batch of one through :func:`_spectral_corners`.
     """
+    if not math.isfinite(e_hat):
+        raise ValueError(f"energy must be finite (got {e_hat})")
     (value,), (code,), (gap,) = _spectral_corners(_symmetric(h)[None], np.array([e_hat]))
     if code:
         _raise(code, e_hat, gap)
@@ -267,6 +260,8 @@ def green_corner_determinant(h: np.ndarray, e_hat: float) -> float:
 
     A batch of one through :func:`_determinant_corners`.
     """
+    if not math.isfinite(e_hat):
+        raise ValueError(f"energy must be finite (got {e_hat})")
     h = _symmetric(h)[None]
     (value,), (code,), (gap,) = _determinant_corners(h, np.array([e_hat]), np.linalg.eigvalsh(h))
     if code:
@@ -787,7 +782,7 @@ def _green_routes(config: ModelConfig, energies: list) -> tuple[np.ndarray, np.n
 _CASORATIAN_LIMIT = 1e-8
 
 
-def _casoratians(energies, basis: BasisParams, b: np.ndarray) -> tuple[list, list, int, int]:
+def _casoratians(energies, basis: BasisParams, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Relative defect of b_n (s_n c_{n+1} - s_{n+1} c_n) = 2k/pi over n < N at each energy, and its share of the bound.
 
     ``b`` holds the free couplings b_0 .. b_{N-1}.  Two solutions of one
@@ -824,16 +819,17 @@ def _casoratians(energies, basis: BasisParams, b: np.ndarray) -> tuple[list, lis
     defect = np.abs(first - second - wronskian[:, None]).max(axis=1) / wronskian
     scale = (np.abs(first) + np.abs(second)).max(axis=1) / wronskian
     ratio = defect / (5.0 * count * _EPS * scale)
-    return defect.tolist(), ratio.tolist(), len(energies) - len(kept), len(kept) - len(wronskian)
+    return defect, ratio, len(energies) - len(kept), len(kept) - len(wronskian)
 
 
 def validate(config: ModelConfig, energies: np.ndarray | None = None) -> ValidationReport:
     """Run the internal consistency suites at one configuration.
 
     An energy where S or the free sequences cannot be evaluated is skipped and
-    counted by its row status; a check that could check no energy fails.  The
-    corners S used are checked against two other Green's routes, each run
-    once on the stack of the energies S accepted (:func:`_green_routes`).
+    counted by its row status; a check that could check no energy, or whose
+    worst spread, ratio or defect is nan, fails.  The corners S used are
+    checked against two other Green's routes, each run once on the stack of
+    the energies S accepted (:func:`_green_routes`).
     """
     report = ValidationReport()
     if energies is None:
@@ -864,12 +860,9 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
         # the kernel's corners, the ones S used (pivot or checked solve), against the two other routes
         agreed = route_reasons == _OK
         kernel, spectral, determinant = corners[live][agreed], spectral[agreed], determinant[agreed]
-        # each spread and the worst ratio as Python's max takes them: a nan after the first
-        # operand, and an energy whose ratio is nan, are passed over, as np.max would not
-        spread = np.abs(kernel - spectral)
-        for other in (np.abs(kernel - determinant), np.abs(spectral - determinant)):
-            spread = np.where(other > spread, other, spread)
-        worst_route = max([0.0, *(spread / np.abs(kernel) / tolerances[agreed]).tolist()])
+        # np.max carries a nan through, so a route that returns nan fails the check
+        spread = np.abs([kernel - spectral, kernel - determinant, spectral - determinant]).max(axis=0)
+        worst_route = float(np.max(spread / np.abs(kernel) / tolerances[agreed], initial=0.0))
     checked = len(energies) - len(skipped)
     report.add(
         "green-three-route",
@@ -881,7 +874,7 @@ def validate(config: ModelConfig, energies: np.ndarray | None = None) -> Validat
     _, b, _ = _free_block(config.basis, config.size)
     defects, ratios, raised, underflowed = _casoratians(energies[:4], config.basis, b)
     skipped = [_STATUSES[_TAILS]] * raised
-    worst_defect, worst_ratio = max([0.0, *defects]), max([0.0, *ratios])
+    worst_defect, worst_ratio = (float(np.max(values, initial=0.0)) for values in (defects, ratios))
     checked = len(defects)
     underflow = f", {underflowed} underflow-failed: sine coefficients below the normal range" if underflowed else ""
     report.add(

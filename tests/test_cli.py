@@ -646,6 +646,35 @@ class TestValidate:
         assert len(solved) == 4
         assert [c.name for c in report.checks if not c.passed] == ["green-three-route"]
 
+    def test_nan_route_fails(self, monkeypatch):
+        # a route that returns nan fails green-three-route instead of being passed over
+        config = PAPER_REQUEST.configs[PAPER_REQUEST.nu_list.index(3.0)]
+        determinant_corners = scattering._determinant_corners
+
+        def planted(*args):
+            corners, reasons, gaps = determinant_corners(*args)
+            return np.full_like(corners, np.nan), reasons, gaps
+
+        monkeypatch.setattr(scattering, "_determinant_corners", planted)
+        report = validate(config)
+        assert [c.name for c in report.checks if not c.passed] == ["green-three-route"]
+        assert report.checks[2].detail.startswith("worst spread nan"), report.checks[2].detail
+
+    def test_nan_casoratian_fails(self, monkeypatch):
+        # a nan defect and ratio at one energy fail the casoratian check instead of being passed over
+        config = PAPER_REQUEST.configs[PAPER_REQUEST.nu_list.index(3.0)]
+        casoratians = scattering._casoratians
+
+        def planted(*args):
+            defects, ratios, raised, underflowed = casoratians(*args)
+            defects[1] = ratios[1] = math.nan
+            return defects, ratios, raised, underflowed
+
+        monkeypatch.setattr(scattering, "_casoratians", planted)
+        report = validate(config)
+        assert [c.name for c in report.checks if not c.passed] == ["casoratian"]
+        assert report.checks[3].detail.startswith("worst relative defect nan"), report.checks[3].detail
+
     def test_lambda_bound_fails_on_halved_eigenvalue(self, monkeypatch):
         # one term: Lambda = I / Gamma(nu+1), so lambda_min Gamma(nu+1) = 1 sits on the bound
         config = ModelConfig(basis=BasisParams(lam=5.0, ell=1), g=2.0, nu=3.0, size=12, terms=1)

@@ -129,6 +129,10 @@ class TestGaussRule:
         assert np.allclose(nodes, ref_nodes, rtol=1e-12, atol=1e-12)
         assert np.allclose(weights, ref_weights, rtol=1e-10, atol=1e-14)
 
+    def test_rejects_empty_rule(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            gauss_laguerre_rule(0, 0.5)
+
     def test_polynomial_exactness(self):
         # degree 2*count-1 monomial integrates to Gamma(nu + degree + 1)/Gamma(nu+1) * Gamma(nu+1)
         nu, count = 1.0, 6
@@ -286,6 +290,11 @@ class TestLinearizationTable:
     def test_rejects_nu_outside_domain(self, nu):
         with pytest.raises(ValueError, match="nu > -1 and be finite"):
             linearization_table(2, 4, nu)
+
+    @pytest.mark.parametrize("terms, dim", [(0, 4), (2, 0)], ids=["no-terms", "no-dim"])
+    def test_rejects_empty_table(self, terms, dim):
+        with pytest.raises(ValueError, match="terms and dim must be positive"):
+            linearization_table(terms, dim, 0.5)
 
     def test_read_only(self):
         for array in linearization_table(2, 4, 0.5):

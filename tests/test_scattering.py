@@ -130,7 +130,7 @@ class TestGreenDirect:
     )
     def test_failure_marks_only_its_row(self, member, reason, message):
         # LAPACK fails a whole stack at one singular member; an infinite
-        # entry leaves a nan residual that refinement cannot lower
+        # entry leaves a nan residual, which fails its one test
         stack = np.array([np.diag([2.0, 4.0]), member, np.diag([4.0, 8.0])])
         with np.errstate(invalid="ignore"):
             corners, reasons, values = _checked_solve(stack)
@@ -189,7 +189,7 @@ class TestSolveFloor:
         # infinite one must not
         matrix = wave_operator(0.61, make_config(g=1e308, nu=5.0))[None]
         solve = np.linalg.solve
-        # the solution of a right-hand side 1e-7 off in every entry; a refinement step keeps the offset
+        # the solution of a right-hand side 1e-7 off in every entry
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b + 1e-7))
         solves = count_calls(monkeypatch, np.linalg, ("solve",))
         _, (code,), _ = _checked_solve(matrix)
@@ -197,7 +197,7 @@ class TestSolveFloor:
         monkeypatch.setattr(scattering, "_floor", lambda a, x: np.full(len(a), np.inf))
         _, (code,), (value,) = _checked_solve(matrix)
         assert code == _RESIDUAL and str(reason_error(code, 0.61, value)).startswith("solve residual")
-        assert solves == {"solve": 1 + 3}
+        assert solves == {"solve": 1 + 1}
 
 
 class TestGreenCornerRoutes:
@@ -260,6 +260,20 @@ class TestGreenCornerRoutes:
     def test_rejects_asymmetric_or_non_square(self, route, h):
         with pytest.raises(ValueError):
             route(h, 0.5)
+
+    @pytest.mark.parametrize("route", [green_corner_spectral, green_corner_determinant])
+    @pytest.mark.parametrize(
+        "h, e_hat, message",
+        [
+            (np.eye(2), math.nan, "energy must be finite"),
+            (np.diag([np.inf, 1.0]), 0.5, "matrix must be finite"),
+            (np.eye(2), math.inf, "energy must be finite"),
+        ],
+        ids=["nan-energy", "inf-entry", "inf-energy"],
+    )
+    def test_rejects_non_finite_input(self, route, h, e_hat, message):
+        with pytest.raises(ValueError, match=message):
+            route(h, e_hat)
 
     def test_denominator_sign_changes_bracket_eigenvalues(self):
         # the characteristic product flips sign exactly once across each
@@ -689,7 +703,8 @@ class TestScanKernel:
     def test_reason_table_rows(self, code, config, energy):
         # every reason but ok has a row: the status run_scan reports for its code is the status of
         # the error s_matrix raises for it, of the table's class; the kernel gives the code itself
-        # where a natural input reaches it (a singular or refined-out solve needs a planted matrix)
+        # where a natural input reaches it (a singular solve or a residual above its bound needs a
+        # planted matrix)
         error = reason_error(code, energy, 1e-3, config)
         status, kind, _ = _REASONS[code]
         assert isinstance(error, kind) and ORACLE_STATUS[type(error)] == status == _STATUSES[code]
@@ -975,7 +990,7 @@ class TestPivotCorner:
 
             (corner,), (code,), _ = _checked_solve(matrix[None])
             solution = np.linalg.solve(matrix, np.eye(size)[:, -1:])[:, 0]
-            # the checked solve kept LAPACK's solution: no refinement step ran
+            # the checked solve returns LAPACK's solution
             assert code == _OK and corner == solution[-1]
             permutation, lower, upper = scipy.linalg.lu(matrix)
             with mpmath.workdps(60):

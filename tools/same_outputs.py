@@ -32,7 +32,7 @@ Then one line per digest, ``name count sha256``:
   raises at every reason a natural input reaches: an energy that is not
   positive, a weight or a wave operator that is not finite, a pole, a
   vanishing denominator, or free sequences beyond their range (a singular
-  or refined-out solve needs a planted matrix);
+  solve or a residual above its bound needs a planted matrix);
 * ``free``: the bytes of each call of a seeded corpus of the free problem's
   functions, ``jacobi_matrix``, ``laguerre_orthonormal_sequence`` (scalar and
   array z), ``h0_matrix``, ``sine_coefficients``, ``cosine_coefficients`` and
